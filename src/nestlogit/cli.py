@@ -43,7 +43,7 @@ from .modelfile import load_model
 from .montecarlo import mean_with_error
 from .simulate import mc_choice_probs, mixed_logit_probs, sample_epsilon
 from .streams import SeededStream
-from .verify import _finite_difference_gradient, run_checks
+from .verify import finite_difference_gradient, run_checks
 
 __all__ = ["main"]
 
@@ -54,6 +54,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _thread_count(text: str) -> int:
+    value = int(text) if text.strip().isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _jsonable(value):
@@ -257,7 +264,7 @@ def _cmd_stable(args) -> int:
 def _cmd_grad_check(args) -> int:
     model = _load(args)
     analytic = choice_probs(model)
-    numeric = _finite_difference_gradient(model, args.step)
+    numeric = finite_difference_gradient(model, args.step)
     worst = max(abs(analytic[leaf] - numeric[leaf]) for leaf in model.tree.leaves)
     passed = worst <= args.tol
     results = {
@@ -323,7 +330,7 @@ def _build_parser() -> _Parser:
         if stochastic:
             p.add_argument("--draws", type=int, default=draws_default, help="number of draws")
             p.add_argument("--seed", type=int, default=0, help="random seed (echoed in the report)")
-            p.add_argument("--threads", type=int, default=1, help="worker threads; never changes output")
+            p.add_argument("--threads", type=_thread_count, default=1, help="worker threads; never changes output")
         p.add_argument("--pretty", action="store_true", help="human-readable text instead of JSON")
 
     p = sub.add_parser("validate", help="parse and validate a model file, print its metrics")
@@ -399,7 +406,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--mc", type=int, metavar="DRAWS", help="also estimate by simulation")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_frechet_corr)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .distributions import gumbel_sample, stable_log_sample
 from .errors import DomainError
-from .montecarlo import EstimateWithError, run_chunked
+from .montecarlo import EstimateWithError, correlation_with_error, run_chunked
 from .streams import SeededStream
 
 __all__ = ["frechet_corr", "frechet_pair_sample", "mc_frechet_corr"]
@@ -103,6 +103,4 @@ def mc_frechet_corr(
     if n_draws < 4:
         raise DomainError("correlation needs at least 4 draws")
     pairs = frechet_pair_sample(stream, alpha, lam, n_draws, n_threads=n_threads)
-    r = float(np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1])
-    err = max(0.0, 1.0 - r * r) / float(np.sqrt(n_draws - 3.0))
-    return EstimateWithError(r, err, n_draws)
+    return correlation_with_error(pairs[:, 0], pairs[:, 1])

@@ -22,11 +22,10 @@ from typing import Mapping
 from .errors import (
     NotALeafError,
     RootHasNoParentError,
-    ShapeError,
     UnknownNodeError,
     UtilityError,
 )
-from .tree import Arborescence, TreeMetrics, metrics, require_nest
+from .tree import Arborescence, TreeMetrics, metrics, require_nest, require_two_level
 
 __all__ = [
     "ModelSpec",
@@ -52,10 +51,18 @@ class ModelSpec:
     utilities: Mapping[str, float]
 
 
+def _finite_utilities(utilities: Mapping[str, float]) -> dict[str, float]:
+    values = {str(k): float(v) for k, v in utilities.items()}
+    bad = [k for k, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise UtilityError(f"non-finite utility for {sorted(bad)}")
+    return values
+
+
 def make_model(tree: Arborescence, utilities: Mapping[str, float]) -> ModelSpec:
     """Bundle tree and utilities after checking the utility map covers
     exactly the leaf set with finite values."""
-    utilities = {str(k): float(v) for k, v in utilities.items()}
+    utilities = _finite_utilities(utilities)
     leaf_set = set(tree.leaves)
     missing = leaf_set - set(utilities)
     extra = set(utilities) - leaf_set
@@ -63,27 +70,20 @@ def make_model(tree: Arborescence, utilities: Mapping[str, float]) -> ModelSpec:
         raise UtilityError(f"no utility for leaves {sorted(missing)}")
     if extra:
         raise UtilityError(f"utilities given for non-leaves {sorted(extra)}")
-    bad = [k for k, v in utilities.items() if not math.isfinite(v)]
-    if bad:
-        raise UtilityError(f"non-finite utility for {sorted(bad)}")
     return ModelSpec(tree=tree, metrics=metrics(tree), utilities=utilities)
 
 
 def with_utilities(model: ModelSpec, overrides: Mapping[str, float]) -> ModelSpec:
-    """Copy of the model with some leaf utilities replaced."""
+    """Copy of the model with some leaf utilities replaced. The copy shares
+    the original's tree and metrics, which do not depend on utilities."""
     for key in overrides:
         if key not in model.tree.parent and key != model.tree.root:
             raise UnknownNodeError(f"unknown node id {key!r}")
         if not model.tree.is_leaf(key):
             raise NotALeafError(f"node {key!r} is a nest, utilities live on leaves")
     merged = dict(model.utilities)
-    merged.update({k: float(v) for k, v in overrides.items()})
-    return make_model(model.tree, merged)
-
-
-def _children_first(tree: Arborescence) -> tuple[str, ...]:
-    # Reversed preorder visits every child before its parent.
-    return tuple(reversed(tree.nests_and_leaves_preorder))
+    merged.update(_finite_utilities(overrides))
+    return ModelSpec(tree=model.tree, metrics=model.metrics, utilities=merged)
 
 
 def backward_utils(model: ModelSpec) -> dict[str, float]:
@@ -96,9 +96,7 @@ def backward_utils(model: ModelSpec) -> dict[str, float]:
     """
     tree, met = model.tree, model.metrics
     u: dict[str, float] = dict(model.utilities)
-    for node in _children_first(tree):
-        if not tree.is_nest(node):
-            continue
+    for node in reversed(tree.nests):  # every child nest before its parent
         big_lam = met.big_lambda[node]
         kids = tree.children[node]
         top = max(u[k] for k in kids)
@@ -118,9 +116,7 @@ def forward_probs(model: ModelSpec, u: Mapping[str, float]) -> dict[str, float]:
     """
     tree, met = model.tree, model.metrics
     log_pi: dict[str, float] = {tree.root: 0.0}
-    for node in tree.nests_and_leaves_preorder:
-        if not tree.is_nest(node):
-            continue
+    for node in tree.nests:  # preorder: every parent before its children
         big_lam = met.big_lambda[node]
         u_n = u[node]
         for kid in tree.children[node]:
@@ -146,17 +142,12 @@ def choice_probs_single_layer(model: ModelSpec) -> dict[str, float]:
     backward/forward evaluation.
     """
     tree = model.tree
-    for nest in tree.children[tree.root]:
-        if not tree.is_nest(nest):
-            raise ShapeError(f"root child {nest!r} is a leaf, need root -> nests -> leaves")
-        for leaf in tree.children[nest]:
-            if tree.is_nest(leaf):
-                raise ShapeError(f"nest {nest!r} contains nest {leaf!r}, tree is deeper than 2")
+    nests = require_two_level(tree)
 
     scaled: dict[str, dict[str, float]] = {}
     log_s: dict[str, float] = {}
     log_weight: dict[str, float] = {}
-    for nest in tree.children[tree.root]:
+    for nest in nests:
         lam = tree.lam[nest]
         t = {leaf: model.utilities[leaf] / lam for leaf in tree.children[nest]}
         top = max(t.values())
@@ -168,7 +159,7 @@ def choice_probs_single_layer(model: ModelSpec) -> dict[str, float]:
     log_denom = top_w + math.log(sum(math.exp(w - top_w) for w in log_weight.values()))
 
     probs: dict[str, float] = {}
-    for nest in tree.children[tree.root]:
+    for nest in nests:
         for leaf in tree.children[nest]:
             probs[leaf] = math.exp(
                 log_weight[nest] - log_denom + scaled[nest][leaf] - log_s[nest]
@@ -192,9 +183,7 @@ def cdf(model: ModelSpec, bounds: Mapping[str, float]) -> float:
         if not math.isfinite(value):
             raise UtilityError(f"bound for {leaf!r} is not finite")
         a[leaf] = value
-    for node in _children_first(tree):
-        if not tree.is_nest(node):
-            continue
+    for node in reversed(tree.nests):
         big_lam = met.big_lambda[node]
         kids = tree.children[node]
         low = min(a[k] for k in kids)

@@ -109,7 +109,7 @@ def model_to_doc(model: ModelSpec) -> dict:
     """Nested document form of a model, suitable for json.dump."""
     tree = model.tree
     built: dict[str, dict] = {}
-    for node in reversed(tree.nests_and_leaves_preorder):  # children first
+    for node in reversed(tree.nodes):  # children first
         if tree.is_nest(node):
             built[node] = {
                 "id": node,

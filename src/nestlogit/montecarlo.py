@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EstimateWithError", "mean_with_error", "binomial_estimate", "run_chunked"]
+__all__ = ["EstimateWithError", "mean_with_error", "binomial_estimate",
+           "correlation_with_error", "run_chunked"]
 
 CHUNK_SIZE = 1 << 16
 
@@ -49,6 +50,14 @@ def binomial_estimate(count: int, n_draws: int) -> EstimateWithError:
         raise ValueError("n_draws must be positive")
     p = count / n_draws
     return EstimateWithError(p, float(np.sqrt(p * (1.0 - p) / n_draws)), n_draws)
+
+
+def correlation_with_error(a: np.ndarray, b: np.ndarray) -> EstimateWithError:
+    """Pearson correlation with normal-theory std error (1 - r^2)/sqrt(n - 3)."""
+    n = len(a)
+    r = float(np.corrcoef(a, b)[0, 1])
+    err = max(0.0, 1.0 - r * r) / float(np.sqrt(n - 3.0))
+    return EstimateWithError(r, err, n)
 
 
 def run_chunked(stream, n_draws, kernel, n_threads=1, chunk_size=CHUNK_SIZE):

@@ -11,6 +11,10 @@ is what produces the within-nest correlation 1 - Lambda_lca^2 while every
 marginal stays standard Gumbel. Nests with lambda_n = 1 contribute nothing
 and are skipped in sampling.
 
+The factor part of the sum is shared by the leaves of a nest and equals
+its parent nest's plus Lambda_n * log Z_n, so it is assembled as a prefix
+sum down the tree: one array operation per node, O(chunk x nests) memory.
+
 Generation is chunked with one substream per fixed-size chunk, so a batch
 is bit-identical no matter how many worker threads produced it.
 """
@@ -22,15 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import EULER_GAMMA, gumbel_sample, stable_log_sample
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 from .model import ModelSpec, cdf, choice_probs
 from .montecarlo import (
     EstimateWithError,
     binomial_estimate,
+    correlation_with_error,
     mean_with_error,
     run_chunked,
 )
 from .streams import SeededStream
+from .tree import require_two_level
 
 __all__ = [
     "SampleBatch",
@@ -66,35 +72,35 @@ def sample_epsilon(
     log Z_n are drawn first (nests in preorder, lambda < 1 only), then the
     leaf Gumbels in column order, so the layout of randomness is a pure
     function of (seed, stream_index, model, n_draws).
+
+    A chunk's (nests x chunk) buffer takes Lambda_n * log Z_n in the rows
+    of factor nests, then each nest adds its parent's row in preorder; a
+    leaf column is Lambda_leaf * eps'_j plus its parent nest's row. Memory
+    is O(chunk x nests) plus the output matrix.
     """
     if n_draws < 0:
         raise DomainError("n_draws must be nonnegative")
     tree, met = model.tree, model.metrics
     leaf_order = tree.leaves
-    factor_nests = [n for n in tree.nests if tree.lam[n] < 1.0]
-    # Per-leaf recipe: indices into the factor list with their Lambda
-    # weights, plus the Gumbel coefficient Lambda of the parent nest.
-    factor_index = {n: i for i, n in enumerate(factor_nests)}
-    recipes = []
-    for leaf in leaf_order:
-        terms = [
-            (factor_index[t], met.big_lambda[t])
-            for t in met.path_from_root[leaf]
-            if t in factor_index
-        ]
-        recipes.append((terms, met.big_lambda[leaf]))
+    row = {n: i for i, n in enumerate(tree.nests)}
+    factors = [(row[n], tree.lam[n], met.big_lambda[n]) for n in tree.nests if tree.lam[n] < 1.0]
+    # Non-root nests in preorder with their parent's row: every parent row
+    # is complete before a child adds it in.
+    links = [(row[n], row[tree.parent[n]]) for n in tree.nests[1:]]
+    leaf_terms = [(met.big_lambda[leaf], row[tree.parent[leaf]]) for leaf in leaf_order]
 
     out = np.empty((n_draws, len(leaf_order)))
 
     def kernel(sub: SeededStream, start: int, stop: int) -> None:
         m = stop - start
-        log_z = [stable_log_sample(sub, tree.lam[n], size=m) for n in factor_nests]
+        acc = np.zeros((len(tree.nests), m))
+        for i, lam, big_lam in factors:
+            acc[i] = big_lam * stable_log_sample(sub, lam, size=m)
+        for i, parent in links:
+            acc[i] += acc[parent]
         block = out[start:stop]
-        for col, (terms, coeff) in enumerate(recipes):
-            eps = coeff * gumbel_sample(sub, size=m)
-            for idx, weight in terms:
-                eps += weight * log_z[idx]
-            block[:, col] = eps
+        for col, (coeff, parent) in enumerate(leaf_terms):
+            block[:, col] = coeff * gumbel_sample(sub, size=m) + acc[parent]
 
     run_chunked(stream, n_draws, kernel, n_threads=n_threads)
     return SampleBatch(
@@ -162,9 +168,7 @@ def mc_correlation(
     if n_draws < 4:
         raise DomainError("correlation needs at least 4 draws")
     batch = sample_epsilon(model, stream, n_draws, n_threads=n_threads)
-    r = float(np.corrcoef(batch.column(leaf_a), batch.column(leaf_b))[0, 1])
-    err = max(0.0, 1.0 - r * r) / float(np.sqrt(n_draws - 3.0))
-    return EstimateWithError(r, err, n_draws)
+    return correlation_with_error(batch.column(leaf_a), batch.column(leaf_b))
 
 
 def mc_cdf(
@@ -213,13 +217,7 @@ def mixed_logit_probs(
     if n_draws <= 0:
         raise DomainError("n_draws must be positive")
     tree = model.tree
-    nests = tree.children[tree.root]
-    for nest in nests:
-        if not tree.is_nest(nest):
-            raise ShapeError(f"root child {nest!r} is a leaf, need root -> nests -> leaves")
-        for leaf in tree.children[nest]:
-            if tree.is_nest(leaf):
-                raise ShapeError(f"nest {nest!r} contains nest {leaf!r}, tree is deeper than 2")
+    nests = require_two_level(tree)
 
     leaf_order = tree.leaves
     leaf_nest_idx = np.array(

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["SeededStream"]
 
 
@@ -32,7 +34,7 @@ class SeededStream:
 
     def __post_init__(self) -> None:
         if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+            raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     @property
     def rng(self) -> np.random.Generator:

@@ -4,8 +4,9 @@ A nest tree is a finite rooted tree whose internal nodes ("nests") carry a
 dissimilarity parameter lambda in (0, 1] and whose leaves are the choice
 alternatives. The root is a nest with lambda fixed at 1. Everything
 downstream (choice probabilities, noise simulation) is driven by two
-derived quantities computed here: the root path of each node and the
-cumulative parameter Lambda, the product of lambda over that path.
+derived quantities computed here: the depth-first preorder of the nodes,
+walked once when the tree is built, and the cumulative parameter Lambda,
+the product of lambda over each node's root path.
 
 Traversals are iterative throughout; deep chains must not hit the
 interpreter recursion limit.
@@ -26,6 +27,7 @@ from .errors import (
     NotANestError,
     OrphanNodeError,
     RootLambdaError,
+    ShapeError,
     UnknownNodeError,
 )
 
@@ -38,8 +40,10 @@ class Arborescence:
 
     children maps each nest to its ordered child tuple; parent covers every
     node except the root; lam holds lambda for every nest (root included,
-    always 1.0). Instances are immutable after build() and safe to share
-    across threads.
+    always 1.0). nodes lists every node in depth-first preorder, children
+    in declaration order, so a parent always precedes its children; nests
+    and leaves are its two subsequences. Instances are immutable after
+    build() and safe to share across threads.
     """
 
     root: str
@@ -48,23 +52,7 @@ class Arborescence:
     lam: Mapping[str, float]
     nests: tuple[str, ...]
     leaves: tuple[str, ...]
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        """All node ids in depth-first preorder."""
-        return self.nests_and_leaves_preorder
-
-    @property
-    def nests_and_leaves_preorder(self) -> tuple[str, ...]:
-        order = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            # reversed() keeps children in declaration order on the stack
-            for child in reversed(self.children.get(node, ())):
-                stack.append(child)
-        return tuple(order)
+    nodes: tuple[str, ...]
 
     def is_nest(self, node: str) -> bool:
         return node in self.children
@@ -79,19 +67,18 @@ class Arborescence:
 
 @dataclass(frozen=True)
 class TreeMetrics:
-    """Per-node structural quantities.
+    """Per-node structural quantities, O(nodes) in time and memory.
 
     depth counts edges from the root; height is the longest downward path
     (0 on leaves). big_lambda[n] is the product of lambda over the nests on
-    the root path of n; a leaf inherits its parent's value. path_from_root
-    lists those nests in order, root excluded, the node itself included
-    when it is a nest.
+    the root path of n, the node itself included when it is a nest; a leaf
+    inherits its parent's value. They depend on the tree alone, so models
+    that differ only in utilities share one instance.
     """
 
     depth: Mapping[str, int]
     height: Mapping[str, int]
     big_lambda: Mapping[str, float]
-    path_from_root: Mapping[str, tuple[str, ...]]
 
 
 def _as_unique_children(raw: Mapping[str, Iterable[str]]) -> dict[str, tuple[str, ...]]:
@@ -143,13 +130,16 @@ def build(
     if root not in children:
         raise EmptyNestError(f"root {root!r} has no children")
 
-    # Reachability from the root. Unreached nodes with a parent chain that
-    # loops are a cycle; unreached nodes hanging off nothing are orphans.
+    # Reachability from the root, walked once in depth-first preorder.
+    # Unreached nodes with a parent chain that loops are a cycle; unreached
+    # nodes hanging off nothing are orphans.
+    order = []
     reached = {root}
     stack = [root]
     while stack:
         node = stack.pop()
-        for kid in children.get(node, ()):
+        order.append(node)
+        for kid in reversed(children.get(node, ())):
             if kid in reached:
                 raise CycleError(f"node {kid!r} reached twice from the root")
             reached.add(kid)
@@ -170,8 +160,8 @@ def build(
 
     # Lambda placement and range. Nests need lambda in (0, 1]; leaves must
     # not carry one; the root is pinned at 1.
-    nests = tuple(n for n in _preorder(root, children) if n in children)
-    leaves = tuple(n for n in _preorder(root, children) if n not in children)
+    nests = tuple(n for n in order if n in children)
+    leaves = tuple(n for n in order if n not in children)
     for nest in nests:
         if nest == root:
             continue
@@ -194,18 +184,8 @@ def build(
         lam=lam_full,
         nests=nests,
         leaves=leaves,
+        nodes=tuple(order),
     )
-
-
-def _preorder(root: str, children: Mapping[str, tuple[str, ...]]) -> list[str]:
-    order = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        for kid in reversed(children.get(node, ())):
-            stack.append(kid)
-    return order
 
 
 def from_nested(doc: Mapping) -> tuple[Arborescence, dict[str, float]]:
@@ -242,12 +222,11 @@ def from_nested(doc: Mapping) -> tuple[Arborescence, dict[str, float]]:
 
 
 def metrics(tree: Arborescence) -> TreeMetrics:
-    """Depth, height, root paths and cumulative Lambda for every node."""
+    """Depth, height and cumulative Lambda for every node."""
     depth: dict[str, int] = {tree.root: 0}
     big_lambda: dict[str, float] = {tree.root: 1.0}
-    path: dict[str, tuple[str, ...]] = {tree.root: ()}
 
-    order = tree.nests_and_leaves_preorder
+    order = tree.nodes
     for node in order:
         if node == tree.root:
             continue
@@ -255,18 +234,16 @@ def metrics(tree: Arborescence) -> TreeMetrics:
         depth[node] = depth[par] + 1
         if tree.is_nest(node):
             big_lambda[node] = big_lambda[par] * tree.lam[node]
-            path[node] = path[par] + (node,)
         else:
             # A leaf shares the cumulative parameter of its parent nest.
             big_lambda[node] = big_lambda[par]
-            path[node] = path[par]
 
     height: dict[str, int] = {}
     for node in reversed(order):  # children precede parents
         kids = tree.children.get(node, ())
         height[node] = 1 + max(height[k] for k in kids) if kids else 0
 
-    return TreeMetrics(depth=depth, height=height, big_lambda=big_lambda, path_from_root=path)
+    return TreeMetrics(depth=depth, height=height, big_lambda=big_lambda)
 
 
 def lca(tree: Arborescence, a: str, b: str) -> str:
@@ -321,3 +298,16 @@ def require_nest(tree: Arborescence, node: str) -> None:
     tree.require_node(node)
     if not tree.is_nest(node):
         raise NotANestError(f"node {node!r} is a leaf, expected a nest")
+
+
+def require_two_level(tree: Arborescence) -> tuple[str, ...]:
+    """The root's children, after checking the tree is root -> nests ->
+    leaves; raises ShapeError otherwise."""
+    nests = tree.children[tree.root]
+    for nest in nests:
+        if not tree.is_nest(nest):
+            raise ShapeError(f"root child {nest!r} is a leaf, need root -> nests -> leaves")
+        for leaf in tree.children[nest]:
+            if tree.is_nest(leaf):
+                raise ShapeError(f"nest {nest!r} contains nest {leaf!r}, tree is deeper than 2")
+    return nests

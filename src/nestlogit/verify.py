@@ -20,7 +20,7 @@ from .simulate import mc_cdf, mc_choice_probs, mc_correlation
 from .streams import SeededStream
 from .tree import lca
 
-__all__ = ["CheckResult", "run_checks"]
+__all__ = ["CheckResult", "finite_difference_gradient", "run_checks"]
 
 FD_STEP = 1e-5
 
@@ -43,7 +43,9 @@ class CheckResult:
     detail: str = ""
 
 
-def _finite_difference_gradient(model: ModelSpec, step: float) -> dict[str, float]:
+def finite_difference_gradient(model: ModelSpec, step: float) -> dict[str, float]:
+    """Central differences of the root Emax in each leaf utility, the
+    numerical counterpart of emax_gradient."""
     grad = {}
     for leaf in model.tree.leaves:
         base = model.utilities[leaf]
@@ -51,6 +53,10 @@ def _finite_difference_gradient(model: ModelSpec, step: float) -> dict[str, floa
         down = emax(with_utilities(model, {leaf: base - step}))
         grad[leaf] = (up - down) / (2.0 * step)
     return grad
+
+
+# Older name, still looked up by bench/spans.py.
+_finite_difference_gradient = finite_difference_gradient
 
 
 def _proportion_z(est: EstimateWithError, target: float) -> float:
@@ -114,7 +120,7 @@ def run_checks(
         )
     )
 
-    fd = _finite_difference_gradient(model, FD_STEP)
+    fd = finite_difference_gradient(model, FD_STEP)
     grad = emax_gradient(model)
     gap = max(abs(grad[leaf] - fd[leaf]) for leaf in tree.leaves)
     results.append(

@@ -289,6 +289,21 @@ def test_usage_errors_exit_one():
     assert "cannot read" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "-1"), ("--seed", "18446744073709551616"), ("--threads", "0"), ("--threads", "-3")],
+)
+def test_bad_seed_or_threads_exit_one(depth3_path, flag, value):
+    for args in (
+        ("probs", depth3_path, "--method", "mc", "--draws", "100"),
+        ("frechet-corr", "--alpha", "3", "--lambda", "0.5", "--mc", "100"),
+    ):
+        proc = run_cli(*args, flag, value)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert flag.lstrip("-") in proc.stderr and value in proc.stderr
+
+
 def test_version():
     proc = run_cli("--version")
     assert proc.returncode == 0

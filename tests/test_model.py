@@ -348,3 +348,9 @@ def test_with_utilities_validation(depth3_model):
     bumped = with_utilities(depth3_model, {"leaf3": 1.0})
     assert bumped.utilities["leaf3"] == 1.0
     assert depth3_model.utilities["leaf3"] == 0.0  # original untouched
+    # metrics depend on the tree alone and are shared, not recomputed
+    assert bumped.tree is depth3_model.tree
+    assert bumped.metrics is depth3_model.metrics
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(UtilityError):
+            with_utilities(depth3_model, {"leaf0": bad})

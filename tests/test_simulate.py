@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from nestlogit import (
@@ -27,8 +27,11 @@ from nestlogit import (
     mc_correlation,
     mc_emax,
     mixed_logit_probs,
+    random_model,
     sample_epsilon,
 )
+from nestlogit.distributions import gumbel_sample, stable_log_sample
+from nestlogit.montecarlo import CHUNK_SIZE
 
 KS_1PCT = 1.63
 
@@ -58,6 +61,53 @@ def test_sample_repeatable(depth3_model):
     assert_array_equal(a.draws, b.draws)
     c = sample_epsilon(depth3_model, SeededStream(34), 1000)
     assert not np.array_equal(a.draws, c.draws)
+
+
+def path_sum_reference(model, stream, n_draws):
+    """The representation written out leaf by leaf: each leaf sums
+    Lambda_t * log Z_t over the factor nests on its root path, read from
+    the same per-chunk substreams in the same order as sample_epsilon."""
+    tree, met = model.tree, model.metrics
+    factor_nests = [n for n in tree.nests if tree.lam[n] < 1.0]
+    out = np.empty((n_draws, len(tree.leaves)))
+    for i, start in enumerate(range(0, n_draws, CHUNK_SIZE)):
+        stop = min(start + CHUNK_SIZE, n_draws)
+        sub = stream.child(i)
+        log_z = {n: stable_log_sample(sub, tree.lam[n], size=stop - start) for n in factor_nests}
+        for col, leaf in enumerate(tree.leaves):
+            eps = met.big_lambda[leaf] * gumbel_sample(sub, size=stop - start)
+            nest = tree.parent[leaf]
+            while nest != tree.root:
+                if nest in log_z:
+                    eps = eps + met.big_lambda[nest] * log_z[nest]
+                nest = tree.parent[nest]
+            out[start:stop, col] = eps
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sample_matches_path_sum_random_trees(seed):
+    model = random_model(np.random.default_rng(seed), max_nodes=80)
+    batch = sample_epsilon(model, SeededStream(seed), 300)
+    assert_allclose(batch.draws, path_sum_reference(model, SeededStream(seed), 300), rtol=0, atol=1e-12)
+
+
+def test_sample_matches_path_sum_across_chunks(depth3_model):
+    n = CHUNK_SIZE + 50
+    batch = sample_epsilon(depth3_model, SeededStream(5), n, n_threads=2)
+    assert_allclose(batch.draws, path_sum_reference(depth3_model, SeededStream(5), n), rtol=0, atol=1e-12)
+
+
+def test_sample_matches_path_sum_deep_chain():
+    depth = 500
+    children = {"root": ("n1", "x0")}
+    for i in range(1, depth):
+        children[f"n{i}"] = (f"n{i + 1}", f"x{i}")
+    children[f"n{depth}"] = (f"x{depth}", f"y{depth}")
+    tree = build("root", children, {f"n{i}": 0.999 for i in range(1, depth + 1)})
+    model = make_model(tree, {leaf: 0.0 for leaf in tree.leaves})
+    batch = sample_epsilon(model, SeededStream(17), 64)
+    assert_allclose(batch.draws, path_sum_reference(model, SeededStream(17), 64), rtol=0, atol=1e-12)
 
 
 def test_marginals_are_standard_gumbel(depth3_model, single_layer_model):

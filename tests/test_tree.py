@@ -61,11 +61,17 @@ def test_metrics_depth3():
     assert_allclose(met.big_lambda["leaf3"], 1.0)
 
 
-def test_path_from_root():
-    met = metrics(depth3())
-    assert met.path_from_root["b"] == ("a", "b")
-    assert met.path_from_root["leaf0"] == ("a", "b")
-    assert met.path_from_root["leaf3"] == ()
+def test_big_lambda_is_product_along_parent_chain():
+    for seed in range(10):
+        tree = random_model(np.random.default_rng(seed), max_nodes=60).tree
+        met = metrics(tree)
+        for node in tree.nodes:
+            product = 1.0
+            nest = node if tree.is_nest(node) else tree.parent[node]
+            while nest != tree.root:
+                product *= tree.lam[nest]
+                nest = tree.parent[nest]
+            assert_allclose(met.big_lambda[node], product, rtol=1e-14)
 
 
 def test_root_lambda_optional_but_pinned():
