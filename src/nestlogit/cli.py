@@ -56,11 +56,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _thread_count(text: str) -> int:
-    value = int(text) if text.strip().isdecimal() else 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _integer(low: int, high: float = math.inf):
+    """argparse type for an integer in [low, high), checked at parse time so
+    that the message names the flag even where the value goes unused."""
+    def parse(text: str) -> int:
+        if not (text.strip().removeprefix("-").isdecimal() and low <= int(text) < high):
+            raise argparse.ArgumentTypeError(f"must be an integer in [{low}, {high}), got {text!r}")
+        return int(text)
+    return parse
 
 
 def _jsonable(value):
@@ -184,7 +187,7 @@ def _cmd_probs(args) -> int:
     if args.method == "mc":
         estimates = mc_choice_probs(model, stream, args.draws, n_threads=args.threads)
     else:
-        estimates = mixed_logit_probs(model, stream, args.draws)
+        estimates = mixed_logit_probs(model, stream, args.draws, n_threads=args.threads)
     results = {
         "method": args.method,
         "probabilities": {leaf: est.value for leaf, est in estimates.items()},
@@ -299,7 +302,7 @@ def _cmd_frechet_corr(args) -> int:
     exact = frechet_corr(args.alpha, args.lam)
     results = {"correlation": exact}
     seed = None
-    if args.mc:
+    if args.mc is not None:
         seed = args.seed
         est = mc_frechet_corr(SeededStream(seed), args.alpha, args.lam, args.mc, n_threads=args.threads)
         results["mc_estimate"] = est.value
@@ -318,7 +321,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True, stochastic=False, draws_default=100_000):
+    def common(p, model=True, stochastic=False, draws_default=100_000, draws_min=1):
         if model:
             p.add_argument("path", help="model file (JSON)")
             p.add_argument(
@@ -328,9 +331,9 @@ def _build_parser() -> _Parser:
                 help="override a leaf utility; repeatable",
             )
         if stochastic:
-            p.add_argument("--draws", type=int, default=draws_default, help="number of draws")
-            p.add_argument("--seed", type=int, default=0, help="random seed (echoed in the report)")
-            p.add_argument("--threads", type=_thread_count, default=1, help="worker threads; never changes output")
+            p.add_argument("--draws", type=_integer(draws_min), default=draws_default, help="number of draws")
+            p.add_argument("--seed", type=_integer(0, 2**64), default=0, help="random seed (echoed in the report)")
+            p.add_argument("--threads", type=_integer(1), default=1, help="worker threads; never changes output")
         p.add_argument("--pretty", action="store_true", help="human-readable text instead of JSON")
 
     p = sub.add_parser("validate", help="parse and validate a model file, print its metrics")
@@ -350,7 +353,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="draw noise vectors and write them to CSV")
     p.add_argument("--out", required=True, help="output CSV path (header = leaf ids)")
-    common(p, stochastic=True, draws_default=1000)
+    common(p, stochastic=True, draws_default=1000, draws_min=0)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("stable", help="positive stable distribution utilities")
@@ -358,7 +361,7 @@ def _build_parser() -> _Parser:
 
     q = stable_sub.add_parser("sample", help="draw from P(lambda)")
     q.add_argument("--lambda", dest="lam", type=float, required=True)
-    common(q, model=False, stochastic=True, draws_default=10)
+    common(q, model=False, stochastic=True, draws_default=10, draws_min=0)
     q.set_defaults(func=_cmd_stable)
 
     q = stable_sub.add_parser("density", help="density by series; closed form included at lambda = 1/2")
@@ -398,15 +401,15 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_cdf)
 
     p = sub.add_parser("verify", help="run analytic/simulation consistency checks (exit 2 on failure)")
-    common(p, stochastic=True, draws_default=50_000)
+    common(p, stochastic=True, draws_default=50_000, draws_min=4)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("frechet-corr", help="Gumbel-coupled Frechet correlation, closed form and optional MC")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--mc", type=int, metavar="DRAWS", help="also estimate by simulation")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--mc", type=_integer(4), metavar="DRAWS", help="also estimate by simulation")
+    p.add_argument("--seed", type=_integer(0, 2**64), default=0)
+    p.add_argument("--threads", type=_integer(1), default=1)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_frechet_corr)
 

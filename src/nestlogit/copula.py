@@ -15,7 +15,8 @@ residue.
 The sampler realizes the pair from one shared positive stable factor:
 delta_i = exp((lambda/alpha) * (eps_i + log Z)) with independent standard
 Gumbel eps_i and Z ~ P(lambda), which has exactly the margins and copula
-above.
+above. Times alpha, the exponent is the nested logit noise of two leaves in
+one lambda-nest, so sample_epsilon draws it on root -> n(lambda) -> {1, 2}.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ import math
 
 import numpy as np
 
-from .distributions import gumbel_sample, stable_log_sample
 from .errors import DomainError
-from .montecarlo import EstimateWithError, correlation_with_error, run_chunked
+from .model import make_model
+from .montecarlo import EstimateWithError, correlation_with_error
+from .simulate import sample_epsilon
 from .streams import SeededStream
+from .tree import build
 
 __all__ = ["frechet_corr", "frechet_pair_sample", "mc_frechet_corr"]
 
@@ -72,20 +75,9 @@ def frechet_pair_sample(
     point mass at 1 and is skipped in sampling).
     """
     alpha, lam = _check_alpha_lambda(alpha, lam, need_variance=False)
-    if n_draws < 0:
-        raise DomainError("n_draws must be nonnegative")
-    out = np.empty((n_draws, 2))
-
-    def kernel(sub: SeededStream, start: int, stop: int) -> None:
-        m = stop - start
-        log_z = stable_log_sample(sub, lam, size=m) if lam < 1.0 else 0.0
-        block = out[start:stop]
-        for col in range(2):
-            eps = gumbel_sample(sub, size=m)
-            block[:, col] = np.exp((lam / alpha) * (eps + log_z))
-
-    run_chunked(stream, n_draws, kernel, n_threads=n_threads)
-    return out
+    pair = build("root", {"root": ("n",), "n": ("1", "2")}, {"n": lam})
+    batch = sample_epsilon(make_model(pair, {"1": 0.0, "2": 0.0}), stream, n_draws, n_threads=n_threads)
+    return np.exp(batch.draws / alpha)
 
 
 def mc_frechet_corr(

@@ -170,26 +170,21 @@ def choice_probs_single_layer(model: ModelSpec) -> dict[str, float]:
 def cdf(model: ModelSpec, bounds: Mapping[str, float]) -> float:
     """Joint noise CDF Pr(eps_j <= bounds_j for every leaf j).
 
-    bounds must cover exactly the leaf set. The nest recursion mirrors
-    backward_utils with negated, min-shifted arguments.
+    bounds must cover exactly the leaf set. The nest recursion for a_n is
+    backward_utils run on the utilities -bounds, with a_n = -u_n; negation
+    is exact, so this is bit for bit the recursion written out in a_n.
     """
-    tree, met = model.tree, model.metrics
-    leaf_set = set(tree.leaves)
-    if set(bounds) != leaf_set:
+    tree = model.tree
+    if set(bounds) != set(tree.leaves):
         raise UtilityError("bounds must be given for exactly the leaf set")
-    a: dict[str, float] = {}
+    negated: dict[str, float] = {}
     for leaf in tree.leaves:
         value = float(bounds[leaf])
         if not math.isfinite(value):
             raise UtilityError(f"bound for {leaf!r} is not finite")
-        a[leaf] = value
-    for node in reversed(tree.nests):
-        big_lam = met.big_lambda[node]
-        kids = tree.children[node]
-        low = min(a[k] for k in kids)
-        acc = sum(math.exp(-(a[k] - low) / big_lam) for k in kids)
-        a[node] = low - big_lam * math.log(acc)
-    return math.exp(-math.exp(-a[tree.root]))
+        negated[leaf] = -value
+    u = backward_utils(ModelSpec(tree=tree, metrics=model.metrics, utilities=negated))
+    return math.exp(-math.exp(u[tree.root]))
 
 
 def emax(model: ModelSpec, at: str | None = None) -> float:

@@ -15,8 +15,9 @@ The factor part of the sum is shared by the leaves of a nest and equals
 its parent nest's plus Lambda_n * log Z_n, so it is assembled as a prefix
 sum down the tree: one array operation per node, O(chunk x nests) memory.
 
-Generation is chunked with one substream per fixed-size chunk, so a batch
-is bit-identical no matter how many worker threads produced it.
+Every noise draw in the package comes from sample_epsilon. Generation is
+chunked by montecarlo.run_chunked with one substream per fixed-size chunk,
+so a batch is bit-identical no matter how many worker threads produced it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from .tree import require_two_level
 __all__ = [
     "SampleBatch",
     "sample_epsilon",
+    "choice_counts",
+    "cdf_hits",
     "mc_choice_probs",
     "mc_emax",
     "mc_correlation",
@@ -113,8 +116,22 @@ def sample_epsilon(
 
 
 def _totals(model: ModelSpec, batch: SampleBatch) -> np.ndarray:
+    # U_j + eps_j, written over the noise: no second n x L matrix.
     u = np.array([model.utilities[leaf] for leaf in batch.leaf_order])
-    return batch.draws + u
+    return np.add(batch.draws, u, out=batch.draws)
+
+
+def choice_counts(model: ModelSpec, batch: SampleBatch) -> np.ndarray:
+    """Per leaf, in column order, how many draws it wins (earliest column
+    on ties). Adds the utilities into batch.draws in place."""
+    winners = np.argmax(_totals(model, batch), axis=1)
+    return np.bincount(winners, minlength=len(batch.leaf_order))
+
+
+def cdf_hits(batch: SampleBatch, bounds: dict[str, float]) -> int:
+    """Number of draws with eps_j <= bounds_j for every leaf j."""
+    a = np.array([bounds[leaf] for leaf in batch.leaf_order])
+    return int(np.all(batch.draws <= a, axis=1).sum())
 
 
 def mc_choice_probs(
@@ -129,8 +146,7 @@ def mc_choice_probs(
     if n_draws <= 0:
         raise DomainError("n_draws must be positive")
     batch = sample_epsilon(model, stream, n_draws, n_threads=n_threads)
-    winners = np.argmax(_totals(model, batch), axis=1)
-    counts = np.bincount(winners, minlength=len(batch.leaf_order))
+    counts = choice_counts(model, batch)
     return {
         leaf: binomial_estimate(int(counts[i]), n_draws)
         for i, leaf in enumerate(batch.leaf_order)
@@ -184,13 +200,11 @@ def mc_cdf(
         raise DomainError("n_draws must be positive")
     cdf(model, bounds)  # validates the bounds map against the leaf set
     batch = sample_epsilon(model, stream, n_draws, n_threads=n_threads)
-    a = np.array([bounds[leaf] for leaf in batch.leaf_order])
-    hits = int(np.all(batch.draws <= a, axis=1).sum())
-    return binomial_estimate(hits, n_draws)
+    return binomial_estimate(cdf_hits(batch, bounds), n_draws)
 
 
 def mixed_logit_probs(
-    model: ModelSpec, stream: SeededStream, n_draws: int
+    model: ModelSpec, stream: SeededStream, n_draws: int, n_threads: int = 1
 ) -> dict[str, EstimateWithError]:
     """Mixed logit simulation of single-layer choice probabilities.
 
@@ -211,6 +225,9 @@ def mixed_logit_probs(
     reduces to softmax(U_j/lambda + log Z_n) per draw. Standard errors are
     the per-leaf sample std over draws / sqrt(n_draws).
 
+    Each chunk of run_chunked draws its factors from its own substream and
+    returns its softmax rows, so n_threads never changes the result.
+
     Only two-level trees (root -> nests -> leaves) admit this kernel;
     deeper trees raise ShapeError.
     """
@@ -226,24 +243,27 @@ def mixed_logit_probs(
     mu = min(tree.lam[nest] for nest in nests)
     scaled_u = np.array([model.utilities[leaf] / mu for leaf in leaf_order])
 
-    # Nest factors first, then leaf factors, each skipped when degenerate,
-    # so the randomness layout is a fixed function of the model.
-    log_z = np.zeros((n_draws, len(nests)))
-    for i, nest in enumerate(nests):
-        if tree.lam[nest] < 1.0:
-            log_z[:, i] = stable_log_sample(stream, tree.lam[nest], size=n_draws)
-    leaf_log_z = np.zeros((n_draws, len(leaf_order)))
-    for j, leaf in enumerate(leaf_order):
-        lam = tree.lam[tree.parent[leaf]]
-        if mu < lam:
-            leaf_log_z[:, j] = stable_log_sample(stream, mu / lam, size=n_draws)
-
     nest_scale = np.array([tree.lam[nest] / mu for nest in nests])
-    scores = nest_scale[leaf_nest_idx] * log_z[:, leaf_nest_idx] + leaf_log_z + scaled_u
-    scores -= scores.max(axis=1, keepdims=True)
-    weights = np.exp(scores)
-    probs = weights / weights.sum(axis=1, keepdims=True)
 
+    def kernel(sub: SeededStream, start: int, stop: int) -> np.ndarray:
+        m = stop - start
+        # Nest factors first, then leaf factors, each skipped when degenerate,
+        # so the randomness layout is a fixed function of the model.
+        log_z = np.zeros((m, len(nests)))
+        for i, nest in enumerate(nests):
+            if tree.lam[nest] < 1.0:
+                log_z[:, i] = stable_log_sample(sub, tree.lam[nest], size=m)
+        leaf_log_z = np.zeros((m, len(leaf_order)))
+        for j, leaf in enumerate(leaf_order):
+            lam = tree.lam[tree.parent[leaf]]
+            if mu < lam:
+                leaf_log_z[:, j] = stable_log_sample(sub, mu / lam, size=m)
+        scores = nest_scale[leaf_nest_idx] * log_z[:, leaf_nest_idx] + leaf_log_z + scaled_u
+        scores -= scores.max(axis=1, keepdims=True)
+        weights = np.exp(scores)
+        return weights / weights.sum(axis=1, keepdims=True)
+
+    probs = np.concatenate(run_chunked(stream, n_draws, kernel, n_threads=n_threads))
     mean = probs.mean(axis=0)
     if n_draws > 1:
         err = probs.std(axis=0, ddof=1) / np.sqrt(n_draws)

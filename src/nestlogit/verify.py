@@ -5,7 +5,8 @@ CheckResult per check. Deterministic identities (probability simplex,
 hierarchy consistency, the Emax gradient) are held to tight tolerances;
 Monte Carlo comparisons are scored in standard-error units with a 3-sigma
 budget, so a failing check is either a real defect or a ~0.3% unlucky
-seed, never silent.
+seed, never silent. The Monte Carlo checks all read one noise batch of
+simulate.sample_epsilon.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .model import ModelSpec, backward_utils, cdf, choice_probs, emax, emax_gradient, forward_probs, log_odds, with_utilities
-from .montecarlo import EstimateWithError
-from .simulate import mc_cdf, mc_choice_probs, mc_correlation
+from .montecarlo import correlation_with_error
+from .simulate import cdf_hits, choice_counts, sample_epsilon
 from .streams import SeededStream
-from .tree import lca
 
 __all__ = ["CheckResult", "finite_difference_gradient", "run_checks"]
 
@@ -59,11 +60,16 @@ def finite_difference_gradient(model: ModelSpec, step: float) -> dict[str, float
 _finite_difference_gradient = finite_difference_gradient
 
 
-def _proportion_z(est: EstimateWithError, target: float) -> float:
-    # z-score under the null standard error sqrt(p(1-p)/n) of the analytic
-    # proportion, which stays meaningful when the empirical count is 0.
-    se = float(np.sqrt(max(target * (1.0 - target), 0.0) / est.n_draws))
-    return abs(est.value - target) / max(se, 1e-300)
+def _within(name: str, observed: float, tolerance: float, detail: str = "", ok: bool = True) -> CheckResult:
+    # Every check passes when its statistic is within tolerance of 0 (and ok).
+    return CheckResult(name, ok and observed <= tolerance, observed, 0.0, tolerance, detail)
+
+
+def _proportion_z(count: int, n_draws: int, target: float) -> float:
+    # z-score of count/n_draws under the null standard error sqrt(p(1-p)/n)
+    # of the analytic proportion, which stays meaningful when the count is 0.
+    se = float(np.sqrt(max(target * (1.0 - target), 0.0) / n_draws))
+    return abs(count / n_draws - target) / max(se, 1e-300)
 
 
 def run_checks(
@@ -72,7 +78,10 @@ def run_checks(
     n_draws: int = 100_000,
     n_threads: int = 1,
 ) -> list[CheckResult]:
-    """Run every analytic/simulation consistency check on one model."""
+    """Run every analytic/simulation consistency check on one model; the
+    Monte Carlo ones share n_draws >= 4 noise vectors from stream.child(1)."""
+    if n_draws < 4:
+        raise DomainError("correlation needs at least 4 draws")
     results: list[CheckResult] = []
     tree = model.tree
     u = backward_utils(model)
@@ -95,80 +104,36 @@ def run_checks(
             node = tree.parent[node]
         if not (leaf_probs[leaf] == 0.0 and log_pi < -700.0):
             positive = False
-    results.append(
-        CheckResult(
-            name="leaf-probability-simplex",
-            passed=abs(total - 1.0) <= 1e-12 and positive,
-            observed=abs(total - 1.0),
-            expected=0.0,
-            tolerance=1e-12,
-            detail="" if positive else "a leaf probability is not strictly positive",
-        )
-    )
+    detail = "" if positive else "a leaf probability is not strictly positive"
+    results.append(_within("leaf-probability-simplex", abs(total - 1.0), 1e-12, detail, ok=positive))
 
     worst = 0.0
     for nest in tree.nests:
         mass = sum(pi[kid] for kid in tree.children[nest])
         worst = max(worst, abs(mass - pi[nest]))
-    results.append(
-        CheckResult(
-            name="hierarchy-consistency",
-            passed=worst <= 1e-12,
-            observed=worst,
-            expected=0.0,
-            tolerance=1e-12,
-        )
-    )
+    results.append(_within("hierarchy-consistency", worst, 1e-12))
 
     fd = finite_difference_gradient(model, FD_STEP)
     grad = emax_gradient(model)
     gap = max(abs(grad[leaf] - fd[leaf]) for leaf in tree.leaves)
-    results.append(
-        CheckResult(
-            name="emax-gradient-is-choice-probability",
-            passed=gap <= 1e-6,
-            observed=gap,
-            expected=0.0,
-            tolerance=1e-6,
-        )
-    )
+    results.append(_within("emax-gradient-is-choice-probability", gap, 1e-6))
 
-    # --- Monte Carlo comparisons, 3 standard errors each ---------------
-    mc = mc_choice_probs(model, stream.child(1), n_draws, n_threads=n_threads)
-    z = max(_proportion_z(mc[leaf], leaf_probs[leaf]) for leaf in tree.leaves)
-    results.append(
-        CheckResult(
-            name="mc-choice-probabilities",
-            passed=z <= 3.0,
-            observed=z,
-            expected=0.0,
-            tolerance=3.0,
-            detail=f"max z-score over {len(tree.leaves)} leaves at {n_draws} draws",
-        )
-    )
+    # --- Monte Carlo comparisons on one batch of noise ------------------
+    batch = sample_epsilon(model, stream.child(1), n_draws, n_threads=n_threads)
 
+    # One pair per nest with two or more children: the first leaves under
+    # its first two children, whose lowest common ancestor is the nest.
+    first_leaf = {leaf: leaf for leaf in tree.leaves}
+    for nest in reversed(tree.nests):
+        first_leaf[nest] = first_leaf[tree.children[nest][0]]
+    pairs = [(nest, kids) for nest in tree.nests if len(kids := tree.children[nest]) >= 2]
     pair_gap = 0.0
-    pairs = [
-        (a, b)
-        for i, a in enumerate(tree.leaves)
-        for b in tree.leaves[i + 1 :]
-    ]
-    # Cap the quadratic pair sweep on wide trees; the leading pairs cover
-    # every distinct lca depth in practice.
-    for k, (a, b) in enumerate(pairs[:15]):
-        est = mc_correlation(model, stream.child(2 + k), a, b, n_draws, n_threads=n_threads)
-        exact = 1.0 - model.metrics.big_lambda[lca(tree, a, b)] ** 2
-        pair_gap = max(pair_gap, abs(est.value - exact))
-    results.append(
-        CheckResult(
-            name="lca-correlations",
-            passed=pair_gap <= 0.01,
-            observed=pair_gap,
-            expected=0.0,
-            tolerance=0.01,
-            detail=f"max |empirical - (1 - Lambda_lca^2)| over {min(len(pairs), 15)} pairs",
-        )
-    )
+    for nest, kids in pairs:
+        r = correlation_with_error(batch.column(first_leaf[kids[0]]), batch.column(first_leaf[kids[1]]))
+        pair_gap = max(pair_gap, abs(r.value - (1.0 - model.metrics.big_lambda[nest] ** 2)))
+    corr_tol = 3.0 / float(np.sqrt(n_draws - 3.0))  # 3 standard errors of r at rho = 0, the widest
+    detail = f"max |empirical - (1 - Lambda_lca^2)| over {len(pairs)} pairs, one per nest"
+    results.append(_within("lca-correlations", pair_gap, corr_tol, detail))
 
     grid = [
         {leaf: 0.0 for leaf in tree.leaves},
@@ -177,19 +142,14 @@ def run_checks(
         {leaf: 2.0 for leaf in tree.leaves},
         {leaf: 0.25 * (i % 5) - 0.5 for i, leaf in enumerate(tree.leaves)},
     ]
-    z_cdf = 0.0
-    for k, bounds in enumerate(grid):
-        est = mc_cdf(model, stream.child(50 + k), bounds, n_draws, n_threads=n_threads)
-        z_cdf = max(z_cdf, _proportion_z(est, cdf(model, bounds)))
-    results.append(
-        CheckResult(
-            name="joint-cdf",
-            passed=z_cdf <= 3.0,
-            observed=z_cdf,
-            expected=0.0,
-            tolerance=3.0,
-            detail=f"max z-score over {len(grid)} bound vectors at {n_draws} draws",
-        )
-    )
+    z_cdf = max(_proportion_z(cdf_hits(batch, bounds), n_draws, cdf(model, bounds)) for bounds in grid)
+    detail = f"max z-score over {len(grid)} bound vectors at {n_draws} draws"
+    results.append(_within("joint-cdf", z_cdf, 3.0, detail))
+
+    # Last, because choice_counts adds the utilities into the batch.
+    counts = choice_counts(model, batch)
+    z = max(_proportion_z(int(counts[i]), n_draws, leaf_probs[leaf]) for i, leaf in enumerate(batch.leaf_order))
+    detail = f"max z-score over {len(tree.leaves)} leaves at {n_draws} draws"
+    results.append(_within("mc-choice-probabilities", z, 3.0, detail))
 
     return results

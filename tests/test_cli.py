@@ -289,15 +289,25 @@ def test_usage_errors_exit_one():
     assert "cannot read" in proc.stderr
 
 
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--seed", "-1"), ("--seed", "18446744073709551616"), ("--threads", "0"), ("--threads", "-3")],
-)
+PROBS_MC = ("probs", "{model}", "--method", "mc", "--draws", "100")
+FRECHET = ("frechet-corr", "--alpha", "3", "--lambda", "0.5")
+FRECHET_MC = FRECHET + ("--mc", "100")
+# Commands that must reject each flag value; {model} is the depth-3 file.
+BAD_VALUES = {
+    ("--seed", "-1"): (PROBS_MC, FRECHET_MC, FRECHET),
+    ("--seed", "18446744073709551616"): (PROBS_MC, FRECHET_MC, FRECHET),
+    ("--threads", "0"): (PROBS_MC, FRECHET_MC),
+    ("--threads", "-3"): (PROBS_MC, FRECHET_MC),
+    ("--draws", "-1"): (("stable", "sample", "--lambda", "0.5"),),
+    ("--draws", "0"): (("stable", "laplace", "--lambda", "0.5", "--t", "1"),),
+    ("--mc", "0"): (FRECHET,),
+}
+
+
+@pytest.mark.parametrize("flag, value", list(BAD_VALUES))
 def test_bad_seed_or_threads_exit_one(depth3_path, flag, value):
-    for args in (
-        ("probs", depth3_path, "--method", "mc", "--draws", "100"),
-        ("frechet-corr", "--alpha", "3", "--lambda", "0.5", "--mc", "100"),
-    ):
+    for command in BAD_VALUES[flag, value]:
+        args = [depth3_path if word == "{model}" else word for word in command]
         proc = run_cli(*args, flag, value)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr

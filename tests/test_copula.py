@@ -16,8 +16,11 @@ from nestlogit import (
     SeededStream,
     frechet_corr,
     frechet_pair_sample,
+    gumbel_sample,
     mc_frechet_corr,
+    stable_log_sample,
 )
+from nestlogit.montecarlo import CHUNK_SIZE
 
 CORR_3_HALF = 0.8128652223619095  # alpha=3, lambda=0.5
 CORR_5_HALF = 0.7871109126266524  # alpha=5, lambda=0.5
@@ -97,6 +100,24 @@ def test_pair_sample_determinism_across_threads():
     serial = frechet_pair_sample(SeededStream(66), 4.0, 0.3, 200_000, n_threads=1)
     threaded = frechet_pair_sample(SeededStream(66), 4.0, 0.3, 200_000, n_threads=4)
     np.testing.assert_array_equal(serial, threaded)
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0])
+def test_pair_sample_matches_shared_factor_formula(lam):
+    # delta_i = exp((lambda/alpha) * (eps'_i + log Z)) rebuilt chunk by
+    # chunk from the same substreams: log Z when lambda < 1, then the two
+    # Gumbels.
+    alpha, n = 4.0, CHUNK_SIZE + 300
+    stream = SeededStream(67)
+    expected = []
+    for i, start in enumerate(range(0, n, CHUNK_SIZE)):
+        m = min(start + CHUNK_SIZE, n) - start
+        sub = stream.child(i)
+        log_z = stable_log_sample(sub, lam, size=m) if lam < 1.0 else 0.0
+        eps = np.column_stack([gumbel_sample(sub, size=m), gumbel_sample(sub, size=m)])
+        expected.append(np.exp((lam / alpha) * (eps + np.reshape(log_z, (-1, 1)))))
+    pairs = frechet_pair_sample(SeededStream(67), alpha, lam, n, n_threads=2)
+    assert_allclose(pairs, np.concatenate(expected), rtol=1e-14, atol=0.0)
 
 
 def test_mc_frechet_corr_domain():

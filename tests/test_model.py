@@ -198,6 +198,27 @@ def test_cdf_single_layer_closed_form(single_layer_model):
     assert_allclose(cdf(single_layer_model, bounds), math.exp(-total), rtol=1e-13)
 
 
+def _cdf_recursion(model, bounds):
+    # The joint CDF's nest recursion written out in a_n, min-shifted.
+    tree, big_lambda = model.tree, model.metrics.big_lambda
+    a = {leaf: float(bounds[leaf]) for leaf in tree.leaves}
+    for node in reversed(tree.nests):
+        kids = tree.children[node]
+        low = min(a[k] for k in kids)
+        acc = sum(math.exp(-(a[k] - low) / big_lambda[node]) for k in kids)
+        a[node] = low - big_lambda[node] * math.log(acc)
+    return math.exp(-math.exp(-a[tree.root]))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cdf_equals_its_recursion_bitwise(seed):
+    rng = np.random.default_rng(300 + seed)
+    model = random_model(rng, max_nodes=80)
+    for scale in (0.5, 2.0, 8.0):
+        bounds = {leaf: float(x) for leaf, x in zip(model.tree.leaves, scale * rng.normal(size=len(model.tree.leaves)))}
+        assert cdf(model, bounds) == _cdf_recursion(model, bounds)
+
+
 def test_cdf_limits_and_monotonicity(depth3_model):
     big = {leaf: 40.0 for leaf in depth3_model.tree.leaves}
     assert cdf(depth3_model, big) > 1.0 - 1e-12

@@ -215,6 +215,13 @@ def test_mixed_logit_rejects_deep_trees(depth3_model):
         mixed_logit_probs(depth3_model, SeededStream(0), 100)
 
 
+def test_mixed_logit_determinism_across_threads(single_layer_model):
+    n = CHUNK_SIZE + 500
+    serial = mixed_logit_probs(single_layer_model, SeededStream(54), n, n_threads=1)
+    threaded = mixed_logit_probs(single_layer_model, SeededStream(54), n, n_threads=4)
+    assert serial == threaded
+
+
 def test_mixed_logit_repeatable(single_layer_model):
     a = mixed_logit_probs(single_layer_model, SeededStream(53), 5000)
     b = mixed_logit_probs(single_layer_model, SeededStream(53), 5000)
