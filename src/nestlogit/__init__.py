@@ -72,12 +72,10 @@ from .simulate import (
 from .streams import SeededStream
 from .tree import (
     Arborescence,
-    TreeMetrics,
     build,
     descendant_leaves,
     from_nested,
     lca,
-    metrics,
 )
 from .verify import CheckResult, run_checks
 

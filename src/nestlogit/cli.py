@@ -66,6 +66,22 @@ def _integer(low: int, high: float = math.inf):
     return parse
 
 
+def _real(ok, requirement: str):
+    """argparse type for a finite float with ok(value), checked at parse time."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_NONNEGATIVE = _real(lambda v: v >= 0.0, ">= 0")
+
+
 def _jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
@@ -125,16 +141,16 @@ def _load(args) -> ModelSpec:
 
 
 def _report(args, results: dict, seed: int | None = None) -> dict:
+    # Parsed attributes that are not inputs: dispatch, the seed (reported on
+    # its own), the thread count (never changes output) and the output format.
+    skip = ("command", "stable_command", "func", "seed", "threads", "pretty")
     inputs = {}
-    for key in ("path", "method", "draws", "node", "all", "out", "lam", "alpha", "x", "t", "kappa", "tol", "mc", "step"):
-        value = getattr(args, key, None)
-        if value is None or (isinstance(value, bool) and not value):
+    for key, value in vars(args).items():
+        if key in skip or value is None or value is False:
             continue
+        if key in ("utilities", "at"):
+            value = _parse_pairs(value, key)
         inputs["lambda" if key == "lam" else key] = value
-    if getattr(args, "utilities", None):
-        inputs["utilities"] = _parse_pairs(args.utilities, "utility override")
-    if getattr(args, "at", None):
-        inputs["at"] = _parse_pairs(args.at, "bound")
     report = {
         "command": args.command if args.command != "stable" else f"stable {args.stable_command}",
         "tool_version": __version__,
@@ -152,12 +168,12 @@ def _report(args, results: dict, seed: int | None = None) -> dict:
 
 def _cmd_validate(args) -> int:
     model = _load(args)
-    tree, met = model.tree, model.metrics
+    tree = model.tree
     nests = {
         nest: {
             "lambda": tree.lam[nest],
-            "big_lambda": met.big_lambda[nest],
-            "depth": met.depth[nest],
+            "big_lambda": tree.big_lambda[nest],
+            "depth": tree.depth[nest],
             "n_children": len(tree.children[nest]),
         }
         for nest in tree.nests
@@ -167,7 +183,7 @@ def _cmd_validate(args) -> int:
         "n_nodes": len(tree.nodes),
         "n_nests": len(tree.nests),
         "n_leaves": len(tree.leaves),
-        "height": met.height[tree.root],
+        "height": tree.height[tree.root],
         "leaves": list(tree.leaves),
         "nests": nests,
     }
@@ -367,7 +383,7 @@ def _build_parser() -> _Parser:
     q = stable_sub.add_parser("density", help="density by series; closed form included at lambda = 1/2")
     q.add_argument("--lambda", dest="lam", type=float, required=True)
     q.add_argument("--x", type=float, required=True)
-    q.add_argument("--tol", type=float, default=1e-12)
+    q.add_argument("--tol", type=_NONNEGATIVE, default=1e-12)
     common(q, model=False)
     q.set_defaults(func=_cmd_stable)
 
@@ -379,13 +395,13 @@ def _build_parser() -> _Parser:
 
     q = stable_sub.add_parser("laplace", help="Monte Carlo Laplace transform against exp(-t^lambda)")
     q.add_argument("--lambda", dest="lam", type=float, required=True)
-    q.add_argument("--t", type=float, required=True)
+    q.add_argument("--t", type=_NONNEGATIVE, required=True)
     common(q, model=False, stochastic=True, draws_default=1_000_000)
     q.set_defaults(func=_cmd_stable)
 
     p = sub.add_parser("grad-check", help="choice probabilities against finite differences of the inclusive value (exit 2 on mismatch)")
-    p.add_argument("--step", type=float, default=1e-5, help="central-difference step")
-    p.add_argument("--tol", type=float, default=1e-6, help="max allowed |analytic - finite difference|")
+    p.add_argument("--step", type=_real(lambda v: v != 0.0, "other than 0"), default=1e-5, help="central-difference step")
+    p.add_argument("--tol", type=_NONNEGATIVE, default=1e-6, help="max allowed |analytic - finite difference|")
     common(p)
     p.set_defaults(func=_cmd_grad_check)
 

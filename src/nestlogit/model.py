@@ -1,7 +1,8 @@
 """Analytic nested logit on a nest tree.
 
 Let Lambda_n be the product of lambda over the nests on the root path of
-n. The joint noise CDF is
+n, which tree.build stores once as tree.big_lambda. A model is the tree
+plus a utility on every leaf. The joint noise CDF is
 
     Pr(eps_j <= A_j for all j) = exp(-exp(-a_root)),
     a_n = -Lambda_n * log sum_z exp(-a_z / Lambda_n)   over children z,
@@ -22,10 +23,9 @@ from typing import Mapping
 from .errors import (
     NotALeafError,
     RootHasNoParentError,
-    UnknownNodeError,
     UtilityError,
 )
-from .tree import Arborescence, TreeMetrics, metrics, require_nest, require_two_level
+from .tree import Arborescence, require_nest, require_two_level
 
 __all__ = [
     "ModelSpec",
@@ -44,10 +44,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A nest tree, its metrics, and a finite utility for every leaf."""
+    """A nest tree and a finite utility for every leaf."""
 
     tree: Arborescence
-    metrics: TreeMetrics
     utilities: Mapping[str, float]
 
 
@@ -70,20 +69,19 @@ def make_model(tree: Arborescence, utilities: Mapping[str, float]) -> ModelSpec:
         raise UtilityError(f"no utility for leaves {sorted(missing)}")
     if extra:
         raise UtilityError(f"utilities given for non-leaves {sorted(extra)}")
-    return ModelSpec(tree=tree, metrics=metrics(tree), utilities=utilities)
+    return ModelSpec(tree=tree, utilities=utilities)
 
 
 def with_utilities(model: ModelSpec, overrides: Mapping[str, float]) -> ModelSpec:
     """Copy of the model with some leaf utilities replaced. The copy shares
-    the original's tree and metrics, which do not depend on utilities."""
+    the original's tree, which does not depend on utilities."""
     for key in overrides:
-        if key not in model.tree.parent and key != model.tree.root:
-            raise UnknownNodeError(f"unknown node id {key!r}")
+        model.tree.require_node(key)
         if not model.tree.is_leaf(key):
             raise NotALeafError(f"node {key!r} is a nest, utilities live on leaves")
     merged = dict(model.utilities)
     merged.update(_finite_utilities(overrides))
-    return ModelSpec(tree=model.tree, metrics=model.metrics, utilities=merged)
+    return ModelSpec(tree=model.tree, utilities=merged)
 
 
 def backward_utils(model: ModelSpec) -> dict[str, float]:
@@ -94,10 +92,10 @@ def backward_utils(model: ModelSpec) -> dict[str, float]:
     constant added to every leaf utility adds the same constant to every
     u_n. A single-child nest passes its child's value through unchanged.
     """
-    tree, met = model.tree, model.metrics
+    tree = model.tree
     u: dict[str, float] = dict(model.utilities)
     for node in reversed(tree.nests):  # every child nest before its parent
-        big_lam = met.big_lambda[node]
+        big_lam = tree.big_lambda[node]
         kids = tree.children[node]
         top = max(u[k] for k in kids)
         acc = sum(math.exp((u[k] - top) / big_lam) for k in kids)
@@ -114,10 +112,10 @@ def forward_probs(model: ModelSpec, u: Mapping[str, float]) -> dict[str, float]:
     log space; underflow to zero can only occur when the true probability
     is below the smallest positive double.
     """
-    tree, met = model.tree, model.metrics
+    tree = model.tree
     log_pi: dict[str, float] = {tree.root: 0.0}
     for node in tree.nests:  # preorder: every parent before its children
-        big_lam = met.big_lambda[node]
+        big_lam = tree.big_lambda[node]
         u_n = u[node]
         for kid in tree.children[node]:
             log_pi[kid] = log_pi[node] + (u[kid] - u_n) / big_lam
@@ -183,7 +181,7 @@ def cdf(model: ModelSpec, bounds: Mapping[str, float]) -> float:
         if not math.isfinite(value):
             raise UtilityError(f"bound for {leaf!r} is not finite")
         negated[leaf] = -value
-    u = backward_utils(ModelSpec(tree=tree, metrics=model.metrics, utilities=negated))
+    u = backward_utils(ModelSpec(tree=tree, utilities=negated))
     return math.exp(-math.exp(u[tree.root]))
 
 
@@ -231,4 +229,4 @@ def log_odds(
         return math.log(pi[z]) - math.log(pi[parent])
     if u is None:
         u = backward_utils(model)
-    return (u[z] - u[parent]) / model.metrics.big_lambda[parent]
+    return (u[z] - u[parent]) / tree.big_lambda[parent]

@@ -83,14 +83,14 @@ def sample_epsilon(
     """
     if n_draws < 0:
         raise DomainError("n_draws must be nonnegative")
-    tree, met = model.tree, model.metrics
+    tree = model.tree
     leaf_order = tree.leaves
     row = {n: i for i, n in enumerate(tree.nests)}
-    factors = [(row[n], tree.lam[n], met.big_lambda[n]) for n in tree.nests if tree.lam[n] < 1.0]
+    factors = [(row[n], tree.lam[n], tree.big_lambda[n]) for n in tree.nests if tree.lam[n] < 1.0]
     # Non-root nests in preorder with their parent's row: every parent row
     # is complete before a child adds it in.
     links = [(row[n], row[tree.parent[n]]) for n in tree.nests[1:]]
-    leaf_terms = [(met.big_lambda[leaf], row[tree.parent[leaf]]) for leaf in leaf_order]
+    leaf_terms = [(tree.big_lambda[leaf], row[tree.parent[leaf]]) for leaf in leaf_order]
 
     out = np.empty((n_draws, len(leaf_order)))
 

@@ -1,12 +1,13 @@
-"""Nest trees (arborescences) and their structural metrics.
+"""Nest trees (arborescences), compiled once with their structural metrics.
 
 A nest tree is a finite rooted tree whose internal nodes ("nests") carry a
 dissimilarity parameter lambda in (0, 1] and whose leaves are the choice
 alternatives. The root is a nest with lambda fixed at 1. Everything
-downstream (choice probabilities, noise simulation) is driven by two
-derived quantities computed here: the depth-first preorder of the nodes,
-walked once when the tree is built, and the cumulative parameter Lambda,
-the product of lambda over each node's root path.
+downstream (choice probabilities, noise simulation) is driven by quantities
+that build() computes once and stores on the tree: the depth-first preorder
+of the nodes, each node's depth and height, and the cumulative parameter
+Lambda, the product of lambda over each node's root path. They depend on
+the tree alone, so models that differ only in utilities share them.
 
 Traversals are iterative throughout; deep chains must not hit the
 interpreter recursion limit.
@@ -31,7 +32,7 @@ from .errors import (
     UnknownNodeError,
 )
 
-__all__ = ["Arborescence", "TreeMetrics", "build", "metrics", "lca", "descendant_leaves"]
+__all__ = ["Arborescence", "build", "lca", "descendant_leaves"]
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,11 @@ class Arborescence:
     node except the root; lam holds lambda for every nest (root included,
     always 1.0). nodes lists every node in depth-first preorder, children
     in declaration order, so a parent always precedes its children; nests
-    and leaves are its two subsequences. Instances are immutable after
-    build() and safe to share across threads.
+    and leaves are its two subsequences. depth counts edges from the root;
+    height is the longest downward path (0 on leaves). big_lambda[n] is the
+    product of lambda over the nests on the root path of n, the node itself
+    included when it is a nest; a leaf inherits its parent's value.
+    Instances are immutable after build() and safe to share across threads.
     """
 
     root: str
@@ -53,6 +57,9 @@ class Arborescence:
     nests: tuple[str, ...]
     leaves: tuple[str, ...]
     nodes: tuple[str, ...]
+    depth: Mapping[str, int]
+    height: Mapping[str, int]
+    big_lambda: Mapping[str, float]
 
     def is_nest(self, node: str) -> bool:
         return node in self.children
@@ -65,27 +72,25 @@ class Arborescence:
             raise UnknownNodeError(f"unknown node id {node!r}")
 
 
-@dataclass(frozen=True)
-class TreeMetrics:
-    """Per-node structural quantities, O(nodes) in time and memory.
+def metrics(root: str, children: Mapping, parent: Mapping, lam: Mapping, order: list[str]) -> tuple[dict, dict, dict]:
+    """Depth, height and cumulative Lambda for every node, from the pieces
+    of a tree and its preorder; build() calls it once."""
+    depth: dict[str, int] = {root: 0}
+    big_lambda: dict[str, float] = {root: 1.0}
+    for node in order[1:]:  # the root comes first
+        par = parent[node]
+        depth[node] = depth[par] + 1
+        if node in children:
+            big_lambda[node] = big_lambda[par] * lam[node]
+        else:
+            # A leaf shares the cumulative parameter of its parent nest.
+            big_lambda[node] = big_lambda[par]
 
-    depth counts edges from the root; height is the longest downward path
-    (0 on leaves). big_lambda[n] is the product of lambda over the nests on
-    the root path of n, the node itself included when it is a nest; a leaf
-    inherits its parent's value. They depend on the tree alone, so models
-    that differ only in utilities share one instance.
-    """
-
-    depth: Mapping[str, int]
-    height: Mapping[str, int]
-    big_lambda: Mapping[str, float]
-
-
-def _as_unique_children(raw: Mapping[str, Iterable[str]]) -> dict[str, tuple[str, ...]]:
-    out = {}
-    for nest, kids in raw.items():
-        out[str(nest)] = tuple(str(k) for k in kids)
-    return out
+    height: dict[str, int] = {}
+    for node in reversed(order):  # children precede parents
+        kids = children.get(node, ())
+        height[node] = 1 + max(height[k] for k in kids) if kids else 0
+    return depth, height, big_lambda
 
 
 def build(
@@ -93,7 +98,8 @@ def build(
     children: Mapping[str, Iterable[str]],
     lam: Mapping[str, float],
 ) -> Arborescence:
-    """Validate a raw tree description and freeze it into an Arborescence.
+    """Validate a raw tree description and compile it, once, into an
+    Arborescence with its preorder, depths, heights and cumulative Lambda.
 
     Inputs
     ------
@@ -108,7 +114,7 @@ def build(
     nest tree.
     """
     root = str(root)
-    children = _as_unique_children(children)
+    children = {str(nest): tuple(str(k) for k in kids) for nest, kids in children.items()}
     lam = {str(k): float(v) for k, v in lam.items()}
 
     for node in list(children) + list(lam) + [root]:
@@ -177,6 +183,7 @@ def build(
             raise LambdaRangeError(f"lambda given for {node!r}, which is not a nest")
 
     lam_full = {n: (1.0 if n == root else lam[n]) for n in nests}
+    depth, height, big_lambda = metrics(root, children, parent, lam_full, order)
     return Arborescence(
         root=root,
         children=children,
@@ -185,6 +192,9 @@ def build(
         nests=nests,
         leaves=leaves,
         nodes=tuple(order),
+        depth=depth,
+        height=height,
+        big_lambda=big_lambda,
     )
 
 
@@ -221,58 +231,23 @@ def from_nested(doc: Mapping) -> tuple[Arborescence, dict[str, float]]:
     return tree, utilities
 
 
-def metrics(tree: Arborescence) -> TreeMetrics:
-    """Depth, height and cumulative Lambda for every node."""
-    depth: dict[str, int] = {tree.root: 0}
-    big_lambda: dict[str, float] = {tree.root: 1.0}
-
-    order = tree.nodes
-    for node in order:
-        if node == tree.root:
-            continue
-        par = tree.parent[node]
-        depth[node] = depth[par] + 1
-        if tree.is_nest(node):
-            big_lambda[node] = big_lambda[par] * tree.lam[node]
-        else:
-            # A leaf shares the cumulative parameter of its parent nest.
-            big_lambda[node] = big_lambda[par]
-
-    height: dict[str, int] = {}
-    for node in reversed(order):  # children precede parents
-        kids = tree.children.get(node, ())
-        height[node] = 1 + max(height[k] for k in kids) if kids else 0
-
-    return TreeMetrics(depth=depth, height=height, big_lambda=big_lambda)
-
-
 def lca(tree: Arborescence, a: str, b: str) -> str:
     """Lowest common ancestor of two nodes.
 
-    Walks both parent chains after equalizing depths; O(depth) per query,
-    which is all these small trees ever need. lca(x, x) = x and the root
-    is a universal ancestor.
+    Lifts the deeper node to the other's depth, read off tree.depth, then
+    walks both parent chains up together; O(distance to the ancestor) per
+    query. lca(x, x) = x and the root is a universal ancestor.
     """
     tree.require_node(a)
     tree.require_node(b)
-
-    def chain_depth(node: str) -> int:
-        d = 0
-        while node != tree.root:
-            node = tree.parent[node]
-            d += 1
-        return d
-
-    da, db = chain_depth(a), chain_depth(b)
-    while da > db:
-        a = tree.parent[a]
-        da -= 1
-    while db > da:
-        b = tree.parent[b]
-        db -= 1
+    depth, parent = tree.depth, tree.parent
+    while depth[a] > depth[b]:
+        a = parent[a]
+    while depth[b] > depth[a]:
+        b = parent[b]
     while a != b:
-        a = tree.parent[a]
-        b = tree.parent[b]
+        a = parent[a]
+        b = parent[b]
     return a
 
 

@@ -130,7 +130,7 @@ def run_checks(
     pair_gap = 0.0
     for nest, kids in pairs:
         r = correlation_with_error(batch.column(first_leaf[kids[0]]), batch.column(first_leaf[kids[1]]))
-        pair_gap = max(pair_gap, abs(r.value - (1.0 - model.metrics.big_lambda[nest] ** 2)))
+        pair_gap = max(pair_gap, abs(r.value - (1.0 - tree.big_lambda[nest] ** 2)))
     corr_tol = 3.0 / float(np.sqrt(n_draws - 3.0))  # 3 standard errors of r at rho = 0, the widest
     detail = f"max |empirical - (1 - Lambda_lca^2)| over {len(pairs)} pairs, one per nest"
     results.append(_within("lca-correlations", pair_gap, corr_tol, detail))

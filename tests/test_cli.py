@@ -292,6 +292,9 @@ def test_usage_errors_exit_one():
 PROBS_MC = ("probs", "{model}", "--method", "mc", "--draws", "100")
 FRECHET = ("frechet-corr", "--alpha", "3", "--lambda", "0.5")
 FRECHET_MC = FRECHET + ("--mc", "100")
+GRAD_CHECK = ("grad-check", "{model}")
+LAPLACE = ("stable", "laplace", "--lambda", "0.5", "--draws", "10")
+DENSITY = ("stable", "density", "--lambda", "0.5", "--x", "1")
 # Commands that must reject each flag value; {model} is the depth-3 file.
 BAD_VALUES = {
     ("--seed", "-1"): (PROBS_MC, FRECHET_MC, FRECHET),
@@ -301,6 +304,11 @@ BAD_VALUES = {
     ("--draws", "-1"): (("stable", "sample", "--lambda", "0.5"),),
     ("--draws", "0"): (("stable", "laplace", "--lambda", "0.5", "--t", "1"),),
     ("--mc", "0"): (FRECHET,),
+    ("--step", "0"): (GRAD_CHECK,),
+    ("--tol", "nan"): (GRAD_CHECK, DENSITY),
+    ("--tol", "inf"): (GRAD_CHECK, DENSITY),
+    ("--t", "-3"): (LAPLACE,),
+    ("--t", "nan"): (LAPLACE,),
 }
 
 

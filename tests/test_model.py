@@ -5,6 +5,7 @@ the two reference trees: u_b = 0.25 ln 2, u_a = 0.5 ln(1 + sqrt(2)),
 single-layer shares built from nest weights sqrt(2) and 1.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from nestlogit import (
     DomainError,
+    ModelSpec,
     NotALeafError,
     NotANestError,
     RootHasNoParentError,
@@ -200,7 +202,7 @@ def test_cdf_single_layer_closed_form(single_layer_model):
 
 def _cdf_recursion(model, bounds):
     # The joint CDF's nest recursion written out in a_n, min-shifted.
-    tree, big_lambda = model.tree, model.metrics.big_lambda
+    tree, big_lambda = model.tree, model.tree.big_lambda
     a = {leaf: float(bounds[leaf]) for leaf in tree.leaves}
     for node in reversed(tree.nests):
         kids = tree.children[node]
@@ -369,9 +371,12 @@ def test_with_utilities_validation(depth3_model):
     bumped = with_utilities(depth3_model, {"leaf3": 1.0})
     assert bumped.utilities["leaf3"] == 1.0
     assert depth3_model.utilities["leaf3"] == 0.0  # original untouched
-    # metrics depend on the tree alone and are shared, not recomputed
+    # the tree and its metrics depend on nothing else and are shared
     assert bumped.tree is depth3_model.tree
-    assert bumped.metrics is depth3_model.metrics
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(UtilityError):
             with_utilities(depth3_model, {"leaf0": bad})
+
+
+def test_model_is_tree_plus_utilities():
+    assert [f.name for f in dataclasses.fields(ModelSpec)] == ["tree", "utilities"]

@@ -67,7 +67,7 @@ def path_sum_reference(model, stream, n_draws):
     """The representation written out leaf by leaf: each leaf sums
     Lambda_t * log Z_t over the factor nests on its root path, read from
     the same per-chunk substreams in the same order as sample_epsilon."""
-    tree, met = model.tree, model.metrics
+    tree = model.tree
     factor_nests = [n for n in tree.nests if tree.lam[n] < 1.0]
     out = np.empty((n_draws, len(tree.leaves)))
     for i, start in enumerate(range(0, n_draws, CHUNK_SIZE)):
@@ -75,11 +75,11 @@ def path_sum_reference(model, stream, n_draws):
         sub = stream.child(i)
         log_z = {n: stable_log_sample(sub, tree.lam[n], size=stop - start) for n in factor_nests}
         for col, leaf in enumerate(tree.leaves):
-            eps = met.big_lambda[leaf] * gumbel_sample(sub, size=stop - start)
+            eps = tree.big_lambda[leaf] * gumbel_sample(sub, size=stop - start)
             nest = tree.parent[leaf]
             while nest != tree.root:
                 if nest in log_z:
-                    eps = eps + met.big_lambda[nest] * log_z[nest]
+                    eps = eps + tree.big_lambda[nest] * log_z[nest]
                 nest = tree.parent[nest]
             out[start:stop, col] = eps
     return out

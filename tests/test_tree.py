@@ -1,4 +1,4 @@
-"""Arborescence construction, validation, metrics, and LCA."""
+"""Arborescence construction, validation, the metrics build() stores, and LCA."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from nestlogit import (
     descendant_leaves,
     from_nested,
     lca,
-    metrics,
     random_model,
 )
 from nestlogit.tree import require_nest
@@ -45,33 +44,32 @@ def test_basic_shape():
 
 
 def test_metrics_depth3():
-    met = metrics(depth3())
-    assert met.depth == {
+    tree = depth3()
+    assert tree.depth == {
         "root": 0, "a": 1, "leaf3": 1, "b": 2, "leaf2": 2, "leaf0": 3, "leaf1": 3,
     }
-    assert met.height["root"] == 3
-    assert met.height["a"] == 2
-    assert met.height["b"] == 1
-    assert_allclose(met.big_lambda["root"], 1.0)
-    assert_allclose(met.big_lambda["a"], 0.5)
-    assert_allclose(met.big_lambda["b"], 0.25)
+    assert tree.height["root"] == 3
+    assert tree.height["a"] == 2
+    assert tree.height["b"] == 1
+    assert_allclose(tree.big_lambda["root"], 1.0)
+    assert_allclose(tree.big_lambda["a"], 0.5)
+    assert_allclose(tree.big_lambda["b"], 0.25)
     # leaves inherit the parent nest's product
-    assert_allclose(met.big_lambda["leaf0"], 0.25)
-    assert_allclose(met.big_lambda["leaf2"], 0.5)
-    assert_allclose(met.big_lambda["leaf3"], 1.0)
+    assert_allclose(tree.big_lambda["leaf0"], 0.25)
+    assert_allclose(tree.big_lambda["leaf2"], 0.5)
+    assert_allclose(tree.big_lambda["leaf3"], 1.0)
 
 
 def test_big_lambda_is_product_along_parent_chain():
     for seed in range(10):
         tree = random_model(np.random.default_rng(seed), max_nodes=60).tree
-        met = metrics(tree)
         for node in tree.nodes:
             product = 1.0
             nest = node if tree.is_nest(node) else tree.parent[node]
             while nest != tree.root:
                 product *= tree.lam[nest]
                 nest = tree.parent[nest]
-            assert_allclose(met.big_lambda[node], product, rtol=1e-14)
+            assert_allclose(tree.big_lambda[node], product, rtol=1e-14)
 
 
 def test_root_lambda_optional_but_pinned():
@@ -171,23 +169,62 @@ def test_from_nested():
     assert utilities == {"x": 1.5, "y": -2.0, "z": 0.25}
 
 
+def root_path(tree, node):
+    """node, its parent, ..., the root: the naive reference for depth and
+    lca."""
+    path = [node]
+    while node != tree.root:
+        node = tree.parent[node]
+        path.append(node)
+    return path
+
+
 def test_metrics_invariants_random_sweep():
-    # full-scan invariants on a spread of random trees
+    # build()'s stored depth, height and Lambda against their definitions
+    # on a spread of random trees
     for seed in range(25):
         tree = random_model(np.random.default_rng(seed), max_nodes=50).tree
-        met = metrics(tree)
         seen = set()
         for node in tree.nodes:
             assert node not in seen  # preorder reaches each node once
             seen.add(node)
-            if node == tree.root:
-                assert met.depth[node] == 0
-                continue
-            parent = tree.parent[node]
-            assert met.depth[node] == met.depth[parent] + 1
-            expected = met.big_lambda[parent] * (tree.lam[node] if tree.is_nest(node) else 1.0)
-            assert_allclose(met.big_lambda[node], expected, rtol=1e-15)
-        assert seen == set(tree.nests) | set(tree.leaves)
+            path = root_path(tree, node)
+            assert tree.depth[node] == len(path) - 1
+            below = [len(root_path(tree, leaf)) - len(path) for leaf in descendant_leaves(tree, node)]
+            assert tree.height[node] == max(below)
+            product = 1.0
+            for nest in reversed(path[1:] if tree.is_leaf(node) else path):
+                product *= tree.lam[nest]  # root first, as build() multiplies
+            assert tree.big_lambda[node] == product
+        assert seen == set(tree.nests) | set(tree.leaves) == set(tree.depth) == set(tree.height) == set(tree.big_lambda)
+
+
+def naive_lca(tree, a, b):
+    common = set(root_path(tree, a)) & set(root_path(tree, b))
+    return next(node for node in root_path(tree, a) if node in common)
+
+
+def test_lca_matches_ancestor_sets_random_trees():
+    for seed in range(30):
+        tree = random_model(np.random.default_rng(500 + seed), max_nodes=80).tree
+        nodes = tree.nodes
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            a, b = (nodes[int(i)] for i in rng.integers(len(nodes), size=2))
+            assert lca(tree, a, b) == lca(tree, b, a) == naive_lca(tree, a, b)
+
+
+def test_lca_on_deep_chain():
+    depth = 3000
+    children = {f"n{i}": (f"n{i + 1}", f"x{i}") for i in range(depth)}
+    children[f"n{depth}"] = (f"x{depth}", f"y{depth}")
+    tree = build("n0", children, {f"n{i}": 0.999 for i in range(1, depth + 1)})
+    assert tree.depth[f"y{depth}"] == depth + 1
+    assert tree.height["n0"] == depth + 1
+    pairs = [(f"x{depth}", f"y{depth}"), (f"y{depth}", "x0"), ("x1500", "x2999"), ("x2999", "n2999"), ("n0", "x7")]
+    for a, b in pairs:
+        assert lca(tree, a, b) == naive_lca(tree, a, b)
+    assert lca(tree, f"x{depth}", f"y{depth}") == f"n{depth}"
 
 
 @st.composite
@@ -206,18 +243,8 @@ def test_lca_matches_bruteforce(parents):
     lam = {nest: 0.5 for nest in children if nest != "v0"}
     tree = build("v0", children, lam)
 
-    def ancestors(node):
-        chain = [node]
-        while node != tree.root:
-            node = tree.parent[node]
-            chain.append(node)
-        return chain
-
-    met = metrics(tree)
     nodes = tree.nodes
     rng = np.random.default_rng(len(parents))
     for _ in range(10):
         a, b = (nodes[int(i)] for i in rng.integers(len(nodes), size=2))
-        common = set(ancestors(a)) & set(ancestors(b))
-        deepest = max(common, key=lambda n: met.depth[n])
-        assert lca(tree, a, b) == deepest
+        assert lca(tree, a, b) == naive_lca(tree, a, b)
