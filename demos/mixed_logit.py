@@ -2,12 +2,14 @@
 Nested logit as a mixed logit
 =============================
 
-On a single-layer tree the nested logit is a logit with random
-intercepts: conditional on one positive stable factor per nest, choice
-probabilities are a softmax, and averaging softmaxes over factor draws
-recovers the nested probabilities. The estimator here equalizes the
-conditional noise scales with one extra stable factor per leaf, so it
-stays unbiased when nests carry different lambdas.
+On any nest tree the nested logit is a logit with random intercepts:
+conditional on the positive stable factors of the nests, each leaf's
+noise is a Gumbel of scale Lambda_j, and one extra stable factor per leaf
+equalizes those scales to the smallest one. Conditional on all factors
+the choice probabilities are then a softmax, and averaging softmaxes
+over factor draws recovers the nested probabilities without bias. The
+demo runs it on the single-layer example, whose nests carry different
+lambdas.
 """
 
 from pathlib import Path

@@ -20,7 +20,6 @@ from .distributions import (
     stable_density_series,
     stable_log_sample,
     stable_moment,
-    stable_product_check,
     stable_sample,
     stable_survival_series,
 )

@@ -133,10 +133,11 @@ def _parse_pairs(entries, what: str) -> dict[str, float]:
 
 
 def _load(args) -> ModelSpec:
+    # The parsed overrides replace the raw strings, for the report to echo.
     model = load_model(args.path)
-    overrides = _parse_pairs(getattr(args, "utilities", None), "utility override")
-    if overrides:
-        model = with_utilities(model, overrides)
+    if args.utilities is not None:
+        args.utilities = _parse_pairs(args.utilities, "utility override")
+        model = with_utilities(model, args.utilities)
     return model
 
 
@@ -148,8 +149,6 @@ def _report(args, results: dict, seed: int | None = None) -> dict:
     for key, value in vars(args).items():
         if key in skip or value is None or value is False:
             continue
-        if key in ("utilities", "at"):
-            value = _parse_pairs(value, key)
         inputs["lambda" if key == "lam" else key] = value
     report = {
         "command": args.command if args.command != "stable" else f"stable {args.stable_command}",
@@ -298,8 +297,8 @@ def _cmd_grad_check(args) -> int:
 
 def _cmd_cdf(args) -> int:
     model = _load(args)
-    bounds = _parse_pairs(args.at, "bound")
-    results = {"cdf": cdf(model, bounds)}
+    args.at = _parse_pairs(args.at, "bound")
+    results = {"cdf": cdf(model, args.at)}
     _emit(_report(args, results), args.pretty)
     return 0
 

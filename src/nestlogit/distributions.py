@@ -22,7 +22,6 @@ import warnings
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PrecisionLossWarning
-from .montecarlo import EstimateWithError, mean_with_error
 from .streams import SeededStream
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "stable_density_series",
     "stable_survival_series",
     "stable_density_half",
-    "stable_product_check",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -277,25 +275,3 @@ def stable_density_half(x: float) -> float:
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be positive, got {x!r}")
     return 0.5 / math.sqrt(math.pi) * x**-1.5 * math.exp(-0.25 / x)
-
-
-# ---------------------------------------------------------------------------
-# Composition check
-# ---------------------------------------------------------------------------
-
-def stable_product_check(
-    stream: SeededStream, lam1: float, lam2: float, n_draws: int
-) -> EstimateWithError:
-    """Monte Carlo check of the composition law Z1 * Z2^(1/lam1) ~ P(lam1*lam2).
-
-    Draws the product W and returns the estimated Laplace transform at 1,
-    E[exp(-W)], whose exact value is exp(-1) whenever the law holds.
-    """
-    lam1 = _check_lambda(lam1, allow_one=True)
-    lam2 = _check_lambda(lam2, allow_one=True)
-    if n_draws <= 0:
-        raise DomainError("n_draws must be positive")
-    log_z1 = stable_log_sample(stream, lam1, size=n_draws)
-    log_z2 = stable_log_sample(stream, lam2, size=n_draws)
-    log_w = log_z1 + log_z2 / lam1
-    return mean_with_error(np.exp(-np.exp(log_w)))

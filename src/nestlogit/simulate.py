@@ -15,9 +15,11 @@ The factor part of the sum is shared by the leaves of a nest and equals
 its parent nest's plus Lambda_n * log Z_n, so it is assembled as a prefix
 sum down the tree: one array operation per node, O(chunk x nests) memory.
 
-Every noise draw in the package comes from sample_epsilon. Generation is
-chunked by montecarlo.run_chunked with one substream per fixed-size chunk,
-so a batch is bit-identical no matter how many worker threads produced it.
+_factor_rows is the one sampler of these rows: sample_epsilon adds the
+leaf Gumbels, and mixed_logit_probs splits them once more into exact
+softmaxes. Generation is chunked by montecarlo.run_chunked with one
+substream per fixed-size chunk, so results are bit-identical no matter
+how many worker threads produced them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .montecarlo import (
     run_chunked,
 )
 from .streams import SeededStream
-from .tree import require_two_level
+from .tree import Arborescence
 
 __all__ = [
     "SampleBatch",
@@ -54,16 +56,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Matrix of noise draws, one row per draw, one column per leaf."""
+    """Matrix of noise draws, one row per draw, one column per leaf of
+    leaf_order (the tree's leaf preorder)."""
 
     draws: np.ndarray
     leaf_order: tuple[str, ...]
-    seed: int
-    stream_index: int
-    n_draws: int
 
-    def column(self, leaf: str) -> np.ndarray:
-        return self.draws[:, self.leaf_order.index(leaf)]
+
+def _factor_rows(tree: Arborescence):
+    """Each leaf's parent-nest row (in leaf preorder) and rows(sub, m):
+    it draws log Z_n from sub for the nests with lambda_n < 1 in preorder
+    and returns the (nests x m) prefix sums of Lambda_n * log Z_n."""
+    row = {n: i for i, n in enumerate(tree.nests)}
+    factors = [(row[n], tree.lam[n], tree.big_lambda[n]) for n in tree.nests if tree.lam[n] < 1.0]
+    # Non-root nests in preorder with their parent's row: every parent row
+    # is complete before a child adds it in.
+    links = [(row[n], row[tree.parent[n]]) for n in tree.nests[1:]]
+
+    def rows(sub: SeededStream, m: int) -> np.ndarray:
+        acc = np.zeros((len(tree.nests), m))
+        for i, lam, big_lam in factors:
+            acc[i] = big_lam * stable_log_sample(sub, lam, size=m)
+        for i, parent in links:
+            acc[i] += acc[parent]
+        return acc
+
+    return [row[tree.parent[leaf]] for leaf in tree.leaves], rows
 
 
 def sample_epsilon(
@@ -76,43 +94,26 @@ def sample_epsilon(
     leaf Gumbels in column order, so the layout of randomness is a pure
     function of (seed, stream_index, model, n_draws).
 
-    A chunk's (nests x chunk) buffer takes Lambda_n * log Z_n in the rows
-    of factor nests, then each nest adds its parent's row in preorder; a
-    leaf column is Lambda_leaf * eps'_j plus its parent nest's row. Memory
-    is O(chunk x nests) plus the output matrix.
+    A leaf column is Lambda_leaf * eps'_j plus its parent nest's row of
+    _factor_rows. Memory is O(chunk x nests) plus the output matrix.
     """
     if n_draws < 0:
         raise DomainError("n_draws must be nonnegative")
     tree = model.tree
-    leaf_order = tree.leaves
-    row = {n: i for i, n in enumerate(tree.nests)}
-    factors = [(row[n], tree.lam[n], tree.big_lambda[n]) for n in tree.nests if tree.lam[n] < 1.0]
-    # Non-root nests in preorder with their parent's row: every parent row
-    # is complete before a child adds it in.
-    links = [(row[n], row[tree.parent[n]]) for n in tree.nests[1:]]
-    leaf_terms = [(tree.big_lambda[leaf], row[tree.parent[leaf]]) for leaf in leaf_order]
+    parent_rows, rows = _factor_rows(tree)
+    leaf_terms = [(tree.big_lambda[leaf], parent) for leaf, parent in zip(tree.leaves, parent_rows)]
 
-    out = np.empty((n_draws, len(leaf_order)))
+    out = np.empty((n_draws, len(tree.leaves)))
 
     def kernel(sub: SeededStream, start: int, stop: int) -> None:
         m = stop - start
-        acc = np.zeros((len(tree.nests), m))
-        for i, lam, big_lam in factors:
-            acc[i] = big_lam * stable_log_sample(sub, lam, size=m)
-        for i, parent in links:
-            acc[i] += acc[parent]
+        acc = rows(sub, m)
         block = out[start:stop]
         for col, (coeff, parent) in enumerate(leaf_terms):
             block[:, col] = coeff * gumbel_sample(sub, size=m) + acc[parent]
 
     run_chunked(stream, n_draws, kernel, n_threads=n_threads)
-    return SampleBatch(
-        draws=out,
-        leaf_order=leaf_order,
-        seed=stream.seed,
-        stream_index=stream.stream_index,
-        n_draws=n_draws,
-    )
+    return SampleBatch(draws=out, leaf_order=tree.leaves)
 
 
 def _totals(model: ModelSpec, batch: SampleBatch) -> np.ndarray:
@@ -184,7 +185,8 @@ def mc_correlation(
     if n_draws < 4:
         raise DomainError("correlation needs at least 4 draws")
     batch = sample_epsilon(model, stream, n_draws, n_threads=n_threads)
-    return correlation_with_error(batch.column(leaf_a), batch.column(leaf_b))
+    leaves = batch.leaf_order
+    return correlation_with_error(batch.draws[:, leaves.index(leaf_a)], batch.draws[:, leaves.index(leaf_b)])
 
 
 def mc_cdf(
@@ -206,70 +208,48 @@ def mc_cdf(
 def mixed_logit_probs(
     model: ModelSpec, stream: SeededStream, n_draws: int, n_threads: int = 1
 ) -> dict[str, EstimateWithError]:
-    """Mixed logit simulation of single-layer choice probabilities.
+    """Choice probabilities as an average of exact softmaxes, on any tree.
 
-    Conditional on the nest factors Z_n the leaf noises are Gumbel with
-    nest-specific scales lambda_n, which is a plain logit only when every
-    nest shares one lambda. To get a softmax kernel in general, each
-    leaf's noise is split once more: with mu = min_n lambda_n, a Gumbel of
-    scale lambda_n equals mu*log Z'_j + mu*eps'_j for Z'_j ~ P(mu/lambda_n)
-    drawn per leaf. Conditional on all factors the noise is then iid
-    Gumbel of scale mu, so each draw yields the exact softmax of
+    Given the nest factors, leaf j's noise is its parent nest's factor row
+    plus a Gumbel of scale Lambda_j. With mu = min_j Lambda_j that Gumbel
+    equals mu*log Z'_j + mu*eps'_j for Z'_j ~ P(mu/Lambda_j), so given all
+    factors the noise is iid Gumbel of scale mu and each draw yields the
+    exact softmax of
 
-        (U_j + lambda_n*log Z_n + mu*log Z'_j) / mu
+        (U_j + sum_t Lambda_t*log Z_t + mu*log Z'_j) / mu
 
-    and the estimate is the average of these probability vectors: unbiased
-    for the analytic probabilities at any draw count, and a single draw is
-    already a valid probability vector. When all lambda_n coincide the
-    leaf factors are degenerate (P(1) is the unit mass) and the kernel
-    reduces to softmax(U_j/lambda + log Z_n) per draw. Standard errors are
-    the per-leaf sample std over draws / sqrt(n_draws).
-
-    Each chunk of run_chunked draws its factors from its own substream and
-    returns its softmax rows, so n_threads never changes the result.
-
-    Only two-level trees (root -> nests -> leaves) admit this kernel;
-    deeper trees raise ShapeError.
+    over the nests t on leaf j's root path. Their average is unbiased at
+    any draw count; standard errors are the per-leaf sample std over
+    draws / sqrt(n_draws). Within a chunk the nest factors are drawn as in
+    sample_epsilon, then the Z'_j in leaf order, skipped where
+    Lambda_j = mu (P(1) is the unit mass).
     """
     if n_draws <= 0:
         raise DomainError("n_draws must be positive")
     tree = model.tree
-    nests = require_two_level(tree)
-
-    leaf_order = tree.leaves
-    leaf_nest_idx = np.array(
-        [list(nests).index(tree.parent[leaf]) for leaf in leaf_order]
-    )
-    mu = min(tree.lam[nest] for nest in nests)
-    scaled_u = np.array([model.utilities[leaf] / mu for leaf in leaf_order])
-
-    nest_scale = np.array([tree.lam[nest] / mu for nest in nests])
+    parent_rows, rows = _factor_rows(tree)
+    mu = min(tree.big_lambda[leaf] for leaf in tree.leaves)
+    scaled_u = np.array([model.utilities[leaf] / mu for leaf in tree.leaves])
+    equalizers = [(j, mu / tree.big_lambda[leaf]) for j, leaf in enumerate(tree.leaves) if mu < tree.big_lambda[leaf]]
 
     def kernel(sub: SeededStream, start: int, stop: int) -> np.ndarray:
         m = stop - start
-        # Nest factors first, then leaf factors, each skipped when degenerate,
-        # so the randomness layout is a fixed function of the model.
-        log_z = np.zeros((m, len(nests)))
-        for i, nest in enumerate(nests):
-            if tree.lam[nest] < 1.0:
-                log_z[:, i] = stable_log_sample(sub, tree.lam[nest], size=m)
-        leaf_log_z = np.zeros((m, len(leaf_order)))
-        for j, leaf in enumerate(leaf_order):
-            lam = tree.lam[tree.parent[leaf]]
-            if mu < lam:
-                leaf_log_z[:, j] = stable_log_sample(sub, mu / lam, size=m)
-        scores = nest_scale[leaf_nest_idx] * log_z[:, leaf_nest_idx] + leaf_log_z + scaled_u
-        scores -= scores.max(axis=1, keepdims=True)
-        weights = np.exp(scores)
-        return weights / weights.sum(axis=1, keepdims=True)
+        scores = rows(sub, m)[parent_rows]  # (leaves x m)
+        scores /= mu
+        for j, ratio in equalizers:
+            scores[j] += stable_log_sample(sub, ratio, size=m)
+        scores += scaled_u[:, None]
+        scores -= scores.max(axis=0)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=0)
+        # Concatenated, these views keep each leaf's draws contiguous, so the
+        # mean and std over draws below are pairwise sums.
+        return scores.T
 
     probs = np.concatenate(run_chunked(stream, n_draws, kernel, n_threads=n_threads))
     mean = probs.mean(axis=0)
-    if n_draws > 1:
-        err = probs.std(axis=0, ddof=1) / np.sqrt(n_draws)
-    else:
-        err = np.zeros(len(leaf_order))
+    err = probs.std(axis=0, ddof=1 if n_draws > 1 else 0) / np.sqrt(n_draws)
     return {
         leaf: EstimateWithError(float(mean[i]), float(err[i]), n_draws)
-        for i, leaf in enumerate(leaf_order)
+        for i, leaf in enumerate(tree.leaves)
     }

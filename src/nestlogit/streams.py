@@ -48,7 +48,3 @@ class SeededStream:
         """Independent substream; same (seed, stream_index, lineage, index)
         always yields the same substream regardless of caller threading."""
         return SeededStream(self.seed, self.stream_index, self._subkey + (int(index),))
-
-    def fresh(self) -> "SeededStream":
-        """A copy rewound to the start of its sequence."""
-        return SeededStream(self.seed, self.stream_index, self._subkey)

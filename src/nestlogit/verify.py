@@ -123,13 +123,14 @@ def run_checks(
 
     # One pair per nest with two or more children: the first leaves under
     # its first two children, whose lowest common ancestor is the nest.
-    first_leaf = {leaf: leaf for leaf in tree.leaves}
+    # first_col maps a node to the batch column of its first leaf.
+    first_col = {leaf: i for i, leaf in enumerate(batch.leaf_order)}
     for nest in reversed(tree.nests):
-        first_leaf[nest] = first_leaf[tree.children[nest][0]]
+        first_col[nest] = first_col[tree.children[nest][0]]
     pairs = [(nest, kids) for nest in tree.nests if len(kids := tree.children[nest]) >= 2]
     pair_gap = 0.0
     for nest, kids in pairs:
-        r = correlation_with_error(batch.column(first_leaf[kids[0]]), batch.column(first_leaf[kids[1]]))
+        r = correlation_with_error(batch.draws[:, first_col[kids[0]]], batch.draws[:, first_col[kids[1]]])
         pair_gap = max(pair_gap, abs(r.value - (1.0 - tree.big_lambda[nest] ** 2)))
     corr_tol = 3.0 / float(np.sqrt(n_draws - 3.0))  # 3 standard errors of r at rho = 0, the widest
     detail = f"max |empirical - (1 - Lambda_lca^2)| over {len(pairs)} pairs, one per nest"

@@ -128,10 +128,13 @@ def test_probs_mixed(single_layer_path):
     assert abs(probs["3"] - 0.414214) < 0.01
 
 
-def test_probs_mixed_rejects_deep_tree(depth3_path):
-    proc = run_cli("probs", depth3_path, "--method", "mixed", "--draws", "100")
-    assert proc.returncode == 1
-    assert "deeper" in proc.stderr or "single" in proc.stderr.lower()
+def test_probs_mixed_deep_tree(depth3_path):
+    analytic = payload(run_cli("probs", depth3_path))["results"]["probabilities"]
+    report = payload(run_cli("probs", depth3_path, "--method", "mixed", "--draws", "50000", "--seed", "4"))
+    probs = report["results"]["probabilities"]
+    errs = report["results"]["std_errors"]
+    for leaf, p in analytic.items():
+        assert abs(probs[leaf] - p) < 4 * errs[leaf]
 
 
 def test_probs_stochastic_determinism(depth3_path):
@@ -246,6 +249,7 @@ def test_grad_check(depth3_path):
 def test_cdf_command(single_layer_path):
     report = payload(run_cli("cdf", single_layer_path, "--at", "1=0", "--at", "2=0", "--at", "3=0"))
     assert_allclose(report["results"]["cdf"], math.exp(-(math.sqrt(2) + 1)), rtol=1e-12)
+    assert report["inputs"]["at"] == {"1": 0.0, "2": 0.0, "3": 0.0}
     proc = run_cli("cdf", single_layer_path, "--at", "1=0")
     assert proc.returncode == 1
 

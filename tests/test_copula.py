@@ -1,11 +1,13 @@
 """Gumbel-coupled Frechet pair: closed-form correlation and its simulator.
 
 The two pinned correlations were evaluated from the gamma-ratio formula
-in 50-digit arithmetic and rounded to double.
+in 50-digit arithmetic and rounded to double; the large-alpha grid is
+checked against the same formula in 60-digit mpmath arithmetic.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -34,6 +36,30 @@ def test_frechet_corr_frozen():
 def test_frechet_corr_limits():
     assert frechet_corr(3.0, 1.0) == 0.0
     assert frechet_corr(5.0, 1e-9) == pytest.approx(1.0, abs=1e-6)
+
+
+def _frechet_corr_mp(alpha, lam):
+    with mpmath.workdps(60):
+        a, lam = mpmath.mpf(alpha), mpmath.mpf(lam)
+        g = mpmath.gamma
+        second, first = g(1 - 2 / a), g(1 - 1 / a)
+        cross = second * g(1 - lam / a) ** 2 / g(1 - 2 * lam / a)
+        return float((cross - first**2) / (second - first**2))
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9])
+def test_frechet_corr_against_mpmath(lam):
+    # Both sides of the switch to the cumulant series at alpha = 16, up to
+    # where the Gamma expression alone kept no correct digit.
+    alphas = [2.2, 3.0, 7.5, 15.9, 16.0, 16.1, 40.0, *np.geomspace(100.0, 1e15, 27)]
+    for alpha in alphas:
+        assert abs(frechet_corr(alpha, lam) - _frechet_corr_mp(alpha, lam)) < 1e-12, alpha
+
+
+def test_frechet_corr_huge_alpha():
+    # Pinned from 60-digit arithmetic; the limit alpha -> inf is 1 - lambda^2.
+    assert abs(frechet_corr(1e9, 0.5) - 0.75000000018269074) < 1e-12
+    assert frechet_corr(1e300, 0.5) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_frechet_corr_decreasing_in_lambda():

@@ -27,10 +27,10 @@ from nestlogit import (
     stable_density_series,
     stable_log_sample,
     stable_moment,
-    stable_product_check,
     stable_sample,
     stable_survival_series,
 )
+from nestlogit.montecarlo import mean_with_error
 
 KS_1PCT = 1.63  # asymptotic 1% critical coefficient, D_crit = 1.63/sqrt(n)
 
@@ -147,6 +147,18 @@ def test_max_stability_of_eta(lam):
     rhs = math.log(np.exp(u).sum()) + lam * stable_log_sample(stream, lam, size=n)
     d, _ = stats.ks_2samp(lhs, rhs)
     assert d < KS_1PCT * math.sqrt(2.0 / n)
+
+
+def stable_product_check(stream, lam1, lam2, n_draws):
+    """Monte Carlo check of the composition law Z1 * Z2^(1/lam1) ~ P(lam1*lam2).
+
+    Draws the product W and returns the estimated Laplace transform at 1,
+    E[exp(-W)], whose exact value is exp(-1) whenever the law holds.
+    """
+    log_z1 = stable_log_sample(stream, lam1, size=n_draws)
+    log_z2 = stable_log_sample(stream, lam2, size=n_draws)
+    log_w = log_z1 + log_z2 / lam1
+    return mean_with_error(np.exp(-np.exp(log_w)))
 
 
 def test_product_law():

@@ -6,6 +6,7 @@ the headline comparisons at 10^6 draws.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from scipy import stats
 
 from nestlogit import (
     DomainError,
+    SampleBatch,
     SeededStream,
-    ShapeError,
     backward_utils,
     build,
     cdf,
@@ -29,6 +30,7 @@ from nestlogit import (
     mixed_logit_probs,
     random_model,
     sample_epsilon,
+    with_utilities,
 )
 from nestlogit.distributions import gumbel_sample, stable_log_sample
 from nestlogit.montecarlo import CHUNK_SIZE
@@ -38,10 +40,12 @@ KS_1PCT = 1.63
 
 def test_sample_batch_layout(depth3_model):
     batch = sample_epsilon(depth3_model, SeededStream(21, stream_index=3), 500)
+    assert [f.name for f in fields(SampleBatch)] == ["draws", "leaf_order"]
     assert batch.draws.shape == (500, 4)
     assert batch.leaf_order == depth3_model.tree.leaves
-    assert (batch.seed, batch.stream_index, batch.n_draws) == (21, 3, 500)
-    assert_array_equal(batch.column("leaf2"), batch.draws[:, 2])
+    # the stream index is part of the key
+    other = sample_epsilon(depth3_model, SeededStream(21), 500)
+    assert not np.array_equal(batch.draws, other.draws)
 
 
 def test_sample_zero_draws(depth3_model):
@@ -114,11 +118,12 @@ def test_marginals_are_standard_gumbel(depth3_model, single_layer_model):
     # every leaf's noise is G(0,1) regardless of where it sits in the tree
     gumbel_cdf = lambda x: np.exp(-np.exp(-x))
     batch = sample_epsilon(single_layer_model, SeededStream(41), 100_000)
-    for leaf in single_layer_model.tree.leaves:
-        d, _ = stats.kstest(batch.column(leaf), gumbel_cdf)
+    for column in batch.draws.T:
+        d, _ = stats.kstest(column, gumbel_cdf)
         assert d < KS_1PCT / math.sqrt(100_000)
     batch = sample_epsilon(depth3_model, SeededStream(42), 100_000)
-    d, _ = stats.kstest(batch.column("leaf0"), gumbel_cdf)
+    assert batch.leaf_order[0] == "leaf0"
+    d, _ = stats.kstest(batch.draws[:, 0], gumbel_cdf)
     assert d < KS_1PCT / math.sqrt(100_000)
 
 
@@ -210,15 +215,104 @@ def test_mixed_logit_all_lambda_one_is_exact_softmax():
         assert est.value == pytest.approx(weights[leaf] / z, rel=1e-14)
 
 
-def test_mixed_logit_rejects_deep_trees(depth3_model):
-    with pytest.raises(ShapeError):
-        mixed_logit_probs(depth3_model, SeededStream(0), 100)
+def mixed_logit_reference(model, stream, n_draws):
+    """The mixed logit estimator written out: per chunk substream, the
+    factors log Z_t (nests in preorder, lambda < 1), then log Z'_j ~ P(mu/Lambda_j)
+    for the leaves with Lambda_j > mu in leaf order; each draw is the
+    softmax of (U_j + sum_t Lambda_t log Z_t + mu log Z'_j)/mu over the
+    nests t on leaf j's root path. Returns the per-draw probability rows."""
+    tree = model.tree
+    mu = min(tree.big_lambda[leaf] for leaf in tree.leaves)
+    rows = []
+    for i, start in enumerate(range(0, n_draws, CHUNK_SIZE)):
+        m = min(start + CHUNK_SIZE, n_draws) - start
+        sub = stream.child(i)
+        log_z = {n: stable_log_sample(sub, tree.lam[n], size=m) for n in tree.nests if tree.lam[n] < 1.0}
+        scores = np.empty((m, len(tree.leaves)))
+        for col, leaf in enumerate(tree.leaves):
+            total = np.full(m, model.utilities[leaf])
+            nest = tree.parent[leaf]
+            while nest != tree.root:
+                if nest in log_z:
+                    total = total + tree.big_lambda[nest] * log_z[nest]
+                nest = tree.parent[nest]
+            scores[:, col] = total
+        for col, leaf in enumerate(tree.leaves):
+            if mu < tree.big_lambda[leaf]:
+                scores[:, col] += mu * stable_log_sample(sub, mu / tree.big_lambda[leaf], size=m)
+        weights = np.exp(scores / mu - (scores / mu).max(axis=1, keepdims=True))
+        rows.append(weights / weights.sum(axis=1, keepdims=True))
+    return np.concatenate(rows)
+
+
+def assert_mixed_matches_analytic(model, estimates):
+    # Leaves with p > 1% at 4 standard errors: for rarer leaves the per-draw
+    # softmax is heavy-tailed and the sample std error understates.
+    # All-lambda-one trees give an exact softmax with zero std error.
+    analytic = choice_probs(model)
+    judged = [leaf for leaf, p in analytic.items() if p > 0.01]
+    assert judged
+    for leaf in judged:
+        assert abs(estimates[leaf].value - analytic[leaf]) <= 4.0 * estimates[leaf].std_error + 1e-12, leaf
+    assert sum(est.value for est in estimates.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mixed_logit_deep_trees(depth3_model):
+    model = with_utilities(depth3_model, {"leaf0": 0.5, "leaf2": -0.3, "leaf3": 0.2})
+    assert_mixed_matches_analytic(model, mixed_logit_probs(model, SeededStream(0), 100_000))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_mixed_logit_random_trees(seed):
+    model = random_model(np.random.default_rng(seed), max_nodes=60)
+    assert_mixed_matches_analytic(model, mixed_logit_probs(model, SeededStream(seed), 20_000))
+
+
+def test_mixed_logit_deep_chain():
+    # 200 nests of lambda 0.99: Lambda runs from 0.99 down to mu = 0.134,
+    # so all but the two deepest leaves draw an equalizing factor.
+    depth = 200
+    children = {"root": ("n1", "x0")}
+    for i in range(1, depth):
+        children[f"n{i}"] = (f"n{i + 1}", f"x{i}")
+    children[f"n{depth}"] = (f"x{depth}", f"y{depth}")
+    tree = build("root", children, {f"n{i}": 0.99 for i in range(1, depth + 1)})
+    rng = np.random.default_rng(3)
+    model = make_model(tree, {leaf: float(rng.uniform(-2.0, 2.0)) for leaf in tree.leaves})
+    assert_mixed_matches_analytic(model, mixed_logit_probs(model, SeededStream(7), 20_000))
+
+
+def test_mixed_logit_matches_reference_across_chunks(depth3_model):
+    model = with_utilities(depth3_model, {"leaf0": 1.0, "leaf1": -0.5, "leaf3": 0.25})
+    n = CHUNK_SIZE + 50
+    estimates = mixed_logit_probs(model, SeededStream(56), n, n_threads=2)
+    rows = mixed_logit_reference(model, SeededStream(56), n)
+    mean = rows.mean(axis=0)
+    err = rows.std(axis=0, ddof=1) / math.sqrt(n)
+    for col, leaf in enumerate(model.tree.leaves):
+        assert abs(estimates[leaf].value - mean[col]) < 1e-12
+        assert abs(estimates[leaf].std_error - err[col]) < 1e-12
+
+
+def test_mixed_logit_matches_reference_random_trees():
+    for seed in range(5):
+        model = random_model(np.random.default_rng(100 + seed), max_nodes=40)
+        estimates = mixed_logit_probs(model, SeededStream(seed), 300)
+        mean = mixed_logit_reference(model, SeededStream(seed), 300).mean(axis=0)
+        assert_allclose([estimates[leaf].value for leaf in model.tree.leaves], mean, rtol=0, atol=1e-12)
 
 
 def test_mixed_logit_determinism_across_threads(single_layer_model):
     n = CHUNK_SIZE + 500
     serial = mixed_logit_probs(single_layer_model, SeededStream(54), n, n_threads=1)
     threaded = mixed_logit_probs(single_layer_model, SeededStream(54), n, n_threads=4)
+    assert serial == threaded
+
+
+def test_mixed_logit_determinism_across_threads_deep_tree(depth3_model):
+    n = CHUNK_SIZE + 500
+    serial = mixed_logit_probs(depth3_model, SeededStream(55), n, n_threads=1)
+    threaded = mixed_logit_probs(depth3_model, SeededStream(55), n, n_threads=4)
     assert serial == threaded
 
 
