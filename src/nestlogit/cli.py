@@ -1,8 +1,9 @@
 """Command line front end.
 
-Every command reads a model file (where one applies), computes, and prints
-a single JSON report to stdout: command name, echoed inputs, seed (for
-stochastic commands), results, and the tool version. Output is
+Every command reads a model file (where one applies), computes, and returns
+its results; main prints them as a single JSON report to stdout: command
+name, echoed inputs, seed (when draws were made), results, and the tool
+version. Output is
 deterministic byte for byte for a given seed; worker-thread count changes
 scheduling only and is therefore not echoed into the report.
 
@@ -141,7 +142,7 @@ def _load(args) -> ModelSpec:
     return model
 
 
-def _report(args, results: dict, seed: int | None = None) -> dict:
+def _report(args, results: dict) -> dict:
     # Parsed attributes that are not inputs: dispatch, the seed (reported on
     # its own), the thread count (never changes output) and the output format.
     skip = ("command", "stable_command", "func", "seed", "threads", "pretty")
@@ -156,8 +157,8 @@ def _report(args, results: dict, seed: int | None = None) -> dict:
         "inputs": inputs,
         "results": results,
     }
-    if seed is not None:
-        report["seed"] = seed
+    if getattr(args, "seed", None) is not None:
+        report["seed"] = args.seed
     return report
 
 
@@ -165,7 +166,7 @@ def _report(args, results: dict, seed: int | None = None) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> dict:
     model = _load(args)
     tree = model.tree
     nests = {
@@ -186,45 +187,36 @@ def _cmd_validate(args) -> int:
         "leaves": list(tree.leaves),
         "nests": nests,
     }
-    _emit(_report(args, results), args.pretty)
-    return 0
+    return results
 
 
-def _cmd_probs(args) -> int:
+def _cmd_probs(args) -> dict:
     model = _load(args)
     if args.method == "analytic":
-        args.draws = None  # unused; keep it out of the echoed inputs
-        probs = choice_probs(model)
-        results = {"method": "analytic", "probabilities": probs}
-        _emit(_report(args, results), args.pretty)
-        return 0
+        args.draws = args.seed = None  # unused; keep them out of the report
+        return {"method": "analytic", "probabilities": choice_probs(model)}
     stream = SeededStream(args.seed)
     if args.method == "mc":
         estimates = mc_choice_probs(model, stream, args.draws, n_threads=args.threads)
     else:
         estimates = mixed_logit_probs(model, stream, args.draws, n_threads=args.threads)
-    results = {
+    return {
         "method": args.method,
         "probabilities": {leaf: est.value for leaf, est in estimates.items()},
         "std_errors": {leaf: est.std_error for leaf, est in estimates.items()},
         "n_draws": args.draws,
     }
-    _emit(_report(args, results, seed=args.seed), args.pretty)
-    return 0
 
 
-def _cmd_emax(args) -> int:
+def _cmd_emax(args) -> dict:
     model = _load(args)
     if args.all:
         u = backward_utils(model)
-        results = {"inclusive_values": {node: u[node] for node in model.tree.nodes}}
-    else:
-        results = {"node": args.node or model.tree.root, "emax": emax(model, args.node)}
-    _emit(_report(args, results), args.pretty)
-    return 0
+        return {"inclusive_values": {node: u[node] for node in model.tree.nodes}}
+    return {"node": args.node or model.tree.root, "emax": emax(model, args.node)}
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> dict:
     model = _load(args)
     stream = SeededStream(args.seed)
     batch = sample_epsilon(model, stream, args.draws, n_threads=args.threads)
@@ -233,21 +225,16 @@ def _cmd_sample(args) -> int:
             handle.write(",".join(batch.leaf_order) + "\n")
             np.savetxt(handle, batch.draws, fmt="%.17g", delimiter=",", newline="\n")
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    results = {"out": args.out, "n_draws": args.draws, "leaf_order": list(batch.leaf_order)}
-    _emit(_report(args, results, seed=args.seed), args.pretty)
-    return 0
+        raise OSError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+    return {"out": args.out, "n_draws": args.draws, "leaf_order": list(batch.leaf_order)}
 
 
-def _cmd_stable(args) -> int:
+def _cmd_stable(args) -> dict:
     lam = args.lam
     if args.stable_command == "sample":
         stream = SeededStream(args.seed)
         draws = stable_sample(stream, lam, size=args.draws)
-        results = {"draws": list(map(float, draws))}
-        _emit(_report(args, results, seed=args.seed), args.pretty)
-        return 0
+        return {"draws": list(map(float, draws))}
     if args.stable_command == "density":
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", PrecisionLossWarning)
@@ -258,73 +245,58 @@ def _cmd_stable(args) -> int:
         }
         if lam == 0.5:
             results["closed_form"] = stable_density_half(args.x)
-        _emit(_report(args, results), args.pretty)
-        return 0
+        return results
     if args.stable_command == "moment":
-        results = {"moment": stable_moment(lam, args.kappa)}
-        _emit(_report(args, results), args.pretty)
-        return 0
+        return {"moment": stable_moment(lam, args.kappa)}
     # laplace: empirical E[exp(-t Z)] against the exact exp(-t^lambda)
     stream = SeededStream(args.seed)
     draws = stable_sample(stream, lam, size=args.draws)
     est = mean_with_error(np.exp(-args.t * draws))
     exact = math.exp(-args.t**lam)
-    results = {
+    return {
         "estimate": est.value,
         "std_error": est.std_error,
         "exact": exact,
         "n_draws": args.draws,
     }
-    _emit(_report(args, results, seed=args.seed), args.pretty)
-    return 0
 
 
-def _cmd_grad_check(args) -> int:
+def _cmd_grad_check(args) -> dict:
     model = _load(args)
     analytic = choice_probs(model)
     numeric = finite_difference_gradient(model, args.step)
     worst = max(abs(analytic[leaf] - numeric[leaf]) for leaf in model.tree.leaves)
-    passed = worst <= args.tol
-    results = {
+    return {
         "analytic": analytic,
         "finite_difference": numeric,
         "max_abs_diff": worst,
-        "passed": passed,
+        "passed": worst <= args.tol,
     }
-    _emit(_report(args, results), args.pretty)
-    return 0 if passed else 2
 
 
-def _cmd_cdf(args) -> int:
+def _cmd_cdf(args) -> dict:
     model = _load(args)
     args.at = _parse_pairs(args.at, "bound")
-    results = {"cdf": cdf(model, args.at)}
-    _emit(_report(args, results), args.pretty)
-    return 0
+    return {"cdf": cdf(model, args.at)}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     model = _load(args)
     stream = SeededStream(args.seed)
     checks = run_checks(model, stream, n_draws=args.draws, n_threads=args.threads)
-    all_passed = all(c.passed for c in checks)
-    results = {"checks": [asdict(c) for c in checks], "all_passed": all_passed}
-    _emit(_report(args, results, seed=args.seed), args.pretty)
-    return 0 if all_passed else 2
+    return {"checks": [asdict(c) for c in checks], "all_passed": all(c.passed for c in checks)}
 
 
-def _cmd_frechet_corr(args) -> int:
-    exact = frechet_corr(args.alpha, args.lam)
-    results = {"correlation": exact}
-    seed = None
-    if args.mc is not None:
-        seed = args.seed
-        est = mc_frechet_corr(SeededStream(seed), args.alpha, args.lam, args.mc, n_threads=args.threads)
-        results["mc_estimate"] = est.value
-        results["mc_std_error"] = est.std_error
-        results["n_draws"] = args.mc
-    _emit(_report(args, results, seed=seed), args.pretty)
-    return 0
+def _cmd_frechet_corr(args) -> dict:
+    results = {"correlation": frechet_corr(args.alpha, args.lam)}
+    if args.mc is None:
+        args.seed = None  # nothing is drawn; keep it out of the report
+        return results
+    est = mc_frechet_corr(SeededStream(args.seed), args.alpha, args.lam, args.mc, n_threads=args.threads)
+    results["mc_estimate"] = est.value
+    results["mc_std_error"] = est.std_error
+    results["n_draws"] = args.mc
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +407,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        results = args.func(args)
+        _emit(_report(args, results), args.pretty)
     except NestLogitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # grad-check and verify put a failed check in their results: exit 2.
+    return 2 if False in (results.get("passed"), results.get("all_passed")) else 0
 
 
 if __name__ == "__main__":

@@ -41,6 +41,8 @@ class OrphanNodeError(InvalidModelError):
 class UnknownNodeError(InvalidModelError, KeyError):
     """A node id was referenced that the tree does not contain."""
 
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
 
 class NotANestError(InvalidModelError):
     """A leaf id was used where a nest id is required."""

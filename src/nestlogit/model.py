@@ -20,12 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import (
-    NotALeafError,
-    RootHasNoParentError,
-    UtilityError,
-)
-from .tree import Arborescence, require_nest, require_two_level
+from .errors import RootHasNoParentError, UtilityError
+from .tree import Arborescence, require_leaf, require_nest, require_two_level
 
 __all__ = [
     "ModelSpec",
@@ -76,9 +72,7 @@ def with_utilities(model: ModelSpec, overrides: Mapping[str, float]) -> ModelSpe
     """Copy of the model with some leaf utilities replaced. The copy shares
     the original's tree, which does not depend on utilities."""
     for key in overrides:
-        model.tree.require_node(key)
-        if not model.tree.is_leaf(key):
-            raise NotALeafError(f"node {key!r} is a nest, utilities live on leaves")
+        require_leaf(model.tree, key, "utilities live on leaves")
     merged = dict(model.utilities)
     merged.update(_finite_utilities(overrides))
     return ModelSpec(tree=model.tree, utilities=merged)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .distributions import EULER_GAMMA, gumbel_sample, stable_log_sample
 from .errors import DomainError
-from .model import ModelSpec, cdf, choice_probs
+from .model import ModelSpec, cdf
 from .montecarlo import (
     EstimateWithError,
     binomial_estimate,
@@ -39,7 +39,7 @@ from .montecarlo import (
     run_chunked,
 )
 from .streams import SeededStream
-from .tree import Arborescence
+from .tree import Arborescence, require_leaf
 
 __all__ = [
     "SampleBatch",
@@ -184,6 +184,8 @@ def mc_correlation(
     """
     if n_draws < 4:
         raise DomainError("correlation needs at least 4 draws")
+    for leaf in (leaf_a, leaf_b):
+        require_leaf(model.tree, leaf, "noise columns belong to leaves")
     batch = sample_epsilon(model, stream, n_draws, n_threads=n_threads)
     leaves = batch.leaf_order
     return correlation_with_error(batch.draws[:, leaves.index(leaf_a)], batch.draws[:, leaves.index(leaf_b)])

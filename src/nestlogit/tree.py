@@ -9,6 +9,11 @@ of the nodes, each node's depth and height, and the cumulative parameter
 Lambda, the product of lambda over each node's root path. They depend on
 the tree alone, so models that differ only in utilities share them.
 
+build() owns the structural rules (lambda in (0, 1], no cycles, orphans
+or empty nests); from_nested() owns the schema of a model file's nested
+node document and reports each fault with its JSON path. The modelfile
+module only decodes and writes the JSON text.
+
 Traversals are iterative throughout; deep chains must not hit the
 interpreter recursion limit.
 """
@@ -25,6 +30,8 @@ from .errors import (
     EmptyNestError,
     InvalidModelError,
     LambdaRangeError,
+    ModelFileError,
+    NotALeafError,
     NotANestError,
     OrphanNodeError,
     RootLambdaError,
@@ -198,37 +205,86 @@ def build(
     )
 
 
-def from_nested(doc: Mapping) -> tuple[Arborescence, dict[str, float]]:
-    """Flatten a nested node document into an Arborescence plus utilities.
+_NEST_KEYS = {"id", "lambda", "children"}
+_LEAF_KEYS = {"id", "utility"}
 
-    The document is the in-memory form of the model file: a nest is a dict
-    with "id", "lambda" and a non-empty "children" list; a leaf has "id"
-    and "utility". Returns the built tree and the leaf utility map.
-    Structural validation is delegated to build(); schema validation (key
-    spelling, types) belongs to the model file reader.
+
+def _fail(where: str, message: str) -> ModelFileError:
+    return ModelFileError(f"{where}: {message}")
+
+
+def _number(node: Mapping, key: str, where: str) -> float:
+    """node[key] as a float, converted once; JSON numbers only."""
+    value = node[key]
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise _fail(where, f'"{key}" must be a number')
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past float range
+        raise _fail(where, f'"{key}" does not fit in a float') from None
+
+
+def from_nested(doc: Mapping) -> tuple[Arborescence, dict[str, float]]:
+    """Read a nested node document into an Arborescence plus utilities.
+
+    The document is the "root" object of a model file: a nest is a dict
+    with exactly "id", "lambda" and a non-empty "children" list, a leaf
+    one with exactly "id" and "utility". This is the one walk over the
+    nodes. In document order it converts each number once and raises at
+    the first fault: a ModelFileError naming the JSON path (for instance
+    root.children[1].lambda) for a schema fault, DuplicateIdError for a
+    repeated id. build() then applies the structural rules. Returns the
+    tree and the leaf utility map.
     """
     children: dict[str, list[str]] = {}
     lam: dict[str, float] = {}
     utilities: dict[str, float] = {}
-    seen: set[str] = set()
-
-    root_id = str(doc["id"])
-    stack = [doc]
+    stack: list[tuple[object, str, str | None]] = [(doc, "root", None)]
     while stack:
-        node = stack.pop()
-        node_id = str(node["id"])
-        if node_id in seen:
-            raise DuplicateIdError(f"node id {node_id!r} appears more than once")
-        seen.add(node_id)
-        if "children" in node:
-            lam[node_id] = float(node["lambda"])
-            children[node_id] = [str(kid["id"]) for kid in node["children"]]
-            stack.extend(node["children"])
+        node, where, parent = stack.pop()
+        if not isinstance(node, Mapping):
+            raise _fail(where, f"expected an object, got {type(node).__name__}")
+        keys = set(node)
+        if "children" in keys and "utility" in keys:
+            raise _fail(where, "a node cannot carry both children and a utility")
+        if "children" in keys:
+            expected = _NEST_KEYS
+        elif "utility" in keys:
+            expected = _LEAF_KEYS
         else:
-            utilities[node_id] = float(node["utility"])
-
-    tree = build(root_id, children, lam)
-    return tree, utilities
+            raise _fail(where, 'node needs either "children" (nest) or "utility" (leaf)')
+        unknown = keys - expected
+        if unknown:
+            raise _fail(where, f"unexpected key {sorted(unknown)[0]!r}")
+        missing = expected - keys
+        if missing:
+            raise _fail(where, f"missing key {sorted(missing)[0]!r}")
+        node_id = node["id"]
+        if not isinstance(node_id, str) or not node_id:
+            raise _fail(where, '"id" must be a non-empty string')
+        if node_id in children or node_id in utilities:
+            raise DuplicateIdError(f"node id {node_id!r} appears more than once")
+        if parent is not None:
+            children[parent].append(node_id)
+        if "children" in keys:
+            lam[node_id] = _number(node, "lambda", where)
+            kids = node["children"]
+            if not isinstance(kids, list):
+                raise _fail(where, '"children" must be a list')
+            if not kids:
+                raise _fail(where, '"children" must not be empty')
+            children[node_id] = []  # filled as each child is visited
+            stack.extend((kids[i], f"{where}.children[{i}]", node_id) for i in reversed(range(len(kids))))
+        else:
+            utilities[node_id] = _number(node, "utility", where)
+            if not math.isfinite(utilities[node_id]):
+                raise _fail(where, '"utility" must be finite')
+        if parent is None:
+            if node_id in utilities:
+                raise _fail(where, "the root must be a nest, not a leaf")
+            if lam[node_id] != 1.0:
+                raise _fail(f"{where}.lambda", f"root lambda must be 1.0, got {node['lambda']!r}")
+    return build(doc["id"], children, lam), utilities
 
 
 def lca(tree: Arborescence, a: str, b: str) -> str:
@@ -273,6 +329,13 @@ def require_nest(tree: Arborescence, node: str) -> None:
     tree.require_node(node)
     if not tree.is_nest(node):
         raise NotANestError(f"node {node!r} is a leaf, expected a nest")
+
+
+def require_leaf(tree: Arborescence, node: str, why: str) -> None:
+    """Raise unless node is a leaf of the tree; why ends the message."""
+    tree.require_node(node)
+    if not tree.is_leaf(node):
+        raise NotALeafError(f"node {node!r} is a nest, {why}")
 
 
 def require_two_level(tree: Arborescence) -> tuple[str, ...]:

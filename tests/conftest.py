@@ -1,4 +1,5 @@
-"""Shared fixtures: the two reference models used across the suite."""
+"""Shared fixtures: the two reference models used across the suite, and a
+model document nested too deeply for the JSON reader."""
 
 import pytest
 
@@ -25,3 +26,13 @@ def single_layer_model():
         {"A": 0.5, "B": 1.0},
     )
     return make_model(tree, {"1": 0.0, "2": 0.0, "3": 0.0})
+
+
+@pytest.fixture
+def deep_chain_text():
+    # 600 nests, each holding the next and a leaf. Written out by hand:
+    # json.dumps would recurse as deeply as json.loads.
+    depth = 600
+    opens = "".join(f'{{"id": "n{i}", "lambda": {1.0 if i == 0 else 0.5}, "children": [' for i in range(depth))
+    closes = "".join(f', {{"id": "x{i}", "utility": 0.0}}]}}' for i in reversed(range(depth)))
+    return '{"root": ' + opens + '{"id": "leaf", "utility": 0.0}' + closes + "}"

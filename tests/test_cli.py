@@ -102,6 +102,32 @@ def test_validate_rejects_duplicate_id(tmp_path):
     assert "leaf0" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (lambda d: d["root"]["children"][1].update(utility=10**400), 'root.children[1]: "utility"'),
+        (lambda d: d["root"]["children"][0].update({"lambda": -(10**400)}), 'root.children[0]: "lambda"'),
+        (lambda d: d["root"].update({"lambda": 10**400}), 'root: "lambda"'),
+    ],
+)
+def test_validate_rejects_integers_past_float_range(tmp_path, mutate, where):
+    doc = json.loads(json.dumps(DEPTH3))
+    mutate(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {where} does not fit in a float\n"
+
+
+def test_validate_rejects_too_deep_document(tmp_path, deep_chain_text):
+    path = tmp_path / "deep.json"
+    path.write_text(deep_chain_text)
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: the document nests too deeply for the JSON reader\n"
+
+
 def test_probs_analytic(single_layer_path):
     report = payload(run_cli("probs", single_layer_path))
     probs = report["results"]["probabilities"]
@@ -151,6 +177,9 @@ def test_utilities_override(single_layer_path):
     assert report["results"]["probabilities"]["3"] > math.sqrt(2) - 1
     proc = run_cli("probs", single_layer_path, "--utilities", "3")
     assert proc.returncode == 1
+    proc = run_cli("probs", single_layer_path, "--utilities", "b=1")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: unknown node id 'b'\n"
 
 
 def test_emax(depth3_path):

@@ -1,20 +1,29 @@
 """Model file parsing, diagnostics, and round-tripping."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from nestlogit import (
     DuplicateIdError,
     LambdaRangeError,
     ModelFileError,
+    NestLogitError,
+    build,
     choice_probs,
     load_model,
     loads_model,
+    make_model,
     model_to_doc,
     save_model,
 )
+from nestlogit.cli import main
 
 GOOD = {
     "root": {
@@ -122,3 +131,75 @@ def test_structural_errors_pass_through():
 def test_load_missing_file(tmp_path):
     with pytest.raises(ModelFileError, match="cannot read"):
         load_model(tmp_path / "absent.json")
+
+
+def test_integer_literal_too_long_to_convert():
+    # Python refuses to convert an integer literal of over 4,300 digits.
+    with pytest.raises(ModelFileError, match="not valid JSON"):
+        loads_model('{"root": ' + "9" * 5000 + "}")
+
+
+def test_too_deep_to_read(deep_chain_text):
+    with pytest.raises(ModelFileError, match="nests too deeply"):
+        loads_model(deep_chain_text)
+
+
+def test_too_deep_to_write_leaves_no_file(tmp_path):
+    depth = 600
+    children = {f"n{i}": (f"n{i + 1}", f"x{i}") for i in range(depth - 1)}
+    children[f"n{depth - 1}"] = ("leaf", f"x{depth - 1}")
+    tree = build("n0", children, {f"n{i}": 0.5 for i in range(1, depth)})
+    path = tmp_path / "deep.json"
+    with pytest.raises(ModelFileError, match="nests too deeply"):
+        save_model(make_model(tree, {leaf: 0.0 for leaf in tree.leaves}), path)
+    assert not path.exists()
+
+
+def _slots(value, path=()):
+    """The path of every value inside a document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _slots(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "lambda", "children", "utility", "w"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(_slots(GOOD))), JSON_VALUES), max_size=3))
+def test_any_document_loads_or_fails_cleanly(edits):
+    doc = json.loads(json.dumps(GOOD))
+    for path, value in edits:
+        target = doc
+        try:
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit replaced this slot's container
+    text = json.dumps(doc)
+    try:
+        loads_model(text)
+    except NestLogitError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["validate", path]) in (0, 1)

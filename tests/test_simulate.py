@@ -15,8 +15,10 @@ from scipy import stats
 
 from nestlogit import (
     DomainError,
+    NotALeafError,
     SampleBatch,
     SeededStream,
+    UnknownNodeError,
     backward_utils,
     build,
     cdf,
@@ -157,6 +159,13 @@ def test_correlation_single_nest_half():
 def test_correlation_needs_draws(depth3_model):
     with pytest.raises(DomainError):
         mc_correlation(depth3_model, SeededStream(0), "leaf0", "leaf1", 3)
+
+
+def test_correlation_checks_leaf_ids(depth3_model):
+    with pytest.raises(UnknownNodeError, match="unknown node id 'nope'"):
+        mc_correlation(depth3_model, SeededStream(0), "leaf0", "nope", 10)
+    with pytest.raises(NotALeafError, match="node 'a' is a nest"):
+        mc_correlation(depth3_model, SeededStream(0), "a", "leaf0", 10)
 
 
 def test_mc_choice_probs(depth3_model):
