@@ -262,6 +262,7 @@ def _cmd_stable(args) -> dict:
 
 
 def _cmd_grad_check(args) -> dict:
+    # main exits 2 when "passed" is False.
     model = _load(args)
     analytic = choice_probs(model)
     numeric = finite_difference_gradient(model, args.step)
@@ -281,6 +282,7 @@ def _cmd_cdf(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    # main exits 2 when "all_passed" is False.
     model = _load(args)
     stream = SeededStream(args.seed)
     checks = run_checks(model, stream, n_draws=args.draws, n_threads=args.threads)
@@ -415,8 +417,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # grad-check and verify put a failed check in their results: exit 2.
-    return 2 if False in (results.get("passed"), results.get("all_passed")) else 0
+    # A failed check exits 2: grad-check reports it under "passed", verify
+    # under "all_passed".
+    failed = results.get("passed", results.get("all_passed", True)) is False
+    return 2 if failed else 0
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ schema and reports each violation with the JSON path of the offending
 node (for instance root.children[1].lambda) so files can be fixed
 without guesswork; tree.build owns the structural rules. The JSON
 reader and writer recurse once per level, so a document nested deeper
-than the recursion limit allows (about 490 nests by default) is refused
-with a ModelFileError.
+than the interpreter allows is refused with a ModelFileError. The limit
+depends on the interpreter version: about 495 nests on Python 3.10 and
+3.11, which use the recursion limit, and more from 3.12 on.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ def loads_model(text: str) -> ModelSpec:
     """Parse a model document from a JSON string."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
+    except json.JSONDecodeError as exc:
         raise ModelFileError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ModelFileError(f"a number has too many digits to read: {exc}") from exc
     except RecursionError:
         raise ModelFileError(_TOO_DEEP) from None
     if not isinstance(doc, Mapping):

@@ -30,9 +30,12 @@ def single_layer_model():
 
 @pytest.fixture
 def deep_chain_text():
-    # 600 nests, each holding the next and a leaf. Written out by hand:
-    # json.dumps would recurse as deeply as json.loads.
-    depth = 600
+    # 50,000 nests, each holding the next and a leaf: past the JSON reader's
+    # limit on every supported interpreter (about 495 nests on 3.10 and 3.11,
+    # which use the recursion limit; a few hundred to a few thousand on 3.12
+    # and later, which use a separate C limit). Written out by hand: json.dumps
+    # would recurse as deeply as json.loads.
+    depth = 50_000
     opens = "".join(f'{{"id": "n{i}", "lambda": {1.0 if i == 0 else 0.5}, "children": [' for i in range(depth))
     closes = "".join(f', {{"id": "x{i}", "utility": 0.0}}]}}' for i in reversed(range(depth)))
     return '{"root": ' + opens + '{"id": "leaf", "utility": 0.0}' + closes + "}"
