@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import RootHasNoParentError, UtilityError
-from .tree import Arborescence, require_leaf, require_nest, require_two_level
+from .tree import Arborescence, require_leaf, require_nest, require_two_level, to_float
 
 __all__ = [
     "ModelSpec",
@@ -47,7 +47,7 @@ class ModelSpec:
 
 
 def _finite_utilities(utilities: Mapping[str, float]) -> dict[str, float]:
-    values = {str(k): float(v) for k, v in utilities.items()}
+    values = {str(k): to_float(v) for k, v in utilities.items()}
     bad = [k for k, v in values.items() if not math.isfinite(v)]
     if bad:
         raise UtilityError(f"non-finite utility for {sorted(bad)}")
@@ -78,6 +78,14 @@ def with_utilities(model: ModelSpec, overrides: Mapping[str, float]) -> ModelSpe
     return ModelSpec(tree=model.tree, utilities=merged)
 
 
+def log_sum_exp(values: list[float], big_lam: float) -> float:
+    """big_lam * log sum exp(v / big_lam) over values, shifted by their max:
+    a nest's inclusive value from its children's, in child order. The one
+    implementation, shared by backward_utils and verify's re-walk."""
+    top = max(values)
+    return top + big_lam * math.log(sum(math.exp((v - top) / big_lam) for v in values))
+
+
 def backward_utils(model: ModelSpec) -> dict[str, float]:
     """Inclusive values u_n for every node by backward induction.
 
@@ -89,11 +97,7 @@ def backward_utils(model: ModelSpec) -> dict[str, float]:
     tree = model.tree
     u: dict[str, float] = dict(model.utilities)
     for node in reversed(tree.nests):  # every child nest before its parent
-        big_lam = tree.big_lambda[node]
-        kids = tree.children[node]
-        top = max(u[k] for k in kids)
-        acc = sum(math.exp((u[k] - top) / big_lam) for k in kids)
-        u[node] = top + big_lam * math.log(acc)
+        u[node] = log_sum_exp([u[k] for k in tree.children[node]], tree.big_lambda[node])
     return u
 
 
@@ -171,7 +175,7 @@ def cdf(model: ModelSpec, bounds: Mapping[str, float]) -> float:
         raise UtilityError("bounds must be given for exactly the leaf set")
     negated: dict[str, float] = {}
     for leaf in tree.leaves:
-        value = float(bounds[leaf])
+        value = to_float(bounds[leaf])
         if not math.isfinite(value):
             raise UtilityError(f"bound for {leaf!r} is not finite")
         negated[leaf] = -value

@@ -100,6 +100,15 @@ def metrics(root: str, children: Mapping, parent: Mapping, lam: Mapping, order: 
     return depth, height, big_lambda
 
 
+def to_float(value) -> float:
+    """float(value), reading an integer past float range as a signed infinity
+    that the range and finiteness checks then reject by name."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def build(
     root: str,
     children: Mapping[str, Iterable[str]],
@@ -122,7 +131,7 @@ def build(
     """
     root = str(root)
     children = {str(nest): tuple(str(k) for k in kids) for nest, kids in children.items()}
-    lam = {str(k): float(v) for k, v in lam.items()}
+    lam = {str(k): to_float(v) for k, v in lam.items()}
 
     for node in list(children) + list(lam) + [root]:
         if not node:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelSpec, backward_utils, cdf, choice_probs, emax, emax_gradient, forward_probs, log_odds, with_utilities
+from .model import ModelSpec, _finite_utilities, backward_utils, cdf, forward_probs, log_sum_exp
 from .montecarlo import correlation_with_error
 from .simulate import cdf_hits, choice_counts, sample_epsilon
 from .streams import SeededStream
@@ -46,13 +46,26 @@ class CheckResult:
 
 def finite_difference_gradient(model: ModelSpec, step: float) -> dict[str, float]:
     """Central differences of the root Emax in each leaf utility, the
-    numerical counterpart of emax_gradient."""
+    numerical counterpart of emax_gradient.
+
+    After one backward pass, each quotient re-evaluates only the nests on
+    the leaf's root path, reusing their other children's inclusive values:
+    O(depth x siblings) per quotient, not O(nodes). log_sum_exp sees each
+    nest's children in backward_utils' order, so every quotient is bit for
+    bit the one a rebuilt model at base +- step would give.
+    """
+    tree, u = model.tree, backward_utils(model)
     grad = {}
-    for leaf in model.tree.leaves:
-        base = model.utilities[leaf]
-        up = emax(with_utilities(model, {leaf: base + step}))
-        down = emax(with_utilities(model, {leaf: base - step}))
-        grad[leaf] = (up - down) / (2.0 * step)
+    for leaf in tree.leaves:
+        ends = []
+        for value in (u[leaf] + step, u[leaf] - step):
+            node, value = leaf, _finite_utilities({leaf: value})[leaf]
+            while node != tree.root:
+                par = tree.parent[node]
+                value = log_sum_exp([value if k == node else u[k] for k in tree.children[par]], tree.big_lambda[par])
+                node = par
+            ends.append(value)
+        grad[leaf] = (ends[0] - ends[1]) / (2.0 * step)
     return grad
 
 
@@ -86,24 +99,22 @@ def run_checks(
     tree = model.tree
     u = backward_utils(model)
     pi = forward_probs(model, u)
-    leaf_probs = choice_probs(model)
+    leaf_probs = {leaf: pi[leaf] for leaf in tree.leaves}
 
     # --- deterministic identities -------------------------------------
     total = sum(leaf_probs.values())
     # A leaf probability of exactly 0.0 is legitimate underflow when its
-    # log probability (path sum of log odds, computed without exponentials)
+    # log probability (a sum of log odds, computed without exponentials)
     # sits below what a double can represent; anything else must be > 0.
-    positive = True
-    for leaf in tree.leaves:
-        if leaf_probs[leaf] > 0.0:
-            continue
-        log_pi = 0.0
-        node = leaf
-        while node != tree.root:
-            log_pi += log_odds(model, node, u=u)
-            node = tree.parent[node]
-        if not (leaf_probs[leaf] == 0.0 and log_pi < -700.0):
-            positive = False
+    positive = all(p > 0.0 for p in leaf_probs.values())
+    if not positive:
+        # log pi top down in preorder, as forward_probs accumulates it; the
+        # order of the terms does not matter for a comparison with -700.
+        log_pi = {tree.root: 0.0}
+        for node in tree.nodes[1:]:
+            par = tree.parent[node]
+            log_pi[node] = log_pi[par] + (u[node] - u[par]) / tree.big_lambda[par]
+        positive = all(p > 0.0 or (p == 0.0 and log_pi[leaf] < -700.0) for leaf, p in leaf_probs.items())
     detail = "" if positive else "a leaf probability is not strictly positive"
     results.append(_within("leaf-probability-simplex", abs(total - 1.0), 1e-12, detail, ok=positive))
 
@@ -114,8 +125,7 @@ def run_checks(
     results.append(_within("hierarchy-consistency", worst, 1e-12))
 
     fd = finite_difference_gradient(model, FD_STEP)
-    grad = emax_gradient(model)
-    gap = max(abs(grad[leaf] - fd[leaf]) for leaf in tree.leaves)
+    gap = max(abs(leaf_probs[leaf] - fd[leaf]) for leaf in tree.leaves)
     results.append(_within("emax-gradient-is-choice-probability", gap, 1e-6))
 
     # --- Monte Carlo comparisons on one batch of noise ------------------

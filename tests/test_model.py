@@ -378,5 +378,16 @@ def test_with_utilities_validation(depth3_model):
             with_utilities(depth3_model, {"leaf0": bad})
 
 
+def test_numbers_past_float_range_name_the_leaf():
+    tree = build("r", {"r": ("a", "b")}, {})
+    with pytest.raises(UtilityError, match=r"non-finite utility for \['a'\]"):
+        make_model(tree, {"a": 10**400, "b": 0})
+    model = make_model(tree, {"a": 0, "b": 0})
+    with pytest.raises(UtilityError, match=r"non-finite utility for \['a'\]"):
+        with_utilities(model, {"a": -(10**400)})
+    with pytest.raises(UtilityError, match="bound for 'a' is not finite"):
+        cdf(model, {"a": 10**400, "b": 0})
+
+
 def test_model_is_tree_plus_utilities():
     assert [f.name for f in dataclasses.fields(ModelSpec)] == ["tree", "utilities"]

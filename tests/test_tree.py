@@ -114,6 +114,13 @@ def test_rejected_trees(children, lam, exc):
         build("r", children, lam)
 
 
+def test_lambda_past_float_range_is_rejected_by_name():
+    with pytest.raises(LambdaRangeError, match="nest 'c'"):
+        build("r", {"r": ("a", "b", "c"), "c": ("d",)}, {"c": 10**400})
+    with pytest.raises(RootLambdaError):
+        build("r", {"r": ("a", "b")}, {"r": 10**400})
+
+
 def test_rejects_empty_id():
     with pytest.raises(InvalidModelError):
         build("", {"": ("a",)}, {})
