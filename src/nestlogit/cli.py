@@ -417,6 +417,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # draw-sized arrays are allocated before any draw
+        flag = "mc" if args.command == "frechet-corr" else "draws"
+        if getattr(args, flag, None) is None:
+            raise
+        print(f"error: --{flag} {getattr(args, flag)}: too many draws to hold in memory ({exc})", file=sys.stderr)
+        return 1
     # A failed check exits 2: grad-check reports it under "passed", verify
     # under "all_passed".
     failed = results.get("passed", results.get("all_passed", True)) is False

@@ -101,24 +101,38 @@ def gumbel_mgf(t: float) -> float:
 # Positive stable sampling (Kanter)
 # ---------------------------------------------------------------------------
 
-def _kanter_log(rng: np.random.Generator, lam: float, n: int) -> np.ndarray:
-    """log Z for n draws of Z ~ P(lam), 0 < lam < 1.
+def _kanter_log(rng: np.random.Generator, lam, m: int) -> np.ndarray:
+    """log Z for a (rows x m) block: m draws of Z ~ P(lam[r]) in row r,
+    for a sequence lam of values in (0, 1).
 
     Z = (a(U)/E)^((1-lam)/lam) with U uniform on (0, pi), E standard
     exponential and
         a(u) = sin((1-lam)u) * sin(lam*u)^(lam/(1-lam)) / sin(u)^(1/(1-lam)).
     Everything is assembled as log a(U) so neither factor can overflow.
+
+    Row by row, rng gives the row's m uniforms (times pi, bitwise
+    rng.uniform(0, pi)) and then its m exponentials, so a block consumes
+    the stream exactly as one call per row would. The arithmetic then runs
+    once over the block, in place, in the one-row order of operations, so
+    each row is the same bits whichever rows share its block.
     """
-    u = rng.uniform(0.0, math.pi, n)
+    lam = np.asarray(lam, dtype=float)[:, None]
+    u = np.empty((len(lam), m))
+    e = np.empty_like(u)
+    for u_row, e_row in zip(u, e):
+        rng.random(out=u_row)
+        rng.standard_exponential(out=e_row)
+    u *= math.pi
     np.clip(u, _ANGLE_EPS, math.pi - _ANGLE_EPS, out=u)
-    e = rng.standard_exponential(n)
     np.maximum(e, sys.float_info.min, out=e)
-    log_a = (
-        np.log(np.sin((1.0 - lam) * u))
-        + (lam / (1.0 - lam)) * np.log(np.sin(lam * u))
-        - (1.0 / (1.0 - lam)) * np.log(np.sin(u))
-    )
-    return ((1.0 - lam) / lam) * (log_a - np.log(e))
+    log_a = np.multiply(1.0 - lam, u)
+    part = np.multiply(lam, u)
+    for x in (log_a, part, u):
+        np.log(np.sin(x, out=x), out=x)
+    log_a += np.multiply(part, lam / (1.0 - lam), out=part)
+    log_a -= np.multiply(u, 1.0 / (1.0 - lam), out=u)
+    log_a -= np.log(e, out=e)
+    return np.multiply(log_a, (1.0 - lam) / lam, out=log_a)
 
 
 def stable_log_sample(stream: SeededStream, lam: float, size=None):
@@ -128,7 +142,7 @@ def stable_log_sample(stream: SeededStream, lam: float, size=None):
     if lam == 1.0:
         out = np.zeros(n)
     else:
-        out = _kanter_log(stream.rng, lam, n)
+        out = _kanter_log(stream.rng, [lam], n)[0]
     return float(out[0]) if size is None else out
 
 

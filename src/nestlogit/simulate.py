@@ -13,7 +13,9 @@ and are skipped in sampling.
 
 The factor part of the sum is shared by the leaves of a nest and equals
 its parent nest's plus Lambda_n * log Z_n, so it is assembled as a prefix
-sum down the tree: one array operation per node, O(chunk x nests) memory.
+sum down the tree, O(chunk x nests) memory. The factors and the leaf
+Gumbels are drawn in blocks of rows, one Kanter and one Gumbel call per
+block rather than per nest and per leaf, in the same stream order.
 
 _factor_rows is the one sampler of these rows: sample_epsilon adds the
 leaf Gumbels, and mixed_logit_probs splits them once more into exact
@@ -28,10 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import EULER_GAMMA, gumbel_sample, stable_log_sample
+from .distributions import EULER_GAMMA, _kanter_log, gumbel_sample
 from .errors import DomainError
 from .model import ModelSpec, cdf
 from .montecarlo import (
+    CHUNK_SIZE,
     EstimateWithError,
     binomial_estimate,
     correlation_with_error,
@@ -63,20 +66,31 @@ class SampleBatch:
     leaf_order: tuple[str, ...]
 
 
+def _blocks(n_rows: int, m: int) -> list[slice]:
+    # At most one chunk row of floats per block: one row at full chunks.
+    step = max(1, CHUNK_SIZE // m)
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
 def _factor_rows(tree: Arborescence):
     """Each leaf's parent-nest row (in leaf preorder) and rows(sub, m):
     it draws log Z_n from sub for the nests with lambda_n < 1 in preorder
     and returns the (nests x m) prefix sums of Lambda_n * log Z_n."""
     row = {n: i for i, n in enumerate(tree.nests)}
-    factors = [(row[n], tree.lam[n], tree.big_lambda[n]) for n in tree.nests if tree.lam[n] < 1.0]
+    factors = [n for n in tree.nests if tree.lam[n] < 1.0]
+    factor_rows = np.array([row[n] for n in factors], dtype=np.intp)
+    lam = np.array([tree.lam[n] for n in factors])
+    big_lam = np.array([tree.big_lambda[n] for n in factors])[:, None]
     # Non-root nests in preorder with their parent's row: every parent row
     # is complete before a child adds it in.
     links = [(row[n], row[tree.parent[n]]) for n in tree.nests[1:]]
 
     def rows(sub: SeededStream, m: int) -> np.ndarray:
         acc = np.zeros((len(tree.nests), m))
-        for i, lam, big_lam in factors:
-            acc[i] = big_lam * stable_log_sample(sub, lam, size=m)
+        for b in _blocks(len(factors), m):
+            log_z = _kanter_log(sub.rng, lam[b], m)
+            log_z *= big_lam[b]
+            acc[factor_rows[b]] = log_z
         for i, parent in links:
             acc[i] += acc[parent]
         return acc
@@ -101,16 +115,18 @@ def sample_epsilon(
         raise DomainError("n_draws must be nonnegative")
     tree = model.tree
     parent_rows, rows = _factor_rows(tree)
-    leaf_terms = [(tree.big_lambda[leaf], parent) for leaf, parent in zip(tree.leaves, parent_rows)]
+    coeffs = np.array([tree.big_lambda[leaf] for leaf in tree.leaves])[:, None]
 
     out = np.empty((n_draws, len(tree.leaves)))
 
     def kernel(sub: SeededStream, start: int, stop: int) -> None:
         m = stop - start
         acc = rows(sub, m)
-        block = out[start:stop]
-        for col, (coeff, parent) in enumerate(leaf_terms):
-            block[:, col] = coeff * gumbel_sample(sub, size=m) + acc[parent]
+        for b in _blocks(len(coeffs), m):
+            eps = gumbel_sample(sub, size=coeffs[b].size * m).reshape(-1, m)
+            eps *= coeffs[b]
+            eps += acc[parent_rows[b]]
+            out[start:stop, b] = eps.T
 
     run_chunked(stream, n_draws, kernel, n_threads=n_threads)
     return SampleBatch(draws=out, leaf_order=tree.leaves)
@@ -230,27 +246,31 @@ def mixed_logit_probs(
         raise DomainError("n_draws must be positive")
     tree = model.tree
     parent_rows, rows = _factor_rows(tree)
-    mu = min(tree.big_lambda[leaf] for leaf in tree.leaves)
+    leaf_lam = np.array([tree.big_lambda[leaf] for leaf in tree.leaves])
+    mu = float(leaf_lam.min())
     scaled_u = np.array([model.utilities[leaf] / mu for leaf in tree.leaves])
-    equalizers = [(j, mu / tree.big_lambda[leaf]) for j, leaf in enumerate(tree.leaves) if mu < tree.big_lambda[leaf]]
+    equalized = np.flatnonzero(mu < leaf_lam)
+    ratios = mu / leaf_lam[equalized]
+    # Leaf j's draws are row j, contiguous, so the mean and std over draws
+    # below are pairwise sums. Allocated before any draw is made.
+    probs = np.empty((len(tree.leaves), n_draws))
 
-    def kernel(sub: SeededStream, start: int, stop: int) -> np.ndarray:
+    def kernel(sub: SeededStream, start: int, stop: int) -> None:
         m = stop - start
-        scores = rows(sub, m)[parent_rows]  # (leaves x m)
+        # Written into the chunk's columns of probs. The rows are valid, and
+        # mode "clip" spares the copy of out that "raise" makes.
+        scores = np.take(rows(sub, m), parent_rows, axis=0, out=probs[:, start:stop], mode="clip")
         scores /= mu
-        for j, ratio in equalizers:
-            scores[j] += stable_log_sample(sub, ratio, size=m)
+        for b in _blocks(len(ratios), m):
+            scores[equalized[b]] += _kanter_log(sub.rng, ratios[b], m)
         scores += scaled_u[:, None]
         scores -= scores.max(axis=0)
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=0)
-        # Concatenated, these views keep each leaf's draws contiguous, so the
-        # mean and std over draws below are pairwise sums.
-        return scores.T
 
-    probs = np.concatenate(run_chunked(stream, n_draws, kernel, n_threads=n_threads))
-    mean = probs.mean(axis=0)
-    err = probs.std(axis=0, ddof=1 if n_draws > 1 else 0) / np.sqrt(n_draws)
+    run_chunked(stream, n_draws, kernel, n_threads=n_threads)
+    mean = probs.mean(axis=1)
+    err = probs.std(axis=1, ddof=1 if n_draws > 1 else 0) / np.sqrt(n_draws)
     return {
         leaf: EstimateWithError(float(mean[i]), float(err[i]), n_draws)
         for i, leaf in enumerate(tree.leaves)

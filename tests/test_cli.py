@@ -359,3 +359,24 @@ def test_version():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+HUGE = "1000000000000000"  # 10^15 draws: petabytes, refused outright
+
+
+@pytest.mark.parametrize("command, flag", [
+    (("sample", "{model}", "--out", "{out}"), "--draws"),
+    (("probs", "{model}", "--method", "mc"), "--draws"),
+    (("probs", "{model}", "--method", "mixed", "--threads", "2"), "--draws"),
+    (FRECHET, "--mc"),
+    (("stable", "sample", "--lambda", "0.5"), "--draws"),
+    (("stable", "laplace", "--lambda", "0.5", "--t", "1"), "--draws"),
+])
+def test_draws_past_memory_exit_one(depth3_path, tmp_path, command, flag):
+    out = tmp_path / "noise.csv"
+    args = [{"{model}": depth3_path, "{out}": str(out)}.get(word, word) for word in command]
+    proc = run_cli(*args, flag, HUGE)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"{flag} {HUGE}" in proc.stderr and "memory" in proc.stderr
+    assert proc.stdout == "" and not out.exists()

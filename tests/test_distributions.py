@@ -30,6 +30,7 @@ from nestlogit import (
     stable_sample,
     stable_survival_series,
 )
+from nestlogit.distributions import _kanter_log
 from nestlogit.montecarlo import mean_with_error
 
 KS_1PCT = 1.63  # asymptotic 1% critical coefficient, D_crit = 1.63/sqrt(n)
@@ -88,6 +89,29 @@ def test_stable_sample_levy_half():
     draws = stable_sample(SeededStream(4), 0.5, size=50_000)
     d, _ = stats.kstest(draws, stats.levy(scale=0.5).cdf)
     assert d < KS_1PCT / math.sqrt(50_000)
+
+
+def kanter_one_row(rng, lam, n):
+    """Kanter's log Z for one lambda, written with ordinary temporaries."""
+    u = np.clip(rng.uniform(0.0, math.pi, n), 1e-12, math.pi - 1e-12)
+    e = np.maximum(rng.standard_exponential(n), np.finfo(float).tiny)
+    log_a = (
+        np.log(np.sin((1.0 - lam) * u))
+        + (lam / (1.0 - lam)) * np.log(np.sin(lam * u))
+        - (1.0 / (1.0 - lam)) * np.log(np.sin(u))
+    )
+    return ((1.0 - lam) / lam) * (log_a - np.log(e))
+
+
+@pytest.mark.parametrize("m", [1, 5, 1000])
+def test_kanter_block_equals_one_row_calls(m):
+    # Row r of a block is, bit for bit, a one-row draw that continues the
+    # same generator: the block changes the arithmetic's layout only.
+    lams = [0.01, 0.3, 0.5, 0.5, 0.9, 0.999]
+    block = _kanter_log(SeededStream(9).rng, lams, m)
+    rng = SeededStream(9).rng
+    assert np.array_equal(block, [kanter_one_row(rng, lam, m) for lam in lams])
+    assert np.array_equal(stable_log_sample(SeededStream(9), 0.01, size=m), block[0])
 
 
 def test_stable_sample_degenerate_at_one():

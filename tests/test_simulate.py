@@ -34,6 +34,7 @@ from nestlogit import (
     sample_epsilon,
     with_utilities,
 )
+from nestlogit import simulate
 from nestlogit.distributions import gumbel_sample, stable_log_sample
 from nestlogit.montecarlo import CHUNK_SIZE
 
@@ -104,16 +105,118 @@ def test_sample_matches_path_sum_across_chunks(depth3_model):
     assert_allclose(batch.draws, path_sum_reference(depth3_model, SeededStream(5), n), rtol=0, atol=1e-12)
 
 
-def test_sample_matches_path_sum_deep_chain():
-    depth = 500
+def chain_tree(depth, lam):
+    """A root plus depth nests in a line, each holding the next and a leaf."""
     children = {"root": ("n1", "x0")}
     for i in range(1, depth):
         children[f"n{i}"] = (f"n{i + 1}", f"x{i}")
     children[f"n{depth}"] = (f"x{depth}", f"y{depth}")
-    tree = build("root", children, {f"n{i}": 0.999 for i in range(1, depth + 1)})
-    model = make_model(tree, {leaf: 0.0 for leaf in tree.leaves})
+    return build("root", children, {f"n{i}": lam for i in range(1, depth + 1)})
+
+
+def chain_model(depth, lam=0.999):
+    tree = chain_tree(depth, lam)
+    return make_model(tree, {leaf: 0.0 for leaf in tree.leaves})
+
+
+def test_sample_matches_path_sum_deep_chain():
+    model = chain_model(500)
     batch = sample_epsilon(model, SeededStream(17), 64)
     assert_allclose(batch.draws, path_sum_reference(model, SeededStream(17), 64), rtol=0, atol=1e-12)
+
+
+def replay_factor_rows(tree, sub, m):
+    """Per nest, the prefix sum of Lambda_t * log Z_t down its root path,
+    drawn one stable_log_sample call per factor nest in preorder."""
+    acc = {n: np.zeros(m) for n in tree.nests}
+    for n in tree.nests:
+        if tree.lam[n] < 1.0:
+            acc[n] = tree.big_lambda[n] * stable_log_sample(sub, tree.lam[n], size=m)
+    for n in tree.nests[1:]:
+        acc[n] = acc[n] + acc[tree.parent[n]]
+    return acc
+
+
+def row_replay(model, stream, n_draws):
+    """sample_epsilon's chunk kernel written out row by row: per chunk
+    substream, the factor rows of replay_factor_rows, then one
+    gumbel_sample call per leaf in column order. The block kernel must give
+    exactly these bits."""
+    tree = model.tree
+    out = np.empty((n_draws, len(tree.leaves)))
+    for i, start in enumerate(range(0, n_draws, CHUNK_SIZE)):
+        stop = min(start + CHUNK_SIZE, n_draws)
+        sub = stream.child(i)
+        acc = replay_factor_rows(tree, sub, stop - start)
+        for col, leaf in enumerate(tree.leaves):
+            out[start:stop, col] = tree.big_lambda[leaf] * gumbel_sample(sub, size=stop - start) + acc[tree.parent[leaf]]
+    return out
+
+
+# (model, draws, threads): factor and leaf blocks that split (a 600-nest
+# chain at 256 draws holds 256 rows per block), a wide tree (1,314 leaves
+# under 388 nests), and full chunks.
+ROW_REPLAY_CASES = {
+    "chain600": (lambda: chain_model(600), 256, 1),
+    "wide": (lambda: random_model(np.random.default_rng(0), max_nodes=2000), 5000, 1),
+    "depth3-two-chunks": (None, CHUNK_SIZE + 50, 2),
+    **{f"random{seed}": (lambda seed=seed: random_model(np.random.default_rng(seed), max_nodes=400), 300, 1)
+       for seed in range(10)},
+}
+
+
+@pytest.mark.parametrize("case", list(ROW_REPLAY_CASES))
+def test_sample_equals_row_replay(case, depth3_model):
+    make, n, threads = ROW_REPLAY_CASES[case]
+    model = depth3_model if make is None else make()
+    batch = sample_epsilon(model, SeededStream(61), n, n_threads=threads)
+    assert np.array_equal(batch.draws, row_replay(model, SeededStream(61), n))
+
+
+def mixed_row_replay(model, stream, n_draws):
+    """mixed_logit_probs written out row by row: per chunk substream, the
+    factor rows of replay_factor_rows, then one stable_log_sample call per
+    equalized leaf in leaf order. Returns the per-leaf means and std errors."""
+    tree = model.tree
+    mu = min(tree.big_lambda[leaf] for leaf in tree.leaves)
+    probs = np.empty((len(tree.leaves), n_draws))
+    for i, start in enumerate(range(0, n_draws, CHUNK_SIZE)):
+        m = min(start + CHUNK_SIZE, n_draws) - start
+        sub = stream.child(i)
+        acc = replay_factor_rows(tree, sub, m)
+        scores = np.array([acc[tree.parent[leaf]] for leaf in tree.leaves]) / mu
+        for j, leaf in enumerate(tree.leaves):
+            if mu < tree.big_lambda[leaf]:
+                scores[j] += stable_log_sample(sub, mu / tree.big_lambda[leaf], size=m)
+        scores += np.array([model.utilities[leaf] / mu for leaf in tree.leaves])[:, None]
+        scores = np.exp(scores - scores.max(axis=0))
+        probs[:, start:start + m] = scores / scores.sum(axis=0)
+    return probs.mean(axis=1), probs.std(axis=1, ddof=1) / np.sqrt(n_draws)
+
+
+@pytest.mark.parametrize("case", ["chain600", "depth3-two-chunks", "random0", "random1", "random2"])
+def test_mixed_logit_equals_row_replay(case, depth3_model):
+    make, n, threads = ROW_REPLAY_CASES[case]
+    model = depth3_model if make is None else make()
+    model = with_utilities(model, {leaf: 0.1 * (k % 7) for k, leaf in enumerate(model.tree.leaves)})
+    estimates = mixed_logit_probs(model, SeededStream(62), n, n_threads=threads)
+    mean, err = mixed_row_replay(model, SeededStream(62), n)
+    assert np.array_equal([estimates[leaf].value for leaf in model.tree.leaves], mean)
+    assert np.array_equal([estimates[leaf].std_error for leaf in model.tree.leaves], err)
+
+
+def test_noise_is_drawn_in_row_blocks(monkeypatch):
+    # The 3,000-deep chain at 256 draws: 3,000 factor nests and 3,002
+    # leaves, 256 rows per block, so 12 Kanter and 12 Gumbel calls. Drawing
+    # per nest and per leaf would make 3,000 and 3,002.
+    calls = {"_kanter_log": 0, "gumbel_sample": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(simulate, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(simulate, name, counted)
+    sample_epsilon(chain_model(3000), SeededStream(63), 256)
+    assert 0 < calls["_kanter_log"] <= 12 and 0 < calls["gumbel_sample"] <= 12, calls
 
 
 def test_marginals_are_standard_gumbel(depth3_model, single_layer_model):
@@ -280,12 +383,7 @@ def test_mixed_logit_random_trees(seed):
 def test_mixed_logit_deep_chain():
     # 200 nests of lambda 0.99: Lambda runs from 0.99 down to mu = 0.134,
     # so all but the two deepest leaves draw an equalizing factor.
-    depth = 200
-    children = {"root": ("n1", "x0")}
-    for i in range(1, depth):
-        children[f"n{i}"] = (f"n{i + 1}", f"x{i}")
-    children[f"n{depth}"] = (f"x{depth}", f"y{depth}")
-    tree = build("root", children, {f"n{i}": 0.99 for i in range(1, depth + 1)})
+    tree = chain_tree(200, 0.99)
     rng = np.random.default_rng(3)
     model = make_model(tree, {leaf: float(rng.uniform(-2.0, 2.0)) for leaf in tree.leaves})
     assert_mixed_matches_analytic(model, mixed_logit_probs(model, SeededStream(7), 20_000))
