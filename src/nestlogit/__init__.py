@@ -11,10 +11,7 @@ A small CLI (`nestlogit`) exposes the same operations on JSON model files.
 from .copula import frechet_corr, frechet_pair_sample, mc_frechet_corr
 from .distributions import (
     EULER_GAMMA,
-    eta_mgf,
     eta_moments,
-    gumbel_inverse_cdf,
-    gumbel_mgf,
     gumbel_sample,
     stable_density_half,
     stable_density_series,

@@ -26,6 +26,7 @@ from . import __version__
 from .copula import frechet_corr, mc_frechet_corr
 from .distributions import (
     PrecisionLossWarning,
+    _check_lambda,
     stable_density_half,
     stable_density_series,
     stable_moment,
@@ -41,7 +42,7 @@ from .model import (
     with_utilities,
 )
 from .modelfile import load_model
-from .montecarlo import mean_with_error
+from .montecarlo import mean_with_error, run_chunked
 from .simulate import mc_choice_probs, mixed_logit_probs, sample_epsilon
 from .streams import SeededStream
 from .verify import finite_difference_gradient, run_checks
@@ -83,20 +84,12 @@ def _real(ok, requirement: str):
 _NONNEGATIVE = _real(lambda v: v >= 0.0, ">= 0")
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _emit(report: dict, pretty: bool) -> None:
     if pretty:
         for line in _pretty_lines(report, 0):
             print(line)
     else:
-        print(json.dumps(report, indent=2, sort_keys=True, default=_jsonable))
+        print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def _pretty_lines(obj, depth):
@@ -229,12 +222,23 @@ def _cmd_sample(args) -> dict:
     return {"out": args.out, "n_draws": args.draws, "leaf_order": list(batch.leaf_order)}
 
 
+def _stable_draws(args) -> np.ndarray:
+    # Chunked by run_chunked like every sampler, so --threads never changes
+    # the draws; the array exists before any draw is made.
+    lam = _check_lambda(args.lam, allow_one=True)  # also at --draws 0
+    draws = np.empty(args.draws)
+
+    def kernel(sub: SeededStream, start: int, stop: int) -> None:
+        draws[start:stop] = stable_sample(sub, lam, size=stop - start)
+
+    run_chunked(SeededStream(args.seed), args.draws, kernel, n_threads=args.threads)
+    return draws
+
+
 def _cmd_stable(args) -> dict:
     lam = args.lam
     if args.stable_command == "sample":
-        stream = SeededStream(args.seed)
-        draws = stable_sample(stream, lam, size=args.draws)
-        return {"draws": list(map(float, draws))}
+        return {"draws": list(map(float, _stable_draws(args)))}
     if args.stable_command == "density":
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", PrecisionLossWarning)
@@ -249,9 +253,7 @@ def _cmd_stable(args) -> dict:
     if args.stable_command == "moment":
         return {"moment": stable_moment(lam, args.kappa)}
     # laplace: empirical E[exp(-t Z)] against the exact exp(-t^lambda)
-    stream = SeededStream(args.seed)
-    draws = stable_sample(stream, lam, size=args.draws)
-    est = mean_with_error(np.exp(-args.t * draws))
+    est = mean_with_error(np.exp(-args.t * _stable_draws(args)))
     exact = math.exp(-args.t**lam)
     return {
         "estimate": est.value,

@@ -27,6 +27,7 @@ import math
 
 import numpy as np
 
+from .distributions import _check_lambda
 from .errors import DomainError
 from .model import make_model
 from .montecarlo import EstimateWithError, correlation_with_error
@@ -39,16 +40,13 @@ __all__ = ["frechet_corr", "frechet_pair_sample", "mc_frechet_corr"]
 
 def _check_alpha_lambda(alpha: float, lam: float, need_variance: bool) -> tuple[float, float]:
     alpha = float(alpha)
-    lam = float(lam)
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
     if need_variance and alpha <= 2.0:
         raise DomainError(
             f"correlation requires alpha > 2 (finite variance), got {alpha!r}"
         )
-    if not math.isfinite(lam) or not 0.0 < lam <= 1.0:
-        raise DomainError(f"lambda must lie in (0, 1], got {lam!r}")
-    return alpha, lam
+    return alpha, _check_lambda(lam, allow_one=True)
 
 
 # zeta(2), ..., zeta(30): log Gamma(1 - t), the cumulant generating function

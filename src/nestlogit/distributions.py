@@ -1,6 +1,6 @@
 """Gumbel and positive stable distribution primitives.
 
-The Gumbel distribution G(mu, beta) has CDF exp(-exp(-(x - mu)/beta)). The
+The standard Gumbel distribution has CDF exp(-exp(-x)). The
 positive stable distribution P(lambda), lambda in (0, 1), is the
 nonnegative law with Laplace transform E[exp(-t Z)] = exp(-t^lambda); at
 lambda = 1 it degenerates to the point mass at 1 and every routine here
@@ -26,14 +26,11 @@ from .streams import SeededStream
 
 __all__ = [
     "EULER_GAMMA",
-    "gumbel_inverse_cdf",
     "gumbel_sample",
-    "gumbel_mgf",
     "stable_sample",
     "stable_log_sample",
     "stable_moment",
     "eta_moments",
-    "eta_mgf",
     "stable_density_series",
     "stable_survival_series",
     "stable_density_half",
@@ -61,40 +58,15 @@ def _check_lambda(lam: float, allow_one: bool) -> float:
 # Gumbel
 # ---------------------------------------------------------------------------
 
-def gumbel_inverse_cdf(u, mu: float = 0.0, beta: float = 1.0):
-    """Quantile function of G(mu, beta): mu - beta*log(-log(u)).
-
-    u may be a scalar or array in (0, 1). At u = 1/e the result is exactly
-    mu, the location parameter, where the CDF takes the value 1/e.
-    """
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
-    u = np.asarray(u, dtype=float)
-    if np.any((u <= 0.0) | (u >= 1.0)):
-        raise DomainError("u must lie strictly inside (0, 1)")
-    out = mu - beta * np.log(-np.log(u))
-    return float(out) if out.ndim == 0 else out
-
-
-def gumbel_sample(stream: SeededStream, mu: float = 0.0, beta: float = 1.0, size=None):
-    """Draw from G(mu, beta) by inverse CDF on a uniform draw."""
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
+def gumbel_sample(stream: SeededStream, size=None):
+    """Draw from the standard Gumbel by inverse CDF on a uniform draw."""
     n = 1 if size is None else int(size)
     u = stream.rng.random(n)
     # Keep u off 0 exactly; 0 occurs with probability 2^-53 and would map
     # to -inf.
     np.clip(u, sys.float_info.min, np.nextafter(1.0, 0.0), out=u)
-    out = mu - beta * np.log(-np.log(u))
+    out = -np.log(-np.log(u))
     return float(out[0]) if size is None else out
-
-
-def gumbel_mgf(t: float) -> float:
-    """E[exp(t*eps)] = Gamma(1 - t) for eps ~ G(0, 1), defined for t < 1."""
-    t = float(t)
-    if t >= 1.0:
-        raise DomainError(f"Gumbel MGF requires t < 1, got {t!r}")
-    return math.gamma(1.0 - t)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +150,6 @@ def eta_moments(lam: float) -> tuple[float, float]:
     return (1.0 - lam) * EULER_GAMMA, (1.0 - lam * lam) * math.pi**2 / 6.0
 
 
-def eta_mgf(lam: float, t: float) -> float:
-    """E[exp(t*eta)] = Gamma(1 - t)/Gamma(1 - lam*t), defined for t < 1."""
-    lam = _check_lambda(lam, allow_one=True)
-    t = float(t)
-    if t >= 1.0:
-        raise DomainError(f"eta MGF requires t < 1, got {t!r}")
-    return math.exp(math.lgamma(1.0 - t) - math.lgamma(1.0 - lam * t))
-
-
 # ---------------------------------------------------------------------------
 # Density by series
 # ---------------------------------------------------------------------------
@@ -215,28 +178,23 @@ def _alternating_series(lam: float, x: float, tol: float, gamma_shift: float) ->
     converged = False
 
     for k in range(1, _SERIES_BUDGET + 1):
+        # sin of a nonzero double is never exactly 0, so its log is finite.
         s = math.sin(k * math.pi * lam)
-        if s == 0.0:
-            term = 0.0
-        else:
-            log_mag = (
-                math.lgamma(lam * k + gamma_shift)
-                - math.lgamma(k + 1.0)
-                + math.log(abs(s))
-                - (lam * k + gamma_shift) * log_x
-                - math.log(math.pi)
-            )
-            if log_mag > 700.0:  # term would overflow a double
-                raise ConvergenceError(
-                    f"series terms overflow at term {k} for lambda={lam!r}, x={x!r}"
-                )
-            sign = 1.0 if (k % 2 == 1) == (s > 0.0) else -1.0
-            term = sign * math.exp(log_mag)
-        total += term
-        if not math.isfinite(total):
+        log_mag = (
+            math.lgamma(lam * k + gamma_shift)
+            - math.lgamma(k + 1.0)
+            + math.log(abs(s))
+            - (lam * k + gamma_shift) * log_x
+            - math.log(math.pi)
+        )
+        # Below e^700 per term, 400 terms sum to at most 4.1e306: finite.
+        if log_mag > 700.0:
             raise ConvergenceError(
-                f"series overflowed at term {k} for lambda={lam!r}, x={x!r}"
+                f"series terms overflow at term {k} for lambda={lam!r}, x={x!r}"
             )
+        sign = 1.0 if (k % 2 == 1) == (s > 0.0) else -1.0
+        term = sign * math.exp(log_mag)
+        total += term
         largest = max(largest, abs(term))
         if abs(term) < tol * (abs(total) + tiny):
             consecutive_small += 1

@@ -19,6 +19,8 @@ __all__ = ["random_model", "random_single_layer_model"]
 
 LAMBDA_RANGE = (0.05, 1.0)
 UTILITY_RANGE = (-5.0, 5.0)
+NEST_SHARE = 0.3  # random_model: the chance that a new node opens a nest
+MAX_NESTS, MAX_LEAVES_PER_NEST = 5, 6  # random_single_layer_model's bounds
 
 
 def _finish(rng: np.random.Generator, children: dict[str, list[str]]) -> ModelSpec:
@@ -38,9 +40,7 @@ def _finish(rng: np.random.Generator, children: dict[str, list[str]]) -> ModelSp
     return make_model(tree, utilities)
 
 
-def random_model(
-    rng: np.random.Generator, max_nodes: int = 50, nest_share: float = 0.3
-) -> ModelSpec:
+def random_model(rng: np.random.Generator, max_nodes: int = 50) -> ModelSpec:
     """A random nest tree with between 3 and max_nodes nodes."""
     if max_nodes < 3:
         raise ValueError("need at least 3 nodes for a root, a nest or leaf, and a leaf")
@@ -52,7 +52,7 @@ def random_model(
     while total < target:
         serial += 1
         parent = "root" if total == 1 else open_nests[int(rng.integers(len(open_nests)))]
-        if rng.random() < nest_share and total + 1 < target:
+        if rng.random() < NEST_SHARE and total + 1 < target:
             node = f"n{serial}"
             children[node] = []
             open_nests.append(node)
@@ -63,18 +63,16 @@ def random_model(
     return _finish(rng, children)
 
 
-def random_single_layer_model(
-    rng: np.random.Generator, max_nests: int = 5, max_leaves_per_nest: int = 6
-) -> ModelSpec:
+def random_single_layer_model(rng: np.random.Generator) -> ModelSpec:
     """A random two-level tree: root -> nests -> leaves."""
-    n_nests = int(rng.integers(1, max_nests + 1))
+    n_nests = int(rng.integers(1, MAX_NESTS + 1))
     children: dict[str, list[str]] = {"root": []}
     serial = 0
     for i in range(n_nests):
         nest = f"n{i}"
         children["root"].append(nest)
         children[nest] = []
-        for _ in range(int(rng.integers(1, max_leaves_per_nest + 1))):
+        for _ in range(int(rng.integers(1, MAX_LEAVES_PER_NEST + 1))):
             serial += 1
             children[nest].append(f"alt{serial}")
     return _finish(rng, children)

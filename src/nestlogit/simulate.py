@@ -132,17 +132,21 @@ def sample_epsilon(
     return SampleBatch(draws=out, leaf_order=tree.leaves)
 
 
-def _totals(model: ModelSpec, batch: SampleBatch) -> np.ndarray:
-    # U_j + eps_j, written over the noise: no second n x L matrix.
+def _row_totals(model: ModelSpec, batch: SampleBatch):
+    """(rows, U + eps over those rows) for the row blocks of batch.draws:
+    no n x L temporary, and the batch is left as it was."""
     u = np.array([model.utilities[leaf] for leaf in batch.leaf_order])
-    return np.add(batch.draws, u, out=batch.draws)
+    for b in _blocks(len(batch.draws), len(u)):
+        yield b, batch.draws[b] + u
 
 
 def choice_counts(model: ModelSpec, batch: SampleBatch) -> np.ndarray:
     """Per leaf, in column order, how many draws it wins (earliest column
-    on ties). Adds the utilities into batch.draws in place."""
-    winners = np.argmax(_totals(model, batch), axis=1)
-    return np.bincount(winners, minlength=len(batch.leaf_order))
+    on ties)."""
+    counts = np.zeros(len(batch.leaf_order), dtype=np.intp)
+    for _, totals in _row_totals(model, batch):
+        counts += np.bincount(totals.argmax(axis=1), minlength=len(counts))
+    return counts
 
 
 def cdf_hits(batch: SampleBatch, bounds: dict[str, float]) -> int:
@@ -179,7 +183,9 @@ def mc_emax(
     if n_draws <= 0:
         raise DomainError("n_draws must be positive")
     batch = sample_epsilon(model, stream, n_draws, n_threads=n_threads)
-    best = _totals(model, batch).max(axis=1)
+    best = np.empty(n_draws)
+    for b, totals in _row_totals(model, batch):
+        totals.max(axis=1, out=best[b])
     est = mean_with_error(best)
     return EstimateWithError(est.value - EULER_GAMMA, est.std_error, est.n_draws)
 

@@ -4,8 +4,10 @@ run_checks() runs the whole battery on one model and reports one
 CheckResult per check. Deterministic identities (probability simplex,
 hierarchy consistency, the Emax gradient) are held to tight tolerances;
 Monte Carlo comparisons are scored in standard-error units with a 3-sigma
-budget, so a failing check is either a real defect or a ~0.3% unlucky
-seed, never silent. The Monte Carlo checks all read one noise batch of
+budget that is not corrected for how many statistics a max |z| takes: on
+the correct 1,314-leaf random_model(default_rng(0), max_nodes=2000),
+mc-choice-probabilities fails 10 of seeds 0-11 at 1,000 draws (ROADMAP
+item 8). The Monte Carlo checks all read one noise batch of
 simulate.sample_epsilon.
 """
 
@@ -157,7 +159,6 @@ def run_checks(
     detail = f"max z-score over {len(grid)} bound vectors at {n_draws} draws"
     results.append(_within("joint-cdf", z_cdf, 3.0, detail))
 
-    # Last, because choice_counts adds the utilities into the batch.
     counts = choice_counts(model, batch)
     z = max(_proportion_z(int(counts[i]), n_draws, leaf_probs[leaf]) for i, leaf in enumerate(batch.leaf_order))
     detail = f"max z-score over {len(tree.leaves)} leaves at {n_draws} draws"

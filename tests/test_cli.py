@@ -5,8 +5,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+
+from nestlogit import SeededStream, stable_sample
+from nestlogit.montecarlo import CHUNK_SIZE, mean_with_error
 
 SINGLE_LAYER = {
     "root": {
@@ -263,6 +267,26 @@ def test_stable_sample():
     assert len(draws) == 5
     assert all(d > 0 for d in draws)
     assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+@pytest.mark.parametrize("command", [("sample",), ("laplace", "--t", "2")])
+def test_stable_draws_are_chunked(command):
+    # Past one chunk: chunk i is stable_sample over substream i, so the
+    # thread count changes nothing.
+    n = CHUNK_SIZE + 1000
+    args = ("stable", *command, "--lambda", "0.3", "--draws", str(n), "--seed", "5")
+    one, two = (run_cli(*args, "--threads", threads) for threads in ("1", "2"))
+    assert one.returncode == 0 and one.stdout == two.stdout
+    replay = np.concatenate([
+        stable_sample(SeededStream(5).child(i), 0.3, size=min(CHUNK_SIZE, n - start))
+        for i, start in enumerate(range(0, n, CHUNK_SIZE))
+    ])
+    results = json.loads(one.stdout)["results"]
+    if command[0] == "sample":
+        assert results["draws"] == replay.tolist()
+    else:
+        est = mean_with_error(np.exp(-2.0 * replay))
+        assert (results["estimate"], results["std_error"]) == (est.value, est.std_error)
 
 
 def test_grad_check(depth3_path):

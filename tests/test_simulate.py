@@ -15,6 +15,7 @@ from scipy import stats
 
 from nestlogit import (
     DomainError,
+    EULER_GAMMA,
     NotALeafError,
     SampleBatch,
     SeededStream,
@@ -36,7 +37,7 @@ from nestlogit import (
 )
 from nestlogit import simulate
 from nestlogit.distributions import gumbel_sample, stable_log_sample
-from nestlogit.montecarlo import CHUNK_SIZE
+from nestlogit.montecarlo import CHUNK_SIZE, mean_with_error
 
 KS_1PCT = 1.63
 
@@ -288,6 +289,23 @@ def test_mc_cdf(depth3_model):
     bounds = {"leaf0": 0.5, "leaf1": -0.25, "leaf2": 1.0, "leaf3": 0.0}
     est = mc_cdf(depth3_model, SeededStream(48), bounds, 200_000)
     assert abs(est.value - cdf(depth3_model, bounds)) < 3.5 * est.std_error
+
+
+def test_reductions_leave_the_batch_alone():
+    # About 250 leaves, so 3,000 draws span a dozen row blocks.
+    model = random_model(np.random.default_rng(5), max_nodes=400)
+    batch = sample_epsilon(model, SeededStream(6), 3000)
+    before = batch.draws.copy()
+    bounds = {leaf: 0.5 for leaf in batch.leaf_order}
+    alone = simulate.cdf_hits(batch, bounds)
+    counts = simulate.choice_counts(model, batch)
+    assert_array_equal(batch.draws, before)
+    assert simulate.cdf_hits(batch, bounds) == alone
+    # Block by block, the same numbers as one pass over U + eps.
+    totals = before + np.array([model.utilities[leaf] for leaf in batch.leaf_order])
+    assert_array_equal(counts, np.bincount(totals.argmax(axis=1), minlength=len(counts)))
+    est = mean_with_error(totals.max(axis=1))
+    assert mc_emax(model, SeededStream(6), 3000).value == est.value - EULER_GAMMA
 
 
 def test_mixed_logit_example(single_layer_model):
