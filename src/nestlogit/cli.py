@@ -9,6 +9,10 @@ scheduling only and is therefore not echoed into the report.
 
 Exit codes: 0 success, 1 usage or validation or I/O failure (diagnostic on
 stderr), 2 a verification check failed.
+
+Each command imports the samplers it draws with when it runs, so
+`validate`, `emax`, `cdf`, analytic `probs`, `stable density`,
+`stable moment` and `frechet-corr` without `--mc` never import numpy.
 """
 
 from __future__ import annotations
@@ -20,19 +24,8 @@ import sys
 import warnings
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__
-from .copula import frechet_corr, mc_frechet_corr
-from .distributions import (
-    PrecisionLossWarning,
-    _check_lambda,
-    stable_density_half,
-    stable_density_series,
-    stable_moment,
-    stable_sample,
-)
-from .errors import DomainError, NestLogitError
+from .errors import DomainError, NestLogitError, PrecisionLossWarning
 from .model import (
     ModelSpec,
     backward_utils,
@@ -42,10 +35,6 @@ from .model import (
     with_utilities,
 )
 from .modelfile import load_model
-from .montecarlo import mean_with_error, run_chunked
-from .simulate import mc_choice_probs, mixed_logit_probs, sample_epsilon
-from .streams import SeededStream
-from .verify import finite_difference_gradient, run_checks
 
 __all__ = ["main"]
 
@@ -82,6 +71,7 @@ def _real(ok, requirement: str):
 
 
 _NONNEGATIVE = _real(lambda v: v >= 0.0, ">= 0")
+_POSITIVE = _real(lambda v: v > 0.0, "> 0")
 
 
 def _emit(report: dict, pretty: bool) -> None:
@@ -188,6 +178,9 @@ def _cmd_probs(args) -> dict:
     if args.method == "analytic":
         args.draws = args.seed = None  # unused; keep them out of the report
         return {"method": "analytic", "probabilities": choice_probs(model)}
+    from .simulate import mc_choice_probs, mixed_logit_probs
+    from .streams import SeededStream
+
     stream = SeededStream(args.seed)
     if args.method == "mc":
         estimates = mc_choice_probs(model, stream, args.draws, n_threads=args.threads)
@@ -210,6 +203,11 @@ def _cmd_emax(args) -> dict:
 
 
 def _cmd_sample(args) -> dict:
+    import numpy as np
+
+    from .simulate import sample_epsilon
+    from .streams import SeededStream
+
     model = _load(args)
     stream = SeededStream(args.seed)
     batch = sample_epsilon(model, stream, args.draws, n_threads=args.threads)
@@ -222,9 +220,15 @@ def _cmd_sample(args) -> dict:
     return {"out": args.out, "n_draws": args.draws, "leaf_order": list(batch.leaf_order)}
 
 
-def _stable_draws(args) -> np.ndarray:
+def _stable_draws(args):
     # Chunked by run_chunked like every sampler, so --threads never changes
     # the draws; the array exists before any draw is made.
+    import numpy as np
+
+    from .distributions import _check_lambda, stable_sample
+    from .montecarlo import run_chunked
+    from .streams import SeededStream
+
     lam = _check_lambda(args.lam, allow_one=True)  # also at --draws 0
     draws = np.empty(args.draws)
 
@@ -240,6 +244,8 @@ def _cmd_stable(args) -> dict:
     if args.stable_command == "sample":
         return {"draws": list(map(float, _stable_draws(args)))}
     if args.stable_command == "density":
+        from .distributions import stable_density_half, stable_density_series
+
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", PrecisionLossWarning)
             value = stable_density_series(lam, args.x, tol=args.tol)
@@ -251,9 +257,18 @@ def _cmd_stable(args) -> dict:
             results["closed_form"] = stable_density_half(args.x)
         return results
     if args.stable_command == "moment":
+        from .distributions import stable_moment
+
         return {"moment": stable_moment(lam, args.kappa)}
     # laplace: empirical E[exp(-t Z)] against the exact exp(-t^lambda)
-    est = mean_with_error(np.exp(-args.t * _stable_draws(args)))
+    import numpy as np
+
+    from .montecarlo import mean_with_error
+
+    draws = _stable_draws(args)
+    with np.errstate(over="ignore"):  # t Z = inf gives exp(-inf) = 0 exactly
+        scaled = -args.t * draws
+    est = mean_with_error(np.exp(scaled))
     exact = math.exp(-args.t**lam)
     return {
         "estimate": est.value,
@@ -265,6 +280,8 @@ def _cmd_stable(args) -> dict:
 
 def _cmd_grad_check(args) -> dict:
     # main exits 2 when "passed" is False.
+    from .verify import finite_difference_gradient
+
     model = _load(args)
     analytic = choice_probs(model)
     numeric = finite_difference_gradient(model, args.step)
@@ -285,6 +302,9 @@ def _cmd_cdf(args) -> dict:
 
 def _cmd_verify(args) -> dict:
     # main exits 2 when "all_passed" is False.
+    from .streams import SeededStream
+    from .verify import run_checks
+
     model = _load(args)
     stream = SeededStream(args.seed)
     checks = run_checks(model, stream, n_draws=args.draws, n_threads=args.threads)
@@ -292,10 +312,14 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_frechet_corr(args) -> dict:
+    from .copula import frechet_corr, mc_frechet_corr
+
     results = {"correlation": frechet_corr(args.alpha, args.lam)}
     if args.mc is None:
         args.seed = None  # nothing is drawn; keep it out of the report
         return results
+    from .streams import SeededStream
+
     est = mc_frechet_corr(SeededStream(args.seed), args.alpha, args.lam, args.mc, n_threads=args.threads)
     results["mc_estimate"] = est.value
     results["mc_std_error"] = est.std_error
@@ -358,7 +382,7 @@ def _build_parser() -> _Parser:
     q = stable_sub.add_parser("density", help="density by series; closed form included at lambda = 1/2")
     q.add_argument("--lambda", dest="lam", type=float, required=True)
     q.add_argument("--x", type=float, required=True)
-    q.add_argument("--tol", type=_NONNEGATIVE, default=1e-12)
+    q.add_argument("--tol", type=_POSITIVE, default=1e-12)
     common(q, model=False)
     q.set_defaults(func=_cmd_stable)
 

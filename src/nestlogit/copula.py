@@ -19,21 +19,25 @@ delta_i = exp((lambda/alpha) * (eps_i + log Z)) with independent standard
 Gumbel eps_i and Z ~ P(lambda), which has exactly the margins and copula
 above. Times alpha, the exponent is the nested logit noise of two leaves in
 one lambda-nest, so sample_epsilon draws it on root -> n(lambda) -> {1, 2}.
+The sampler imports numpy and the simulator when called, so the closed
+form loads without them.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .distributions import _check_lambda
 from .errors import DomainError
 from .model import make_model
-from .montecarlo import EstimateWithError, correlation_with_error
-from .simulate import sample_epsilon
-from .streams import SeededStream
 from .tree import build
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .montecarlo import EstimateWithError
+    from .streams import SeededStream
 
 __all__ = ["frechet_corr", "frechet_pair_sample", "mc_frechet_corr"]
 
@@ -111,6 +115,10 @@ def frechet_pair_sample(
     lambda, and lambda = 1 degenerates to an independent pair (Z is the
     point mass at 1 and is skipped in sampling).
     """
+    import numpy as np
+
+    from .simulate import sample_epsilon
+
     alpha, lam = _check_alpha_lambda(alpha, lam, need_variance=False)
     pair = build("root", {"root": ("n",), "n": ("1", "2")}, {"n": lam})
     batch = sample_epsilon(make_model(pair, {"1": 0.0, "2": 0.0}), stream, n_draws, n_threads=n_threads)
@@ -128,6 +136,8 @@ def mc_frechet_corr(
     frechet_corr. Standard error via the normal-theory approximation
     (1 - r^2)/sqrt(n - 3), which understates the noise of these
     heavy-tailed margins near alpha = 2."""
+    from .montecarlo import correlation_with_error
+
     alpha, lam = _check_alpha_lambda(alpha, lam, need_variance=True)
     if n_draws < 4:
         raise DomainError("correlation needs at least 4 draws")

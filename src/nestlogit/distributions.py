@@ -11,6 +11,9 @@ in log space so extreme uniforms cannot overflow. Densities come from the
 alternating power series in x^(-lambda k); its terms can grow before they
 decay, so the evaluator tracks the largest intermediate term and warns
 when cancellation has eaten the result.
+
+Only the samplers need numpy, and they import it when called, so the
+moments and series load without it.
 """
 
 from __future__ import annotations
@@ -18,11 +21,14 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, PrecisionLossWarning
-from .streams import SeededStream
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .streams import SeededStream
 
 __all__ = [
     "EULER_GAMMA",
@@ -36,7 +42,7 @@ __all__ = [
     "stable_density_half",
 ]
 
-EULER_GAMMA = float(np.euler_gamma)
+EULER_GAMMA = 0.5772156649015329  # float(numpy.euler_gamma)
 
 # Kanter's angle is drawn from (0, pi); clip away the endpoints where the
 # log-sine terms are singular. The displaced mass is ~1e-12 of the support.
@@ -60,6 +66,8 @@ def _check_lambda(lam: float, allow_one: bool) -> float:
 
 def gumbel_sample(stream: SeededStream, size=None):
     """Draw from the standard Gumbel by inverse CDF on a uniform draw."""
+    import numpy as np
+
     n = 1 if size is None else int(size)
     u = stream.rng.random(n)
     # Keep u off 0 exactly; 0 occurs with probability 2^-53 and would map
@@ -88,6 +96,8 @@ def _kanter_log(rng: np.random.Generator, lam, m: int) -> np.ndarray:
     once over the block, in place, in the one-row order of operations, so
     each row is the same bits whichever rows share its block.
     """
+    import numpy as np
+
     lam = np.asarray(lam, dtype=float)[:, None]
     u = np.empty((len(lam), m))
     e = np.empty_like(u)
@@ -109,6 +119,8 @@ def _kanter_log(rng: np.random.Generator, lam, m: int) -> np.ndarray:
 
 def stable_log_sample(stream: SeededStream, lam: float, size=None):
     """log of a P(lam) draw; exact zeros when lam = 1 (point mass at 1)."""
+    import numpy as np
+
     lam = _check_lambda(lam, allow_one=True)
     n = 1 if size is None else int(size)
     if lam == 1.0:
@@ -120,6 +132,8 @@ def stable_log_sample(stream: SeededStream, lam: float, size=None):
 
 def stable_sample(stream: SeededStream, lam: float, size=None):
     """Draw from P(lam) via Kanter's representation; lam = 1 returns 1."""
+    import numpy as np
+
     out = stable_log_sample(stream, lam, size=size)
     return math.exp(out) if size is None else np.exp(out)
 

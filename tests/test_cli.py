@@ -364,6 +364,7 @@ BAD_VALUES = {
     ("--step", "0"): (GRAD_CHECK,),
     ("--tol", "nan"): (GRAD_CHECK, DENSITY),
     ("--tol", "inf"): (GRAD_CHECK, DENSITY),
+    ("--tol", "0"): (DENSITY,),  # grad-check --tol 0 is legal: exact agreement
     ("--t", "-3"): (LAPLACE,),
     ("--t", "nan"): (LAPLACE,),
 }
@@ -376,7 +377,21 @@ def test_bad_seed_or_threads_exit_one(depth3_path, flag, value):
         proc = run_cli(*args, flag, value)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert flag.lstrip("-") in proc.stderr and value in proc.stderr
+        assert flag in proc.stderr and value in proc.stderr  # named at parse time
+
+
+def test_grad_check_accepts_zero_tol(depth3_path):
+    proc = run_cli("grad-check", depth3_path, "--tol", "0")
+    assert proc.returncode in (0, 2), proc.stderr  # 2 unless they agree exactly
+    assert json.loads(proc.stdout)["inputs"]["tol"] == 0.0
+
+
+def test_laplace_overflowing_product_is_silent():
+    # t Z past float range is inf, and exp(-inf) = 0 is the exact answer.
+    proc = run_cli("stable", "laplace", "--lambda", "0.5", "--t", "1e308", "--draws", "10")
+    results = payload(proc)["results"]
+    assert proc.stderr == ""
+    assert results["estimate"] == results["exact"] == 0.0
 
 
 def test_version():

@@ -1,0 +1,99 @@
+"""A property over random command lines: built from the parser's own
+subcommands and flags, with each value drawn from a valid one and a set of
+edge cases, every command line exits 0, 1 or 2 and none ends in a
+traceback. main runs in process, so an escaping exception fails the test
+with the command line that raised it."""
+
+import argparse
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nestlogit import cli
+
+# Values every numeric flag is tried with, next to a valid one.
+EDGE = ("0", "-1", "nan", "inf", "1e308", "1000000000000000", "abc")
+VALID = {
+    "draws": "64", "mc": "64", "seed": "7", "threads": "2", "lam": "0.5", "x": "1",
+    "kappa": "0.25", "tol": "1e-6", "t": "1", "alpha": "8", "step": "1e-5", "node": "a",
+    "out": "noise.csv",
+}
+# Drawn on every command that takes it: the defaults draw up to a million.
+ALWAYS = {"draws"}
+LEAVES = ("leaf0", "leaf1", "leaf2", "leaf3", "nope")
+MODELS = ("depth3.json", "depth3.json", "broken.json", "missing.json")
+DEPTH3 = {"id": "root", "lambda": 1.0, "children": [
+    {"id": "a", "lambda": 0.5, "children": [
+        {"id": "b", "lambda": 0.5, "children": [
+            {"id": "leaf0", "utility": 0.0}, {"id": "leaf1", "utility": 0.0}]},
+        {"id": "leaf2", "utility": 0.0}]},
+    {"id": "leaf3", "utility": 0.0}]}
+
+
+def leaf_commands(parser, prefix=()):
+    """(name, parser) of every command, nested subcommands included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_commands(sub, prefix + (name,))
+            return
+    yield " ".join(prefix), parser
+
+
+COMMANDS = dict(leaf_commands(cli._build_parser()))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "depth3.json").write_text(json.dumps({"root": DEPTH3}))
+    (path / "broken.json").write_text('{"root": {"id": "root", "lambda": 1.0, "children": []}}')
+    return path
+
+
+def value(valid):
+    """The valid value or one of the edge cases."""
+    return st.one_of(st.just(valid), st.sampled_from(EDGE))
+
+
+def draw_argv(data, workdir):
+    name = data.draw(st.sampled_from(sorted(COMMANDS)))
+    argv = name.split()
+    for action in COMMANDS[name]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:  # the model file
+            argv.append(str(workdir / data.draw(st.sampled_from(MODELS))))
+            continue
+        flag = action.option_strings[0]
+        if not (action.required or action.dest in ALWAYS or data.draw(st.booleans())):
+            continue
+        if action.nargs == 0:
+            argv.append(flag)
+        elif action.metavar == "LEAF=VALUE":  # every leaf half the time, as cdf needs
+            leaves = data.draw(st.one_of(st.just(LEAVES[:-1]), st.lists(st.sampled_from(LEAVES), min_size=1, max_size=4)))
+            for leaf in leaves:
+                argv += [flag, f"{leaf}={data.draw(value('0.5'))}"]
+        elif action.choices:
+            argv += [flag, data.draw(st.sampled_from([*action.choices, "bogus"]))]
+        else:
+            text = data.draw(value(VALID[action.dest]))
+            argv += [flag, str(workdir / text) if action.dest == "out" else text]
+    return argv
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(data=st.data())
+def test_any_command_line_exits_cleanly(workdir, data):
+    argv = draw_argv(data, workdir)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,12 +1,40 @@
 """The package runs on numpy alone: scipy is a test and benchmark
-dependency, so no module under src/nestlogit may import it."""
+dependency, so no module under src/nestlogit may import it. The analytic
+core needs not even numpy: the package serves its numpy-backed names on
+first use, and the commands that draw nothing never import it."""
 
 import ast
+import importlib
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import nestlogit
 
 PACKAGE = Path(nestlogit.__file__).resolve().parent
+DEPTH3 = str(Path(__file__).resolve().parents[1] / "demos" / "models" / "depth3.json")
+
+# The package's public names: its API and the submodules it binds.
+PUBLIC = [
+    "Arborescence", "CheckResult", "ConvergenceError", "CycleError", "DomainError",
+    "DuplicateIdError", "EULER_GAMMA", "EmptyNestError", "EstimateWithError",
+    "InvalidModelError", "LambdaRangeError", "ModelFileError", "ModelSpec",
+    "NestLogitError", "NotALeafError", "NotANestError", "OrphanNodeError",
+    "PrecisionLossWarning", "RootHasNoParentError", "RootLambdaError", "SampleBatch",
+    "SeededStream", "ShapeError", "UnknownNodeError", "UtilityError", "backward_utils",
+    "build", "cdf", "choice_probs", "choice_probs_single_layer", "copula",
+    "descendant_leaves", "distributions", "emax", "emax_gradient", "errors",
+    "eta_moments", "forward_probs", "frechet_corr", "frechet_pair_sample", "from_nested",
+    "gumbel_sample", "lca", "load_model", "loads_model", "log_odds", "make_model",
+    "mc_cdf", "mc_choice_probs", "mc_correlation", "mc_emax", "mc_frechet_corr",
+    "mixed_logit_probs", "model", "model_to_doc", "modelfile", "montecarlo",
+    "random_model", "random_models", "random_single_layer_model", "run_checks",
+    "sample_epsilon", "save_model", "simulate", "stable_density_half",
+    "stable_density_series", "stable_log_sample", "stable_moment", "stable_sample",
+    "stable_survival_series", "streams", "tree", "verify", "with_utilities",
+]
 
 
 def imported_roots(path: Path) -> set[str]:
@@ -24,3 +52,56 @@ def test_no_module_imports_scipy():
     assert len(modules) > 10
     offenders = [m.name for m in modules if "scipy" in imported_roots(m)]
     assert offenders == []
+
+
+def fresh(code: str, *argv: str) -> str:
+    """stdout of `code` run by a new interpreter with sys.argv[1:] = argv."""
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+RUN_MAIN = """
+import contextlib, io, sys
+from nestlogit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        rc = main(sys.argv[1:])
+    except SystemExit as exc:  # --version
+        rc = exc.code
+print(rc, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["validate", DEPTH3],
+    ["probs", DEPTH3],
+    ["emax", DEPTH3, "--all"],
+    ["cdf", DEPTH3, "--at", "leaf0=1", "--at", "leaf1=1", "--at", "leaf2=1", "--at", "leaf3=1"],
+    ["stable", "density", "--lambda", "0.5", "--x", "1"],
+    ["stable", "moment", "--lambda", "0.5", "--kappa", "0.25"],
+    ["frechet-corr", "--alpha", "8", "--lambda", "0.5"],
+], ids=lambda argv: " ".join(argv[:2]).replace(DEPTH3, "depth3"))
+def test_analytic_commands_never_import_numpy(argv):
+    assert fresh(RUN_MAIN, *argv).split() == ["0", "False"]
+
+
+def test_drawing_commands_import_numpy():
+    assert fresh(RUN_MAIN, "probs", DEPTH3, "--method", "mc", "--draws", "10").split() == ["0", "True"]
+
+
+def test_public_names():
+    assert nestlogit.__all__ == PUBLIC
+    listed = fresh("import nestlogit; print(*dir(nestlogit))").split()
+    assert [name for name in listed if not name.startswith("_")] == PUBLIC
+    assert fresh("from nestlogit import *; print(*sorted(n for n in dir() if not n.startswith('_')))").split() == PUBLIC
+    # a submodule not imported yet is still an attribute of the package
+    assert fresh("import sys, nestlogit; print(nestlogit.verify is sys.modules['nestlogit.verify'])") == "True\n"
+
+
+def test_lazy_names_are_the_defining_modules_objects():
+    for name, module in nestlogit._HOME.items():
+        assert getattr(nestlogit, name) is getattr(importlib.import_module(f"nestlogit.{module}"), name)
+    with pytest.raises(AttributeError, match="'nestlogit' has no attribute 'nope'"):
+        nestlogit.nope

@@ -33,6 +33,11 @@ from nestlogit.montecarlo import mean_with_error
 KS_1PCT = 1.63  # asymptotic 1% critical coefficient, D_crit = 1.63/sqrt(n)
 
 
+def test_euler_gamma_literal_is_numpys():
+    # distributions spells the constant out so that it loads without numpy
+    assert EULER_GAMMA == float(np.euler_gamma)
+
+
 # ---------------------------------------------------------------------------
 # Gumbel
 # ---------------------------------------------------------------------------
