@@ -17,11 +17,15 @@ sum down the tree, O(chunk x nests) memory. The factors and the leaf
 Gumbels are drawn in blocks of rows, one Kanter and one Gumbel call per
 block rather than per nest and per leaf, in the same stream order.
 
-_factor_rows is the one sampler of these rows: sample_epsilon adds the
-leaf Gumbels, and mixed_logit_probs splits them once more into exact
-softmaxes. Generation is chunked by montecarlo.run_chunked with one
-substream per fixed-size chunk, so results are bit-identical no matter
-how many worker threads produced them.
+_factor_rows is the one sampler of these rows. _noise_blocks adds the
+leaf Gumbels and yields the noise one leaf block at a time:
+sample_epsilon writes the blocks into its draws x leaves matrix, while
+mc_choice_probs, mc_emax, mc_cdf and mc_correlation fold them as they
+come and keep one value per draw (the winning column, the best total, a
+hit flag, the two columns). mixed_logit_probs splits the leaf Gumbels once
+more into exact softmaxes. Generation is chunked by montecarlo.run_chunked
+with one substream per fixed-size chunk, so results are bit-identical no
+matter how many worker threads produced them.
 """
 
 from __future__ import annotations
@@ -47,8 +51,6 @@ from .tree import Arborescence, require_leaf
 __all__ = [
     "SampleBatch",
     "sample_epsilon",
-    "choice_counts",
-    "cdf_hits",
     "mc_choice_probs",
     "mc_emax",
     "mc_correlation",
@@ -98,6 +100,54 @@ def _factor_rows(tree: Arborescence):
     return [row[tree.parent[leaf]] for leaf in tree.leaves], rows
 
 
+def _noise_blocks(tree: Arborescence):
+    """blocks(sub, m), the one generator of a chunk's noise: it draws the
+    factor rows of _factor_rows, then yields (leaf slice, eps) over the
+    leaf row blocks in column order. eps is a fresh (leaves x m) array,
+    Lambda_leaf * eps'_j plus the leaf's parent-nest row, which the caller
+    may overwrite."""
+    parent_rows, rows = _factor_rows(tree)
+    coeffs = np.array([tree.big_lambda[leaf] for leaf in tree.leaves])[:, None]
+
+    def blocks(sub: SeededStream, m: int):
+        acc = rows(sub, m)
+        for b in _blocks(len(coeffs), m):
+            eps = gumbel_sample(sub, size=coeffs[b].size * m).reshape(-1, m)
+            eps *= coeffs[b]
+            eps += acc[parent_rows[b]]
+            yield b, eps
+
+    return blocks
+
+
+def _leaf_column(model: ModelSpec, values) -> np.ndarray:
+    # values[leaf] in column order, shaped to broadcast over a block's draws
+    return np.array([values[leaf] for leaf in model.tree.leaves], dtype=float)[:, None]
+
+
+def _fold_winner(best: np.ndarray, won: np.ndarray, b: slice, totals: np.ndarray) -> None:
+    """Fold a block of U + eps (leaves b x draws) into each draw's running
+    best total and winning column. Strict >, so the earliest column keeps
+    a tie, as argmax does."""
+    if len(totals) == 1:  # one-row blocks (few leaves at full chunks): no gather
+        top, col = totals[0], b.start
+    else:
+        col = totals.argmax(axis=0)
+        top = np.take_along_axis(totals, col[None], axis=0)[0]
+        col += b.start
+    better = top > best
+    np.copyto(best, top, where=better)
+    np.copyto(won, col, where=better)
+
+
+def _read_columns(cols: np.ndarray, store: np.ndarray, b: slice, eps: np.ndarray) -> None:
+    # Rows of store (one per entry of the sorted distinct cols, over the
+    # chunk's draws) take their columns from this block, if it holds any.
+    lo, hi = np.searchsorted(cols, (b.start, b.stop))
+    if lo < hi:
+        store[lo:hi] = eps[cols[lo:hi] - b.start]
+
+
 def sample_epsilon(
     model: ModelSpec, stream: SeededStream, n_draws: int, n_threads: int = 1
 ) -> SampleBatch:
@@ -114,45 +164,15 @@ def sample_epsilon(
     if n_draws < 0:
         raise DomainError("n_draws must be nonnegative")
     tree = model.tree
-    parent_rows, rows = _factor_rows(tree)
-    coeffs = np.array([tree.big_lambda[leaf] for leaf in tree.leaves])[:, None]
-
+    blocks = _noise_blocks(tree)
     out = np.empty((n_draws, len(tree.leaves)))
 
     def kernel(sub: SeededStream, start: int, stop: int) -> None:
-        m = stop - start
-        acc = rows(sub, m)
-        for b in _blocks(len(coeffs), m):
-            eps = gumbel_sample(sub, size=coeffs[b].size * m).reshape(-1, m)
-            eps *= coeffs[b]
-            eps += acc[parent_rows[b]]
+        for b, eps in blocks(sub, stop - start):
             out[start:stop, b] = eps.T
 
     run_chunked(stream, n_draws, kernel, n_threads=n_threads)
     return SampleBatch(draws=out, leaf_order=tree.leaves)
-
-
-def _row_totals(model: ModelSpec, batch: SampleBatch):
-    """(rows, U + eps over those rows) for the row blocks of batch.draws:
-    no n x L temporary, and the batch is left as it was."""
-    u = np.array([model.utilities[leaf] for leaf in batch.leaf_order])
-    for b in _blocks(len(batch.draws), len(u)):
-        yield b, batch.draws[b] + u
-
-
-def choice_counts(model: ModelSpec, batch: SampleBatch) -> np.ndarray:
-    """Per leaf, in column order, how many draws it wins (earliest column
-    on ties)."""
-    counts = np.zeros(len(batch.leaf_order), dtype=np.intp)
-    for _, totals in _row_totals(model, batch):
-        counts += np.bincount(totals.argmax(axis=1), minlength=len(counts))
-    return counts
-
-
-def cdf_hits(batch: SampleBatch, bounds: dict[str, float]) -> int:
-    """Number of draws with eps_j <= bounds_j for every leaf j."""
-    a = np.array([bounds[leaf] for leaf in batch.leaf_order])
-    return int(np.all(batch.draws <= a, axis=1).sum())
 
 
 def mc_choice_probs(
@@ -162,15 +182,26 @@ def mc_choice_probs(
 
     Each estimate carries the binomial standard error
     sqrt(p*(1 - p)/n_draws). Ties go to the earliest leaf in column order
-    (they occur with probability zero under the continuous noise).
+    (they occur with probability zero under the continuous noise). Only
+    each draw's winning column is kept.
     """
     if n_draws <= 0:
         raise DomainError("n_draws must be positive")
-    batch = sample_epsilon(model, stream, n_draws, n_threads=n_threads)
-    counts = choice_counts(model, batch)
+    blocks, u = _noise_blocks(model.tree), _leaf_column(model, model.utilities)
+    won = np.empty(n_draws, dtype=np.intp)  # before any draw is made
+
+    def kernel(sub: SeededStream, start: int, stop: int) -> None:
+        best, mine = np.full(stop - start, -np.inf), won[start:stop]
+        mine.fill(0)
+        for b, eps in blocks(sub, stop - start):
+            eps += u[b]
+            _fold_winner(best, mine, b, eps)
+
+    run_chunked(stream, n_draws, kernel, n_threads=n_threads)
+    counts = np.bincount(won, minlength=len(u))
     return {
         leaf: binomial_estimate(int(counts[i]), n_draws)
-        for i, leaf in enumerate(batch.leaf_order)
+        for i, leaf in enumerate(model.tree.leaves)
     }
 
 
@@ -182,10 +213,17 @@ def mc_emax(
     emax(model) (the marginals are uncentered Gumbel)."""
     if n_draws <= 0:
         raise DomainError("n_draws must be positive")
-    batch = sample_epsilon(model, stream, n_draws, n_threads=n_threads)
+    blocks, u = _noise_blocks(model.tree), _leaf_column(model, model.utilities)
     best = np.empty(n_draws)
-    for b, totals in _row_totals(model, batch):
-        totals.max(axis=1, out=best[b])
+
+    def kernel(sub: SeededStream, start: int, stop: int) -> None:
+        top = best[start:stop]
+        top.fill(-np.inf)
+        for b, eps in blocks(sub, stop - start):
+            eps += u[b]
+            np.maximum(top, eps.max(axis=0), out=top)
+
+    run_chunked(stream, n_draws, kernel, n_threads=n_threads)
     est = mean_with_error(best)
     return EstimateWithError(est.value - EULER_GAMMA, est.std_error, est.n_draws)
 
@@ -208,9 +246,19 @@ def mc_correlation(
         raise DomainError("correlation needs at least 4 draws")
     for leaf in (leaf_a, leaf_b):
         require_leaf(model.tree, leaf, "noise columns belong to leaves")
-    batch = sample_epsilon(model, stream, n_draws, n_threads=n_threads)
-    leaves = batch.leaf_order
-    return correlation_with_error(batch.draws[:, leaves.index(leaf_a)], batch.draws[:, leaves.index(leaf_b)])
+    leaves = model.tree.leaves
+    pair = [leaves.index(leaf_a), leaves.index(leaf_b)]
+    cols = np.unique(pair)
+    blocks = _noise_blocks(model.tree)
+    store = np.empty((len(cols), n_draws))
+
+    def kernel(sub: SeededStream, start: int, stop: int) -> None:
+        for b, eps in blocks(sub, stop - start):
+            _read_columns(cols, store[:, start:stop], b, eps)
+
+    run_chunked(stream, n_draws, kernel, n_threads=n_threads)
+    a, b = np.searchsorted(cols, pair)
+    return correlation_with_error(store[a], store[b])
 
 
 def mc_cdf(
@@ -225,8 +273,17 @@ def mc_cdf(
     if n_draws <= 0:
         raise DomainError("n_draws must be positive")
     cdf(model, bounds)  # validates the bounds map against the leaf set
-    batch = sample_epsilon(model, stream, n_draws, n_threads=n_threads)
-    return binomial_estimate(cdf_hits(batch, bounds), n_draws)
+    blocks, a = _noise_blocks(model.tree), _leaf_column(model, bounds)
+    hits = np.empty(n_draws, dtype=bool)
+
+    def kernel(sub: SeededStream, start: int, stop: int) -> None:
+        hit = hits[start:stop]
+        hit.fill(True)
+        for b, eps in blocks(sub, stop - start):
+            hit &= np.all(eps <= a[b], axis=0)
+
+    run_chunked(stream, n_draws, kernel, n_threads=n_threads)
+    return binomial_estimate(int(hits.sum()), n_draws)
 
 
 def mixed_logit_probs(
@@ -254,7 +311,12 @@ def mixed_logit_probs(
     parent_rows, rows = _factor_rows(tree)
     leaf_lam = np.array([tree.big_lambda[leaf] for leaf in tree.leaves])
     mu = float(leaf_lam.min())
-    scaled_u = np.array([model.utilities[leaf] / mu for leaf in tree.leaves])
+    u = _leaf_column(model, model.utilities)
+    # Shifted by max U, which a softmax ignores, so that U/mu cannot
+    # overflow: a leaf so far below the best that its shifted score passes
+    # float range scores -inf, and its weight is the exact 0.
+    with np.errstate(over="ignore"):
+        scaled_u = (u - u.max()) / mu
     equalized = np.flatnonzero(mu < leaf_lam)
     ratios = mu / leaf_lam[equalized]
     # Leaf j's draws are row j, contiguous, so the mean and std over draws
@@ -269,7 +331,7 @@ def mixed_logit_probs(
         scores /= mu
         for b in _blocks(len(ratios), m):
             scores[equalized[b]] += _kanter_log(sub.rng, ratios[b], m)
-        scores += scaled_u[:, None]
+        scores += scaled_u
         scores -= scores.max(axis=0)
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=0)

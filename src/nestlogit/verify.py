@@ -7,8 +7,11 @@ Monte Carlo comparisons are scored in standard-error units with a 3-sigma
 budget that is not corrected for how many statistics a max |z| takes: on
 the correct 1,314-leaf random_model(default_rng(0), max_nodes=2000),
 mc-choice-probabilities fails 10 of seeds 0-11 at 1,000 draws (ROADMAP
-item 8). The Monte Carlo checks all read one noise batch of
-simulate.sample_epsilon.
+item 8). The Monte Carlo checks all read one stream of noise, folded
+chunk by chunk in one run_chunked kernel over simulate's leaf blocks:
+they keep a winning column and a hit flag per bound vector for each
+draw, and only the noise columns the correlation pairs read, never the
+draws x leaves matrix.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ModelSpec, _finite_utilities, backward_utils, cdf, forward_probs, log_sum_exp
-from .montecarlo import correlation_with_error
-from .simulate import cdf_hits, choice_counts, sample_epsilon
+from .montecarlo import correlation_with_error, run_chunked
+from .simulate import _fold_winner, _leaf_column, _noise_blocks, _read_columns
 from .streams import SeededStream
 
 __all__ = ["CheckResult", "finite_difference_gradient", "run_checks"]
@@ -130,24 +133,16 @@ def run_checks(
     gap = max(abs(leaf_probs[leaf] - fd[leaf]) for leaf in tree.leaves)
     results.append(_within("emax-gradient-is-choice-probability", gap, 1e-6))
 
-    # --- Monte Carlo comparisons on one batch of noise ------------------
-    batch = sample_epsilon(model, stream.child(1), n_draws, n_threads=n_threads)
-
+    # --- Monte Carlo comparisons on one stream of noise ----------------
     # One pair per nest with two or more children: the first leaves under
     # its first two children, whose lowest common ancestor is the nest.
-    # first_col maps a node to the batch column of its first leaf.
-    first_col = {leaf: i for i, leaf in enumerate(batch.leaf_order)}
+    # first_col maps a node to the noise column of its first leaf.
+    first_col = {leaf: i for i, leaf in enumerate(tree.leaves)}
     for nest in reversed(tree.nests):
         first_col[nest] = first_col[tree.children[nest][0]]
-    pairs = [(nest, kids) for nest in tree.nests if len(kids := tree.children[nest]) >= 2]
-    pair_gap = 0.0
-    for nest, kids in pairs:
-        r = correlation_with_error(batch.draws[:, first_col[kids[0]]], batch.draws[:, first_col[kids[1]]])
-        pair_gap = max(pair_gap, abs(r.value - (1.0 - tree.big_lambda[nest] ** 2)))
-    corr_tol = 3.0 / float(np.sqrt(n_draws - 3.0))  # 3 standard errors of r at rho = 0, the widest
-    detail = f"max |empirical - (1 - Lambda_lca^2)| over {len(pairs)} pairs, one per nest"
-    results.append(_within("lca-correlations", pair_gap, corr_tol, detail))
-
+    pairs = [(nest, first_col[kids[0]], first_col[kids[1]])
+             for nest in tree.nests if len(kids := tree.children[nest]) >= 2]
+    cols = np.unique([col for _, *pair in pairs for col in pair])
     grid = [
         {leaf: 0.0 for leaf in tree.leaves},
         {leaf: 1.0 for leaf in tree.leaves},
@@ -155,12 +150,41 @@ def run_checks(
         {leaf: 2.0 for leaf in tree.leaves},
         {leaf: 0.25 * (i % 5) - 0.5 for i, leaf in enumerate(tree.leaves)},
     ]
-    z_cdf = max(_proportion_z(cdf_hits(batch, bounds), n_draws, cdf(model, bounds)) for bounds in grid)
+    bounds = np.stack([_leaf_column(model, a) for a in grid])
+    utilities = _leaf_column(model, model.utilities)
+    blocks = _noise_blocks(tree)
+    # Per draw: the pairs' distinct noise columns, a hit flag per bound
+    # vector and the winning column. Allocated before any draw is made.
+    store = np.empty((len(cols), n_draws))
+    hits = np.empty((len(grid), n_draws), dtype=bool)
+    won = np.empty(n_draws, dtype=np.intp)
+
+    def kernel(sub: SeededStream, start: int, stop: int) -> None:
+        best, hit, mine = np.full(stop - start, -np.inf), hits[:, start:stop], won[start:stop]
+        hit.fill(True)
+        mine.fill(0)
+        for b, eps in blocks(sub, stop - start):
+            _read_columns(cols, store[:, start:stop], b, eps)
+            hit &= np.all(eps <= bounds[:, b], axis=1)
+            eps += utilities[b]
+            _fold_winner(best, mine, b, eps)
+
+    run_chunked(stream.child(1), n_draws, kernel, n_threads=n_threads)
+
+    pair_gap = 0.0
+    for nest, i, j in pairs:
+        r = correlation_with_error(store[np.searchsorted(cols, i)], store[np.searchsorted(cols, j)])
+        pair_gap = max(pair_gap, abs(r.value - (1.0 - tree.big_lambda[nest] ** 2)))
+    corr_tol = 3.0 / float(np.sqrt(n_draws - 3.0))  # 3 standard errors of r at rho = 0, the widest
+    detail = f"max |empirical - (1 - Lambda_lca^2)| over {len(pairs)} pairs, one per nest"
+    results.append(_within("lca-correlations", pair_gap, corr_tol, detail))
+
+    z_cdf = max(_proportion_z(int(hit.sum()), n_draws, cdf(model, a)) for hit, a in zip(hits, grid))
     detail = f"max z-score over {len(grid)} bound vectors at {n_draws} draws"
     results.append(_within("joint-cdf", z_cdf, 3.0, detail))
 
-    counts = choice_counts(model, batch)
-    z = max(_proportion_z(int(counts[i]), n_draws, leaf_probs[leaf]) for i, leaf in enumerate(batch.leaf_order))
+    counts = np.bincount(won, minlength=len(tree.leaves))
+    z = max(_proportion_z(int(counts[i]), n_draws, leaf_probs[leaf]) for i, leaf in enumerate(tree.leaves))
     detail = f"max z-score over {len(tree.leaves)} leaves at {n_draws} draws"
     results.append(_within("mc-choice-probabilities", z, 3.0, detail))
 

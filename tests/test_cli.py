@@ -167,6 +167,15 @@ def test_probs_mixed_deep_tree(depth3_path):
         assert abs(probs[leaf] - p) < 4 * errs[leaf]
 
 
+def test_probs_mixed_huge_utility(depth3_path):
+    # U/mu would overflow; shifted by max U the other leaves weigh exactly 0.
+    proc = run_cli("probs", depth3_path, "--method", "mixed", "--draws", "64", "--utilities", "leaf0=1e308")
+    assert proc.returncode == 0 and proc.stderr == ""
+    results = json.loads(proc.stdout)["results"]
+    assert results["probabilities"] == {"leaf0": 1.0, "leaf1": 0.0, "leaf2": 0.0, "leaf3": 0.0}
+    assert set(results["std_errors"].values()) == {0.0}
+
+
 def test_probs_stochastic_determinism(depth3_path):
     args = ("probs", depth3_path, "--method", "mc", "--draws", "30000", "--seed", "11")
     first = run_cli(*args)
@@ -410,6 +419,7 @@ HUGE = "1000000000000000"  # 10^15 draws: petabytes, refused outright
     (FRECHET, "--mc"),
     (("stable", "sample", "--lambda", "0.5"), "--draws"),
     (("stable", "laplace", "--lambda", "0.5", "--t", "1"), "--draws"),
+    (("verify", "{model}"), "--draws"),
 ])
 def test_draws_past_memory_exit_one(depth3_path, tmp_path, command, flag):
     out = tmp_path / "noise.csv"

@@ -37,7 +37,13 @@ from nestlogit import (
 )
 from nestlogit import simulate
 from nestlogit.distributions import gumbel_sample, stable_log_sample
-from nestlogit.montecarlo import CHUNK_SIZE, mean_with_error
+from nestlogit.montecarlo import (
+    CHUNK_SIZE,
+    EstimateWithError,
+    binomial_estimate,
+    correlation_with_error,
+    mean_with_error,
+)
 
 KS_1PCT = 1.63
 
@@ -177,7 +183,8 @@ def test_sample_equals_row_replay(case, depth3_model):
 def mixed_row_replay(model, stream, n_draws):
     """mixed_logit_probs written out row by row: per chunk substream, the
     factor rows of replay_factor_rows, then one stable_log_sample call per
-    equalized leaf in leaf order. Returns the per-leaf means and std errors."""
+    equalized leaf in leaf order; utilities enter shifted by their max.
+    Returns the per-leaf means and std errors."""
     tree = model.tree
     mu = min(tree.big_lambda[leaf] for leaf in tree.leaves)
     probs = np.empty((len(tree.leaves), n_draws))
@@ -189,7 +196,8 @@ def mixed_row_replay(model, stream, n_draws):
         for j, leaf in enumerate(tree.leaves):
             if mu < tree.big_lambda[leaf]:
                 scores[j] += stable_log_sample(sub, mu / tree.big_lambda[leaf], size=m)
-        scores += np.array([model.utilities[leaf] / mu for leaf in tree.leaves])[:, None]
+        u = np.array([model.utilities[leaf] for leaf in tree.leaves])
+        scores += ((u - u.max()) / mu)[:, None]
         scores = np.exp(scores - scores.max(axis=0))
         probs[:, start:start + m] = scores / scores.sum(axis=0)
     return probs.mean(axis=1), probs.std(axis=1, ddof=1) / np.sqrt(n_draws)
@@ -291,21 +299,60 @@ def test_mc_cdf(depth3_model):
     assert abs(est.value - cdf(depth3_model, bounds)) < 3.5 * est.std_error
 
 
-def test_reductions_leave_the_batch_alone():
-    # About 250 leaves, so 3,000 draws span a dozen row blocks.
+def full_batch_reductions(model, batch, bounds):
+    """The reductions over a whole sample_epsilon batch, as they were made
+    before the reducers streamed: argmax counts of U + eps (earliest column
+    on ties), the joint-CDF hit count, and each draw's max of U + eps."""
+    u = np.array([model.utilities[leaf] for leaf in batch.leaf_order])
+    a = np.array([bounds[leaf] for leaf in batch.leaf_order])
+    totals = batch.draws + u
+    counts = np.bincount(totals.argmax(axis=1), minlength=len(u))
+    hits = int(np.all(batch.draws <= a, axis=1).sum())
+    return counts, hits, totals.max(axis=1)
+
+
+# (model, draws, threads): full depth3 chunks of one-row leaf blocks, about
+# 250 leaves over a dozen row blocks, and a 600-nest chain.
+REDUCER_CASES = {
+    "depth3-two-chunks-t1": (None, CHUNK_SIZE + 50, 1),
+    "depth3-two-chunks-t2": (None, CHUNK_SIZE + 50, 2),
+    "random250": (lambda: random_model(np.random.default_rng(5), max_nodes=400), 3000, 1),
+    "chain600": (lambda: chain_model(600), 256, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(REDUCER_CASES))
+def test_streamed_reducers_equal_full_batch(case, depth3_model):
+    make, n, threads = REDUCER_CASES[case]
+    model = depth3_model if make is None else make()
+    leaves = model.tree.leaves
+    model = with_utilities(model, {leaf: 0.1 * (k % 7) for k, leaf in enumerate(leaves)})
+    bounds = {leaf: 0.25 * (k % 5) for k, leaf in enumerate(leaves)}
+    batch = sample_epsilon(model, SeededStream(6), n, n_threads=threads)
+    counts, hits, best = full_batch_reductions(model, batch, bounds)
+    assert mc_choice_probs(model, SeededStream(6), n, n_threads=threads) == {
+        leaf: binomial_estimate(int(counts[i]), n) for i, leaf in enumerate(leaves)
+    }
+    assert mc_cdf(model, SeededStream(6), bounds, n, n_threads=threads) == binomial_estimate(hits, n)
+    est = mean_with_error(best)
+    assert mc_emax(model, SeededStream(6), n, n_threads=threads) == EstimateWithError(
+        est.value - EULER_GAMMA, est.std_error, n
+    )
+    for a, b in [(0, len(leaves) - 1), (1, 2), (2, 2)]:
+        expected = correlation_with_error(batch.draws[:, a], batch.draws[:, b])
+        assert mc_correlation(model, SeededStream(6), leaves[a], leaves[b], n, n_threads=threads) == expected
+
+
+def test_tie_goes_to_the_earliest_column():
+    # At 3,000 draws a leaf block holds 21 rows, so columns 2 and 100 sit in
+    # different blocks. 1e308 + eps rounds to 1e308 for both: every draw ties.
     model = random_model(np.random.default_rng(5), max_nodes=400)
-    batch = sample_epsilon(model, SeededStream(6), 3000)
-    before = batch.draws.copy()
-    bounds = {leaf: 0.5 for leaf in batch.leaf_order}
-    alone = simulate.cdf_hits(batch, bounds)
-    counts = simulate.choice_counts(model, batch)
-    assert_array_equal(batch.draws, before)
-    assert simulate.cdf_hits(batch, bounds) == alone
-    # Block by block, the same numbers as one pass over U + eps.
-    totals = before + np.array([model.utilities[leaf] for leaf in batch.leaf_order])
-    assert_array_equal(counts, np.bincount(totals.argmax(axis=1), minlength=len(counts)))
-    est = mean_with_error(totals.max(axis=1))
-    assert mc_emax(model, SeededStream(6), 3000).value == est.value - EULER_GAMMA
+    leaves = model.tree.leaves
+    model = with_utilities(model, {leaves[2]: 1e308, leaves[100]: 1e308})
+    estimates = mc_choice_probs(model, SeededStream(8), 3000)
+    assert estimates[leaves[2]].value == 1.0
+    counts, _, _ = full_batch_reductions(model, sample_epsilon(model, SeededStream(8), 3000), dict.fromkeys(leaves, 0.0))
+    assert counts[2] == 3000
 
 
 def test_mixed_logit_example(single_layer_model):

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,29 +15,105 @@ from nestlogit import (
     UtilityError,
     backward_utils,
     build,
+    cdf,
+    choice_probs,
     emax,
     make_model,
+    mc_choice_probs,
     random_model,
     run_checks,
     sample_epsilon,
     save_model,
     with_utilities,
 )
+from nestlogit.montecarlo import CHUNK_SIZE, correlation_with_error, run_chunked
 
 
 def test_one_noise_batch_serves_every_mc_check(depth3_model, monkeypatch):
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return sample_epsilon(*args, **kwargs)
+    def counting(stream, *args, **kwargs):
+        calls.append(stream)
+        return run_chunked(stream, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "sample_epsilon", counting)
+    monkeypatch.setattr(verify, "run_chunked", counting)
     results = run_checks(depth3_model, SeededStream(3), n_draws=5000)
-    assert len(calls) == 1
-    assert calls[0] == SeededStream(3).child(1)
+    assert calls == [SeededStream(3).child(1)]
     assert {"mc-choice-probabilities", "lca-correlations", "joint-cdf"} <= {c.name for c in results}
     assert all(type(c.passed) is bool for c in results)
+
+
+def full_batch_checks(model, stream, n_draws, n_threads):
+    """The Monte Carlo checks of run_checks as they were made before they
+    streamed: from one sample_epsilon batch of stream.child(1), with the
+    same statistics, in the same order."""
+    tree = model.tree
+    batch = sample_epsilon(model, stream.child(1), n_draws, n_threads=n_threads)
+    first_col = {leaf: i for i, leaf in enumerate(batch.leaf_order)}
+    for nest in reversed(tree.nests):
+        first_col[nest] = first_col[tree.children[nest][0]]
+    pairs = [(nest, kids) for nest in tree.nests if len(kids := tree.children[nest]) >= 2]
+    pair_gap = 0.0
+    for nest, kids in pairs:
+        r = correlation_with_error(batch.draws[:, first_col[kids[0]]], batch.draws[:, first_col[kids[1]]])
+        pair_gap = max(pair_gap, abs(r.value - (1.0 - tree.big_lambda[nest] ** 2)))
+    grid = [
+        {leaf: 0.0 for leaf in tree.leaves},
+        {leaf: 1.0 for leaf in tree.leaves},
+        {leaf: -0.5 for leaf in tree.leaves},
+        {leaf: 2.0 for leaf in tree.leaves},
+        {leaf: 0.25 * (i % 5) - 0.5 for i, leaf in enumerate(tree.leaves)},
+    ]
+    hits = [int(np.all(batch.draws <= np.array([a[leaf] for leaf in batch.leaf_order]), axis=1).sum()) for a in grid]
+    z_cdf = max(verify._proportion_z(h, n_draws, cdf(model, a)) for h, a in zip(hits, grid))
+    u = np.array([model.utilities[leaf] for leaf in batch.leaf_order])
+    counts = np.bincount((batch.draws + u).argmax(axis=1), minlength=len(u))
+    probs = choice_probs(model)
+    z = max(verify._proportion_z(int(counts[i]), n_draws, probs[leaf]) for i, leaf in enumerate(batch.leaf_order))
+    return [pair_gap, z_cdf, z]
+
+
+# (model, draws, threads): full depth3 chunks of one-row leaf blocks, about
+# 250 leaves over a dozen row blocks, and a 600-nest chain.
+FULL_BATCH_CASES = {
+    "depth3-two-chunks-t1": (None, CHUNK_SIZE + 50, 1),
+    "depth3-two-chunks-t2": (None, CHUNK_SIZE + 50, 2),
+    "random250": (lambda: random_model(np.random.default_rng(5), max_nodes=400), 3000, 1),
+    "chain600": (lambda: _chain(600), 256, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(FULL_BATCH_CASES))
+def test_streamed_checks_equal_full_batch(case, depth3_model):
+    make, n, threads = FULL_BATCH_CASES[case]
+    model = depth3_model if make is None else make()
+    model = with_utilities(model, {leaf: 0.1 * (k % 7) for k, leaf in enumerate(model.tree.leaves)})
+    checks = run_checks(model, SeededStream(12), n_draws=n, n_threads=threads)
+    assert [c.name for c in checks[-3:]] == ["lca-correlations", "joint-cdf", "mc-choice-probabilities"]
+    assert [c.observed for c in checks[-3:]] == full_batch_checks(model, SeededStream(12), n, threads)
+
+
+def test_streamed_reductions_hold_no_draws_by_leaves_matrix():
+    # The 1,314-leaf, 388-nest wide tree at 5,000 draws: the noise matrix
+    # would be 52.6 MB. Measured traced peaks: mc_choice_probs 18.3 MB (the
+    # 388 x 5,000 factor rows and a winning column per draw), run_checks
+    # 37.5 MB (also the 464 distinct noise columns its 288 correlation pairs
+    # read). Holding the matrix, both peaked at 71 MB.
+    model = random_model(np.random.default_rng(0), max_nodes=2000)
+    matrix = 5000 * len(model.tree.leaves) * 8
+    peaks = {}
+    for name, run in [
+        ("mc_choice_probs", lambda: mc_choice_probs(model, SeededStream(1), 5000)),
+        ("run_checks", lambda: run_checks(model, SeededStream(1), n_draws=5000)),
+    ]:
+        tracemalloc.start()
+        try:
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["mc_choice_probs"] < 0.5 * matrix, peaks
+    assert peaks["run_checks"] < 0.75 * matrix, peaks
 
 
 def test_one_correlation_pair_per_branching_nest():
