@@ -19,7 +19,9 @@ delta_i = exp((lambda/alpha) * (eps_i + log Z)) with independent standard
 Gumbel eps_i and Z ~ P(lambda), which has exactly the margins and copula
 above. Times alpha, the exponent is the nested logit noise of two leaves in
 one lambda-nest, so sample_epsilon draws it on root -> n(lambda) -> {1, 2}.
-The sampler imports numpy and the simulator when called, so the closed
+mc_frechet_corr correlates alpha * (delta_i - 1) = alpha * expm1(eps_i / alpha)
+instead, which, unlike delta_i, does not round to 1.0 at huge alpha.
+The samplers import numpy and the simulator when called, so the closed
 form loads without them.
 """
 
@@ -102,6 +104,12 @@ def frechet_corr(alpha: float, lam: float) -> float:
     return (cross - first**2) / (second - first**2)
 
 
+def _pair_model(lam: float):
+    # Two leaves in one lambda-nest: their noise is the pair's exponent.
+    pair = build("root", {"root": ("n",), "n": ("1", "2")}, {"n": lam})
+    return make_model(pair, {"1": 0.0, "2": 0.0})
+
+
 def frechet_pair_sample(
     stream: SeededStream,
     alpha: float,
@@ -120,8 +128,7 @@ def frechet_pair_sample(
     from .simulate import sample_epsilon
 
     alpha, lam = _check_alpha_lambda(alpha, lam, need_variance=False)
-    pair = build("root", {"root": ("n",), "n": ("1", "2")}, {"n": lam})
-    batch = sample_epsilon(make_model(pair, {"1": 0.0, "2": 0.0}), stream, n_draws, n_threads=n_threads)
+    batch = sample_epsilon(_pair_model(lam), stream, n_draws, n_threads=n_threads)
     return np.exp(batch.draws / alpha)
 
 
@@ -136,10 +143,14 @@ def mc_frechet_corr(
     frechet_corr. Standard error via the normal-theory approximation
     (1 - r^2)/sqrt(n - 3), which understates the noise of these
     heavy-tailed margins near alpha = 2."""
+    import numpy as np
+
     from .montecarlo import correlation_with_error
+    from .simulate import _fold
 
     alpha, lam = _check_alpha_lambda(alpha, lam, need_variance=True)
     if n_draws < 4:
         raise DomainError("correlation needs at least 4 draws")
-    pairs = frechet_pair_sample(stream, alpha, lam, n_draws, n_threads=n_threads)
-    return correlation_with_error(pairs[:, 0], pairs[:, 1])
+    eps = _fold(_pair_model(lam), stream, n_draws, n_threads, cols=np.arange(2))[0]
+    shifted = alpha * np.expm1(eps / alpha)
+    return correlation_with_error(shifted[0], shifted[1])

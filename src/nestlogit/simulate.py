@@ -17,14 +17,16 @@ sum down the tree, O(chunk x nests) memory. The factors and the leaf
 Gumbels are drawn in blocks of rows, one Kanter and one Gumbel call per
 block rather than per nest and per leaf, in the same stream order.
 
-_factor_rows is the one sampler of these rows. _noise_blocks adds the
-leaf Gumbels and yields the noise one leaf block at a time:
-sample_epsilon writes the blocks into its draws x leaves matrix, while
-mc_choice_probs, mc_emax, mc_cdf and mc_correlation fold them as they
-come and keep one value per draw (the winning column, the best total, a
-hit flag, the two columns). mixed_logit_probs splits the leaf Gumbels once
-more into exact softmaxes. Generation is chunked by montecarlo.run_chunked
-with one substream per fixed-size chunk, so results are bit-identical no
+_factor_rows is the one sampler of these rows, and _fold the one chunk
+kernel that adds the leaf Gumbels: it folds the noise one leaf block at
+a time into what each draw keeps (noise columns, hit flags, the best
+total) plus each chunk's win counts. sample_epsilon keeps every column,
+its draws x leaves matrix; mc_choice_probs and mc_emax keep the best
+total per draw, mc_cdf a hit flag and mc_correlation two columns, and
+verify.run_checks all of them at once.
+mixed_logit_probs splits the leaf Gumbels once more into exact
+softmaxes. Generation is chunked by montecarlo.run_chunked with one
+substream per fixed-size chunk, so results are bit-identical no
 matter how many worker threads produced them.
 """
 
@@ -100,52 +102,72 @@ def _factor_rows(tree: Arborescence):
     return [row[tree.parent[leaf]] for leaf in tree.leaves], rows
 
 
-def _noise_blocks(tree: Arborescence):
-    """blocks(sub, m), the one generator of a chunk's noise: it draws the
-    factor rows of _factor_rows, then yields (leaf slice, eps) over the
-    leaf row blocks in column order. eps is a fresh (leaves x m) array,
-    Lambda_leaf * eps'_j plus the leaf's parent-nest row, which the caller
-    may overwrite."""
-    parent_rows, rows = _factor_rows(tree)
-    coeffs = np.array([tree.big_lambda[leaf] for leaf in tree.leaves])[:, None]
-
-    def blocks(sub: SeededStream, m: int):
-        acc = rows(sub, m)
-        for b in _blocks(len(coeffs), m):
-            eps = gumbel_sample(sub, size=coeffs[b].size * m).reshape(-1, m)
-            eps *= coeffs[b]
-            eps += acc[parent_rows[b]]
-            yield b, eps
-
-    return blocks
-
-
 def _leaf_column(model: ModelSpec, values) -> np.ndarray:
     # values[leaf] in column order, shaped to broadcast over a block's draws
     return np.array([values[leaf] for leaf in model.tree.leaves], dtype=float)[:, None]
 
 
-def _fold_winner(best: np.ndarray, won: np.ndarray, b: slice, totals: np.ndarray) -> None:
-    """Fold a block of U + eps (leaves b x draws) into each draw's running
-    best total and winning column. Strict >, so the earliest column keeps
-    a tie, as argmax does."""
-    if len(totals) == 1:  # one-row blocks (few leaves at full chunks): no gather
-        top, col = totals[0], b.start
-    else:
-        col = totals.argmax(axis=0)
-        top = np.take_along_axis(totals, col[None], axis=0)[0]
-        col += b.start
-    better = top > best
-    np.copyto(best, top, where=better)
-    np.copyto(won, col, where=better)
+def _fold(
+    model: ModelSpec, stream: SeededStream, n_draws: int, n_threads: int, u=None, bounds=None, cols=None
+):
+    """The one run_chunked kernel that draws leaf noise, and what each
+    draw keeps of it: (store, hits, best, counts), None where not asked.
 
+    Per chunk it draws the factor rows of _factor_rows, then the leaf
+    Gumbels in row blocks of leaves in column order. Each block eps
+    (leaves x draws), Lambda_leaf * eps'_j plus the leaf's parent-nest
+    row, is folded as it comes:
+    - row i of store takes noise column cols[i], for a sorted distinct
+      intp array cols;
+    - hits[k] stays True while eps <= bounds[k] (bound vectors x leaves x 1);
+    - best takes max_j (u_j + eps_j) for the utility column u, and counts
+      how often each column won (ties to the earliest, as argmax does).
+    Everything per draw is allocated before any draw is made.
+    """
+    tree = model.tree
+    parent_rows, rows = _factor_rows(tree)
+    coeffs = np.array([tree.big_lambda[leaf] for leaf in tree.leaves])[:, None]
+    # Every column in draw-major order, so that store.T is sample_epsilon's
+    # row-major matrix; fewer as contiguous rows, quicker to fill and correlate.
+    order = "F" if cols is not None and len(cols) == len(coeffs) else "C"
+    store = None if cols is None else np.empty((len(cols), n_draws), order=order)
+    hits = None if bounds is None else np.ones((len(bounds), n_draws), dtype=bool)
+    best = None if u is None else np.full(n_draws, -np.inf)
 
-def _read_columns(cols: np.ndarray, store: np.ndarray, b: slice, eps: np.ndarray) -> None:
-    # Rows of store (one per entry of the sorted distinct cols, over the
-    # chunk's draws) take their columns from this block, if it holds any.
-    lo, hi = np.searchsorted(cols, (b.start, b.stop))
-    if lo < hi:
-        store[lo:hi] = eps[cols[lo:hi] - b.start]
+    def kernel(sub: SeededStream, start: int, stop: int):
+        m = stop - start
+        acc = rows(sub, m)
+        hit = None if hits is None else hits[:, start:stop]
+        if best is not None:
+            top, won = best[start:stop], np.zeros(m, dtype=np.intp)
+        for b in _blocks(len(coeffs), m):
+            eps = gumbel_sample(sub, size=coeffs[b].size * m).reshape(-1, m)
+            eps *= coeffs[b]
+            eps += acc[parent_rows[b]]
+            if store is not None:
+                lo, hi = np.searchsorted(cols, (b.start, b.stop))
+                if hi - lo == len(eps):  # every column of the block: no gather
+                    store[lo:hi, start:stop] = eps
+                elif lo < hi:
+                    store[lo:hi, start:stop] = eps[cols[lo:hi] - b.start]
+            if hits is not None:
+                hit &= np.all(eps <= bounds[:, b], axis=1)
+            if best is not None:
+                eps += u[b]
+                if len(eps) == 1:  # one-row blocks (few leaves at full chunks)
+                    block_top, col = eps[0], b.start
+                else:
+                    block_top, col = eps.max(axis=0), eps.argmax(axis=0) + b.start
+                better = block_top > top  # strict, so the earliest column keeps a tie
+                np.maximum(top, block_top, out=top)
+                # Columns only grow from block to block, so a draw's winner is
+                # the largest column that beat its running best.
+                np.maximum(won, better * col, out=won)
+                del eps, block_top  # block_top may view eps: free both before the next draw
+        return None if best is None else np.bincount(won, minlength=len(coeffs))
+
+    counts = run_chunked(stream, n_draws, kernel, n_threads=n_threads)
+    return store, hits, best, None if best is None else sum(counts)
 
 
 def sample_epsilon(
@@ -163,16 +185,9 @@ def sample_epsilon(
     """
     if n_draws < 0:
         raise DomainError("n_draws must be nonnegative")
-    tree = model.tree
-    blocks = _noise_blocks(tree)
-    out = np.empty((n_draws, len(tree.leaves)))
-
-    def kernel(sub: SeededStream, start: int, stop: int) -> None:
-        for b, eps in blocks(sub, stop - start):
-            out[start:stop, b] = eps.T
-
-    run_chunked(stream, n_draws, kernel, n_threads=n_threads)
-    return SampleBatch(draws=out, leaf_order=tree.leaves)
+    leaves = model.tree.leaves
+    store = _fold(model, stream, n_draws, n_threads, cols=np.arange(len(leaves)))[0]
+    return SampleBatch(draws=store.T, leaf_order=leaves)
 
 
 def mc_choice_probs(
@@ -183,22 +198,11 @@ def mc_choice_probs(
     Each estimate carries the binomial standard error
     sqrt(p*(1 - p)/n_draws). Ties go to the earliest leaf in column order
     (they occur with probability zero under the continuous noise). Only
-    each draw's winning column is kept.
+    each draw's best total is kept, and each chunk's win counts.
     """
     if n_draws <= 0:
         raise DomainError("n_draws must be positive")
-    blocks, u = _noise_blocks(model.tree), _leaf_column(model, model.utilities)
-    won = np.empty(n_draws, dtype=np.intp)  # before any draw is made
-
-    def kernel(sub: SeededStream, start: int, stop: int) -> None:
-        best, mine = np.full(stop - start, -np.inf), won[start:stop]
-        mine.fill(0)
-        for b, eps in blocks(sub, stop - start):
-            eps += u[b]
-            _fold_winner(best, mine, b, eps)
-
-    run_chunked(stream, n_draws, kernel, n_threads=n_threads)
-    counts = np.bincount(won, minlength=len(u))
+    counts = _fold(model, stream, n_draws, n_threads, u=_leaf_column(model, model.utilities))[3]
     return {
         leaf: binomial_estimate(int(counts[i]), n_draws)
         for i, leaf in enumerate(model.tree.leaves)
@@ -213,17 +217,7 @@ def mc_emax(
     emax(model) (the marginals are uncentered Gumbel)."""
     if n_draws <= 0:
         raise DomainError("n_draws must be positive")
-    blocks, u = _noise_blocks(model.tree), _leaf_column(model, model.utilities)
-    best = np.empty(n_draws)
-
-    def kernel(sub: SeededStream, start: int, stop: int) -> None:
-        top = best[start:stop]
-        top.fill(-np.inf)
-        for b, eps in blocks(sub, stop - start):
-            eps += u[b]
-            np.maximum(top, eps.max(axis=0), out=top)
-
-    run_chunked(stream, n_draws, kernel, n_threads=n_threads)
+    best = _fold(model, stream, n_draws, n_threads, u=_leaf_column(model, model.utilities))[2]
     est = mean_with_error(best)
     return EstimateWithError(est.value - EULER_GAMMA, est.std_error, est.n_draws)
 
@@ -246,17 +240,9 @@ def mc_correlation(
         raise DomainError("correlation needs at least 4 draws")
     for leaf in (leaf_a, leaf_b):
         require_leaf(model.tree, leaf, "noise columns belong to leaves")
-    leaves = model.tree.leaves
-    pair = [leaves.index(leaf_a), leaves.index(leaf_b)]
+    pair = [model.tree.leaves.index(leaf) for leaf in (leaf_a, leaf_b)]
     cols = np.unique(pair)
-    blocks = _noise_blocks(model.tree)
-    store = np.empty((len(cols), n_draws))
-
-    def kernel(sub: SeededStream, start: int, stop: int) -> None:
-        for b, eps in blocks(sub, stop - start):
-            _read_columns(cols, store[:, start:stop], b, eps)
-
-    run_chunked(stream, n_draws, kernel, n_threads=n_threads)
+    store = _fold(model, stream, n_draws, n_threads, cols=cols)[0]
     a, b = np.searchsorted(cols, pair)
     return correlation_with_error(store[a], store[b])
 
@@ -273,16 +259,7 @@ def mc_cdf(
     if n_draws <= 0:
         raise DomainError("n_draws must be positive")
     cdf(model, bounds)  # validates the bounds map against the leaf set
-    blocks, a = _noise_blocks(model.tree), _leaf_column(model, bounds)
-    hits = np.empty(n_draws, dtype=bool)
-
-    def kernel(sub: SeededStream, start: int, stop: int) -> None:
-        hit = hits[start:stop]
-        hit.fill(True)
-        for b, eps in blocks(sub, stop - start):
-            hit &= np.all(eps <= a[b], axis=0)
-
-    run_chunked(stream, n_draws, kernel, n_threads=n_threads)
+    hits = _fold(model, stream, n_draws, n_threads, bounds=_leaf_column(model, bounds)[None])[1]
     return binomial_estimate(int(hits.sum()), n_draws)
 
 

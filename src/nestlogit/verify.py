@@ -8,10 +8,9 @@ budget that is not corrected for how many statistics a max |z| takes: on
 the correct 1,314-leaf random_model(default_rng(0), max_nodes=2000),
 mc-choice-probabilities fails 10 of seeds 0-11 at 1,000 draws (ROADMAP
 item 8). The Monte Carlo checks all read one stream of noise, folded
-chunk by chunk in one run_chunked kernel over simulate's leaf blocks:
-they keep a winning column and a hit flag per bound vector for each
-draw, and only the noise columns the correlation pairs read, never the
-draws x leaves matrix.
+by simulate._fold in one pass: per draw it keeps the best total, a hit
+flag per bound vector and only the noise columns the correlation pairs
+read, never the draws x leaves matrix, plus the win counts per chunk.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ModelSpec, _finite_utilities, backward_utils, cdf, forward_probs, log_sum_exp
-from .montecarlo import correlation_with_error, run_chunked
-from .simulate import _fold_winner, _leaf_column, _noise_blocks, _read_columns
+from .montecarlo import correlation_with_error
+from .simulate import _fold, _leaf_column
 from .streams import SeededStream
 
 __all__ = ["CheckResult", "finite_difference_gradient", "run_checks"]
@@ -142,7 +141,7 @@ def run_checks(
         first_col[nest] = first_col[tree.children[nest][0]]
     pairs = [(nest, first_col[kids[0]], first_col[kids[1]])
              for nest in tree.nests if len(kids := tree.children[nest]) >= 2]
-    cols = np.unique([col for _, *pair in pairs for col in pair])
+    cols = np.unique(np.array([col for _, *pair in pairs for col in pair], dtype=np.intp))
     grid = [
         {leaf: 0.0 for leaf in tree.leaves},
         {leaf: 1.0 for leaf in tree.leaves},
@@ -152,24 +151,7 @@ def run_checks(
     ]
     bounds = np.stack([_leaf_column(model, a) for a in grid])
     utilities = _leaf_column(model, model.utilities)
-    blocks = _noise_blocks(tree)
-    # Per draw: the pairs' distinct noise columns, a hit flag per bound
-    # vector and the winning column. Allocated before any draw is made.
-    store = np.empty((len(cols), n_draws))
-    hits = np.empty((len(grid), n_draws), dtype=bool)
-    won = np.empty(n_draws, dtype=np.intp)
-
-    def kernel(sub: SeededStream, start: int, stop: int) -> None:
-        best, hit, mine = np.full(stop - start, -np.inf), hits[:, start:stop], won[start:stop]
-        hit.fill(True)
-        mine.fill(0)
-        for b, eps in blocks(sub, stop - start):
-            _read_columns(cols, store[:, start:stop], b, eps)
-            hit &= np.all(eps <= bounds[:, b], axis=1)
-            eps += utilities[b]
-            _fold_winner(best, mine, b, eps)
-
-    run_chunked(stream.child(1), n_draws, kernel, n_threads=n_threads)
+    store, hits, _, counts = _fold(model, stream.child(1), n_draws, n_threads, utilities, bounds, cols)
 
     pair_gap = 0.0
     for nest, i, j in pairs:
@@ -183,7 +165,6 @@ def run_checks(
     detail = f"max z-score over {len(grid)} bound vectors at {n_draws} draws"
     results.append(_within("joint-cdf", z_cdf, 3.0, detail))
 
-    counts = np.bincount(won, minlength=len(tree.leaves))
     z = max(_proportion_z(int(counts[i]), n_draws, leaf_probs[leaf]) for i, leaf in enumerate(tree.leaves))
     detail = f"max z-score over {len(tree.leaves)} leaves at {n_draws} draws"
     results.append(_within("mc-choice-probabilities", z, 3.0, detail))

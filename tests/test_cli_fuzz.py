@@ -2,7 +2,8 @@
 subcommands and flags, with each value drawn from a valid one and a set of
 edge cases, every command line exits 0, 1 or 2 and none ends in a
 traceback. main runs in process, so an escaping exception fails the test
-with the command line that raised it."""
+with the command line that raised it. A report on stdout must be strict
+JSON: NaN and Infinity are not JSON."""
 
 import argparse
 import contextlib
@@ -85,15 +86,22 @@ def draw_argv(data, workdir):
     return argv
 
 
+def no_constant(name):
+    raise ValueError(f"{name} in a JSON report")
+
+
 @settings(derandomize=True, max_examples=250, deadline=None)
 @given(data=st.data())
 def test_any_command_line_exits_cleanly(workdir, data):
     argv = draw_argv(data, workdir)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    report = True
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = cli.main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            rc = exc.code
+        except SystemExit as exc:  # argparse's usage errors, which print no report
+            rc, report = exc.code, False
     assert rc in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+    if report and rc in (0, 2) and "--pretty" not in argv:
+        json.loads(out.getvalue(), parse_constant=no_constant)

@@ -16,13 +16,16 @@ from scipy import stats
 from nestlogit import (
     DomainError,
     SeededStream,
+    build,
     frechet_corr,
     frechet_pair_sample,
     gumbel_sample,
+    make_model,
     mc_frechet_corr,
+    sample_epsilon,
     stable_log_sample,
 )
-from nestlogit.montecarlo import CHUNK_SIZE
+from nestlogit.montecarlo import CHUNK_SIZE, correlation_with_error
 
 CORR_3_HALF = 0.8128652223619095  # alpha=3, lambda=0.5
 CORR_5_HALF = 0.7871109126266524  # alpha=5, lambda=0.5
@@ -120,6 +123,26 @@ def test_pair_sample_independent_at_lambda_one():
 def test_mc_matches_closed_form():
     est = mc_frechet_corr(SeededStream(65), 5.0, 0.5, 200_000)
     assert abs(est.value - CORR_5_HALF) < 0.01
+
+
+@pytest.mark.parametrize("alpha", [1e17, 1e308])
+def test_mc_frechet_corr_at_huge_alpha(alpha):
+    # exp(eps/alpha) rounds to 1.0 in every draw here; alpha * expm1(eps/alpha)
+    # keeps the noise.
+    est = mc_frechet_corr(SeededStream(68), alpha, 0.5, 20_000)
+    assert math.isfinite(est.value) and math.isfinite(est.std_error)
+    assert abs(est.value - frechet_corr(alpha, 0.5)) < 4 * est.std_error
+
+
+def test_mc_frechet_corr_reads_the_pair_noise():
+    # The correlation of alpha * expm1(eps/alpha) over sample_epsilon's
+    # columns of two leaves in one lambda-nest, bit for bit.
+    alpha, n = 6.0, CHUNK_SIZE + 300
+    tree = build("root", {"root": ("n",), "n": ("1", "2")}, {"n": 0.5})
+    eps = sample_epsilon(make_model(tree, {"1": 0.0, "2": 0.0}), SeededStream(69), n).draws
+    shifted = alpha * np.expm1(eps / alpha)
+    expected = correlation_with_error(shifted[:, 0], shifted[:, 1])
+    assert mc_frechet_corr(SeededStream(69), alpha, 0.5, n, n_threads=2) == expected
 
 
 def test_pair_sample_determinism_across_threads():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nestlogit.model as model_module
+import nestlogit.simulate as simulate
 import nestlogit.verify as verify
 from nestlogit import (
     DomainError,
@@ -36,7 +37,7 @@ def test_one_noise_batch_serves_every_mc_check(depth3_model, monkeypatch):
         calls.append(stream)
         return run_chunked(stream, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "run_chunked", counting)
+    monkeypatch.setattr(simulate, "run_chunked", counting)
     results = run_checks(depth3_model, SeededStream(3), n_draws=5000)
     assert calls == [SeededStream(3).child(1)]
     assert {"mc-choice-probabilities", "lca-correlations", "joint-cdf"} <= {c.name for c in results}
@@ -93,18 +94,21 @@ def test_streamed_checks_equal_full_batch(case, depth3_model):
     assert [c.observed for c in checks[-3:]] == full_batch_checks(model, SeededStream(12), n, threads)
 
 
-def test_streamed_reductions_hold_no_draws_by_leaves_matrix():
+def test_streamed_reductions_hold_no_draws_by_leaves_matrix(depth3_model):
     # The 1,314-leaf, 388-nest wide tree at 5,000 draws: the noise matrix
     # would be 52.6 MB. Measured traced peaks: mc_choice_probs 18.3 MB (the
-    # 388 x 5,000 factor rows and a winning column per draw), run_checks
+    # 388 x 5,000 factor rows and a best total per draw), run_checks
     # 37.5 MB (also the 464 distinct noise columns its 288 correlation pairs
-    # read). Holding the matrix, both peaked at 71 MB.
+    # read). Holding the matrix, both peaked at 71 MB. On depth3 at 10^6
+    # draws mc_choice_probs peaks at 12.1 MB, and at 19.3 MB if it keeps
+    # each draw's winning column as well as its best total.
     model = random_model(np.random.default_rng(0), max_nodes=2000)
     matrix = 5000 * len(model.tree.leaves) * 8
     peaks = {}
     for name, run in [
         ("mc_choice_probs", lambda: mc_choice_probs(model, SeededStream(1), 5000)),
         ("run_checks", lambda: run_checks(model, SeededStream(1), n_draws=5000)),
+        ("depth3", lambda: mc_choice_probs(depth3_model, SeededStream(1), 1_000_000)),
     ]:
         tracemalloc.start()
         try:
@@ -114,6 +118,7 @@ def test_streamed_reductions_hold_no_draws_by_leaves_matrix():
             tracemalloc.stop()
     assert peaks["mc_choice_probs"] < 0.5 * matrix, peaks
     assert peaks["run_checks"] < 0.75 * matrix, peaks
+    assert peaks["depth3"] < 14e6, peaks
 
 
 def test_one_correlation_pair_per_branching_nest():
@@ -129,6 +134,24 @@ def test_one_correlation_pair_per_branching_nest():
     assert "over 3 pairs" in check.detail
     assert check.passed
     assert check.tolerance == pytest.approx(3.0 / (20_000 - 3) ** 0.5)
+
+
+@pytest.mark.parametrize("children", [{"root": ("x",)}, {"root": ("n",), "n": ("x",)}], ids=["leaf", "nest-leaf"])
+def test_tree_without_a_correlation_pair(children, tmp_path):
+    # No nest has two children, so there is no pair and no noise column to keep.
+    model = make_model(build("root", children, {"n": 0.5} if "n" in children else {}), {"x": 0.0})
+    check = {c.name: c for c in run_checks(model, SeededStream(4), n_draws=1000)}["lca-correlations"]
+    assert "over 0 pairs" in check.detail and check.observed == 0.0 and check.passed
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestlogit", "verify", str(path), "--draws", "1000"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "over 0 pairs" in proc.stdout
 
 
 def test_correct_model_fails_at_most_two_of_40_seeds(depth3_model):
