@@ -8,7 +8,8 @@ the closed-form correlation of Frechet margins under a Gumbel copula.
 A small CLI (`nestlogit`) exposes the same operations on JSON model files.
 
 The analytic core (`errors`, `tree`, `model`, `modelfile`) is pure Python
-and loads with the package. Every other name (the stable law, samplers,
+and loads with the package, which re-exports each core module's `__all__`
+(every public class of `errors`). Every other name (the stable law, samplers,
 Monte Carlo estimators, checks, the copula, random models) and every other
 submodule resolves on first use, so code that only evaluates models never
 imports numpy.
@@ -16,47 +17,10 @@ imports numpy.
 
 from importlib import import_module as _import_module
 
-from .errors import (
-    ConvergenceError,
-    CycleError,
-    DomainError,
-    DuplicateIdError,
-    EmptyNestError,
-    InvalidModelError,
-    LambdaRangeError,
-    ModelFileError,
-    NestLogitError,
-    NotALeafError,
-    NotANestError,
-    OrphanNodeError,
-    PrecisionLossWarning,
-    RootHasNoParentError,
-    RootLambdaError,
-    ShapeError,
-    UnknownNodeError,
-    UtilityError,
-)
-from .model import (
-    ModelSpec,
-    backward_utils,
-    cdf,
-    choice_probs,
-    choice_probs_single_layer,
-    emax,
-    emax_gradient,
-    forward_probs,
-    log_odds,
-    make_model,
-    with_utilities,
-)
-from .modelfile import load_model, loads_model, model_to_doc, save_model
-from .tree import (
-    Arborescence,
-    build,
-    descendant_leaves,
-    from_nested,
-    lca,
-)
+from .errors import *
+from .model import *
+from .modelfile import *
+from .tree import *
 
 __version__ = "0.1.0"
 

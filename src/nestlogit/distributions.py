@@ -64,17 +64,15 @@ def _check_lambda(lam: float, allow_one: bool) -> float:
 # Gumbel
 # ---------------------------------------------------------------------------
 
-def gumbel_sample(stream: SeededStream, size=None):
-    """Draw from the standard Gumbel by inverse CDF on a uniform draw."""
+def gumbel_sample(stream: SeededStream, size: int) -> np.ndarray:
+    """size standard Gumbel draws, by inverse CDF on uniform draws."""
     import numpy as np
 
-    n = 1 if size is None else int(size)
-    u = stream.rng.random(n)
+    u = stream.rng.random(int(size))
     # Keep u off 0 exactly; 0 occurs with probability 2^-53 and would map
     # to -inf.
     np.clip(u, sys.float_info.min, np.nextafter(1.0, 0.0), out=u)
-    out = -np.log(-np.log(u))
-    return float(out[0]) if size is None else out
+    return -np.log(-np.log(u))
 
 
 # ---------------------------------------------------------------------------
@@ -117,25 +115,21 @@ def _kanter_log(rng: np.random.Generator, lam, m: int) -> np.ndarray:
     return np.multiply(log_a, (1.0 - lam) / lam, out=log_a)
 
 
-def stable_log_sample(stream: SeededStream, lam: float, size=None):
-    """log of a P(lam) draw; exact zeros when lam = 1 (point mass at 1)."""
+def stable_log_sample(stream: SeededStream, lam: float, size: int) -> np.ndarray:
+    """logs of size P(lam) draws; exact zeros when lam = 1 (point mass at 1)."""
     import numpy as np
 
     lam = _check_lambda(lam, allow_one=True)
-    n = 1 if size is None else int(size)
     if lam == 1.0:
-        out = np.zeros(n)
-    else:
-        out = _kanter_log(stream.rng, [lam], n)[0]
-    return float(out[0]) if size is None else out
+        return np.zeros(int(size))
+    return _kanter_log(stream.rng, [lam], int(size))[0]
 
 
-def stable_sample(stream: SeededStream, lam: float, size=None):
-    """Draw from P(lam) via Kanter's representation; lam = 1 returns 1."""
+def stable_sample(stream: SeededStream, lam: float, size: int) -> np.ndarray:
+    """size draws from P(lam) via Kanter's representation; lam = 1 gives ones."""
     import numpy as np
 
-    out = stable_log_sample(stream, lam, size=size)
-    return math.exp(out) if size is None else np.exp(out)
+    return np.exp(stable_log_sample(stream, lam, size))
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,10 @@ def cdf(model: ModelSpec, bounds: Mapping[str, float]) -> float:
             raise UtilityError(f"bound for {leaf!r} is not finite")
         negated[leaf] = -value
     u = backward_utils(ModelSpec(tree=tree, utilities=negated))
-    return math.exp(-math.exp(u[tree.root]))
+    try:
+        return math.exp(-math.exp(u[tree.root]))
+    except OverflowError:  # exp(u_root) past float range: exp(-inf) = 0
+        return 0.0
 
 
 def emax(model: ModelSpec, at: str | None = None) -> float:

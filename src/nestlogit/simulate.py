@@ -314,9 +314,4 @@ def mixed_logit_probs(
         scores /= scores.sum(axis=0)
 
     run_chunked(stream, n_draws, kernel, n_threads=n_threads)
-    mean = probs.mean(axis=1)
-    err = probs.std(axis=1, ddof=1 if n_draws > 1 else 0) / np.sqrt(n_draws)
-    return {
-        leaf: EstimateWithError(float(mean[i]), float(err[i]), n_draws)
-        for i, leaf in enumerate(tree.leaves)
-    }
+    return {leaf: mean_with_error(probs[i]) for i, leaf in enumerate(tree.leaves)}

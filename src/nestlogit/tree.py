@@ -9,10 +9,10 @@ of the nodes, each node's depth and height, and the cumulative parameter
 Lambda, the product of lambda over each node's root path. They depend on
 the tree alone, so models that differ only in utilities share them.
 
-build() owns the structural rules (lambda in (0, 1], no cycles, orphans
-or empty nests); from_nested() owns the schema of a model file's nested
-node document and reports each fault with its JSON path. The modelfile
-module only decodes and writes the JSON text.
+build() owns the structural rules (non-empty ids, lambda in (0, 1], a
+nonzero Lambda, no cycles, orphans or empty nests); from_nested() owns the
+schema of a model file's nested node document and reports each fault with
+its JSON path. The modelfile module only decodes and writes the JSON text.
 
 Traversals are iterative throughout; deep chains must not hit the
 interpreter recursion limit.
@@ -39,7 +39,7 @@ from .errors import (
     UnknownNodeError,
 )
 
-__all__ = ["Arborescence", "build", "lca", "descendant_leaves"]
+__all__ = ["Arborescence", "build", "from_nested", "lca", "descendant_leaves"]
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def build(
     children = {str(nest): tuple(str(k) for k in kids) for nest, kids in children.items()}
     lam = {str(k): to_float(v) for k, v in lam.items()}
 
-    for node in list(children) + list(lam) + [root]:
+    for node in [root, *children, *lam, *(kid for kids in children.values() for kid in kids)]:
         if not node:
             raise InvalidModelError("node ids must be non-empty strings")
 
@@ -162,8 +162,6 @@ def build(
         node = stack.pop()
         order.append(node)
         for kid in reversed(children.get(node, ())):
-            if kid in reached:
-                raise CycleError(f"node {kid!r} reached twice from the root")
             reached.add(kid)
             stack.append(kid)
 
@@ -190,7 +188,7 @@ def build(
         if nest not in lam:
             raise LambdaRangeError(f"nest {nest!r} has no lambda")
         value = lam[nest]
-        if not (0.0 < value <= 1.0) or not math.isfinite(value):
+        if not (0.0 < value <= 1.0):
             raise LambdaRangeError(f"lambda for nest {nest!r} is {value!r}, not in (0, 1]")
     if root in lam and lam[root] != 1.0:
         raise RootLambdaError(f"root lambda must be 1.0, got {lam[root]!r}")
@@ -200,6 +198,9 @@ def build(
 
     lam_full = {n: (1.0 if n == root else lam[n]) for n in nests}
     depth, height, big_lambda = metrics(root, children, parent, lam_full, order)
+    for nest in nests:
+        if big_lambda[nest] == 0.0:
+            raise LambdaRangeError(f"the product of lambda down to nest {nest!r} underflows to 0")
     return Arborescence(
         root=root,
         children=children,

@@ -314,6 +314,10 @@ def test_cdf_command(single_layer_path):
     assert report["inputs"]["at"] == {"1": 0.0, "2": 0.0, "3": 0.0}
     proc = run_cli("cdf", single_layer_path, "--at", "1=0")
     assert proc.returncode == 1
+    # exp(u_root) past float range: the exact 0, not a traceback
+    proc = run_cli("cdf", single_layer_path, "--at", "1=-800", "--at", "2=0", "--at", "3=0")
+    assert proc.returncode == 0, proc.stderr
+    assert '"cdf": 0.0' in proc.stdout
 
 
 def test_verify(depth3_path):

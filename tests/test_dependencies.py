@@ -5,6 +5,7 @@ first use, and the commands that draw nothing never import it."""
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -105,3 +106,23 @@ def test_lazy_names_are_the_defining_modules_objects():
         assert getattr(nestlogit, name) is getattr(importlib.import_module(f"nestlogit.{module}"), name)
     with pytest.raises(AttributeError, match="'nestlogit' has no attribute 'nope'"):
         nestlogit.nope
+
+
+def public_names(module) -> set[str]:
+    """What ``from module import *`` binds."""
+    return set(getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")]))
+
+
+def test_core_names_are_declared_once():
+    # The package binds from its analytic core exactly the public names of
+    # those modules, and lists each lazy name where it is defined.
+    core = [importlib.import_module(f"nestlogit.{m}") for m in ("errors", "model", "modelfile", "tree")]
+    eager = {
+        name for name, value in vars(nestlogit).items()
+        if not name.startswith("_") and name not in nestlogit._HOME and not inspect.ismodule(value)
+    }
+    assert eager == set().union(*map(public_names, core))
+    for module in core:
+        assert all(getattr(nestlogit, name) is getattr(module, name) for name in public_names(module))
+    for module, names in nestlogit._LAZY.items():
+        assert set(names) <= set(importlib.import_module(f"nestlogit.{module}").__all__)

@@ -224,6 +224,8 @@ def test_cdf_equals_its_recursion_bitwise(seed):
 def test_cdf_limits_and_monotonicity(depth3_model):
     big = {leaf: 40.0 for leaf in depth3_model.tree.leaves}
     assert cdf(depth3_model, big) > 1.0 - 1e-12
+    # exp(u_root) past float range: the exact 0, not an OverflowError
+    assert cdf(depth3_model, {**big, "leaf0": -800.0}) == 0.0
     grid = np.linspace(-2.0, 3.0, 7)
     for leaf in depth3_model.tree.leaves:
         values = []

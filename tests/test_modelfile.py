@@ -151,7 +151,7 @@ def test_too_deep_to_write_leaves_no_file(tmp_path):
     depth = 50_000
     children = {f"n{i}": (f"n{i + 1}", f"x{i}") for i in range(depth - 1)}
     children[f"n{depth - 1}"] = ("leaf", f"x{depth - 1}")
-    tree = build("n0", children, {f"n{i}": 0.5 for i in range(1, depth)})
+    tree = build("n0", children, {f"n{i}": 0.9999 for i in range(1, depth)})
     path = tmp_path / "deep.json"
     with pytest.raises(ModelFileError, match="nests too deeply"):
         save_model(make_model(tree, {leaf: 0.0 for leaf in tree.leaves}), path)

@@ -107,6 +107,10 @@ def test_single_child_nest_allowed():
         ({"r": ("a",), "a": ("x",)}, {"a": -0.5}, LambdaRangeError),
         ({"r": ("a",), "a": ("x",)}, {}, LambdaRangeError),
         ({"r": ("a",), "a": ("x",)}, {"a": 0.5, "x": 0.5}, LambdaRangeError),
+        # cumulative Lambda underflows to 0
+        ({"r": ("a",), "a": ("b",), "b": ("x",)}, {"a": 1e-200, "b": 1e-200}, LambdaRangeError),
+        # empty leaf id, which a model file could not carry
+        ({"r": ("", "a")}, {}, InvalidModelError),
     ],
 )
 def test_rejected_trees(children, lam, exc):
@@ -119,6 +123,13 @@ def test_lambda_past_float_range_is_rejected_by_name():
         build("r", {"r": ("a", "b", "c"), "c": ("d",)}, {"c": 10**400})
     with pytest.raises(RootLambdaError):
         build("r", {"r": ("a", "b")}, {"r": 10**400})
+
+
+def test_underflowing_lambda_product_names_the_first_nest():
+    children = {"r": ("a", "c"), "a": ("b",), "b": ("x",), "c": ("d",), "d": ("y",)}
+    lam = {"a": 1e-200, "b": 1e-200, "c": 1e-200, "d": 1e-200}
+    with pytest.raises(LambdaRangeError, match="nest 'b' underflows"):
+        build("r", children, lam)
 
 
 def test_rejects_empty_id():
