@@ -81,7 +81,9 @@ def with_utilities(model: ModelSpec, overrides: Mapping[str, float]) -> ModelSpe
 def log_sum_exp(values: list[float], big_lam: float) -> float:
     """big_lam * log sum exp(v / big_lam) over values, shifted by their max:
     a nest's inclusive value from its children's, in child order. The one
-    implementation, shared by backward_utils and verify's re-walk."""
+    implementation, shared by backward_utils and verify's re-walk; the
+    re-walk repeats the last line on cached terms, so the two change
+    together."""
     top = max(values)
     return top + big_lam * math.log(sum(math.exp((v - top) / big_lam) for v in values))
 

@@ -32,6 +32,7 @@ matter how many worker threads produced them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,7 +281,9 @@ def mixed_logit_probs(
     any draw count; standard errors are the per-leaf sample std over
     draws / sqrt(n_draws). Within a chunk the nest factors are drawn as in
     sample_epsilon, then the Z'_j in leaf order, skipped where
-    Lambda_j = mu (P(1) is the unit mass).
+    Lambda_j = mu (P(1) is the unit mass). Where a Lambda so small
+    that the scores overflow leaves an estimate undefined, it raises
+    DomainError naming mu.
     """
     if n_draws <= 0:
         raise DomainError("n_draws must be positive")
@@ -303,15 +306,21 @@ def mixed_logit_probs(
     def kernel(sub: SeededStream, start: int, stop: int) -> None:
         m = stop - start
         # Written into the chunk's columns of probs. The rows are valid, and
-        # mode "clip" spares the copy of out that "raise" makes.
-        scores = np.take(rows(sub, m), parent_rows, axis=0, out=probs[:, start:stop], mode="clip")
-        scores /= mu
-        for b in _blocks(len(ratios), m):
-            scores[equalized[b]] += _kanter_log(sub.rng, ratios[b], m)
-        scores += scaled_u
-        scores -= scores.max(axis=0)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=0)
+        # mode "clip" spares the copy of out that "raise" makes. An overflow
+        # shows as NaN in the estimates, checked below, so it stays silent
+        # (errstate is per thread, hence set in the kernel).
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = np.take(rows(sub, m), parent_rows, axis=0, out=probs[:, start:stop], mode="clip")
+            scores /= mu
+            for b in _blocks(len(ratios), m):
+                scores[equalized[b]] += _kanter_log(sub.rng, ratios[b], m)
+            scores += scaled_u
+            scores -= scores.max(axis=0)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=0)
 
     run_chunked(stream, n_draws, kernel, n_threads=n_threads)
-    return {leaf: mean_with_error(probs[i]) for i, leaf in enumerate(tree.leaves)}
+    estimates = {leaf: mean_with_error(probs[i]) for i, leaf in enumerate(tree.leaves)}
+    if any(math.isnan(est.value) for est in estimates.values()):
+        raise DomainError(f"mixed logit scores overflow at the model's smallest cumulative Lambda {mu!r}")
+    return estimates

@@ -6,24 +6,27 @@ hierarchy consistency, the Emax gradient) are held to tight tolerances;
 Monte Carlo comparisons are scored in standard-error units with a 3-sigma
 budget that is not corrected for how many statistics a max |z| takes: on
 the correct 1,314-leaf random_model(default_rng(0), max_nodes=2000),
-mc-choice-probabilities fails 10 of seeds 0-11 at 1,000 draws (ROADMAP
+mc-choice-probabilities fails 33 of seeds 0-39 at 1,000 draws (ROADMAP
 item 8). The Monte Carlo checks all read one stream of noise, folded
 by simulate._fold in one pass: per draw it keeps the best total, a hit
 flag per bound vector and only the noise columns the correlation pairs
 read, never the draws x leaves matrix, plus the win counts per chunk.
+
+The module imports numpy only inside run_checks, so that grad-check,
+which needs only finite_difference_gradient, starts without it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .model import ModelSpec, _finite_utilities, backward_utils, cdf, forward_probs, log_sum_exp
-from .montecarlo import correlation_with_error
-from .simulate import _fold, _leaf_column
-from .streams import SeededStream
+
+if TYPE_CHECKING:
+    from .streams import SeededStream
 
 __all__ = ["CheckResult", "finite_difference_gradient", "run_checks"]
 
@@ -54,20 +57,42 @@ def finite_difference_gradient(model: ModelSpec, step: float) -> dict[str, float
 
     After one backward pass, each quotient re-evaluates only the nests on
     the leaf's root path, reusing their other children's inclusive values:
-    O(depth x siblings) per quotient, not O(nodes). log_sum_exp sees each
-    nest's children in backward_utils' order, so every quotient is bit for
-    bit the one a rebuilt model at base +- step would give.
+    O(depth x siblings) per quotient, not O(nodes). Each nest's max and
+    terms exp((u_k - top)/Lambda) are computed once; where the walked
+    child's new value leaves log_sum_exp's max in place, only its own term
+    is recomputed and the same list is summed, else the nest goes through
+    log_sum_exp. Either way every quotient is bit for bit the one a
+    rebuilt model at base +- step would give.
     """
     tree, u = model.tree, backward_utils(model)
+    # Per node below the root: its parent, its slot among the parent's
+    # children, and the parent's max, how many children hold it, the
+    # children's values, the terms log_sum_exp sums over them, and Lambda.
+    up = {}
+    for nest in tree.nests:
+        kids, big_lam = tree.children[nest], tree.big_lambda[nest]
+        values = [u[k] for k in kids]
+        top = max(values)
+        shared = (top, values.count(top), values, [math.exp((v - top) / big_lam) for v in values], big_lam)
+        up.update((kid, (nest, i, *shared)) for i, kid in enumerate(kids))
     grad = {}
     for leaf in tree.leaves:
         ends = []
         for value in (u[leaf] + step, u[leaf] - step):
             node, value = leaf, _finite_utilities({leaf: value})[leaf]
             while node != tree.root:
-                par = tree.parent[node]
-                value = log_sum_exp([value if k == node else u[k] for k in tree.children[par]], tree.big_lambda[par])
-                node = par
+                node, i, top, n_top, values, terms, big_lam = up[node]
+                # Both branches edit the parent's lists in place and restore
+                # them. max() keeps top when value equals it, or when value is
+                # below it and a sibling still holds it.
+                if value == top or (value < top and n_top > (values[i] == top)):
+                    old, terms[i] = terms[i], math.exp((value - top) / big_lam)
+                    value = top + big_lam * math.log(sum(terms))
+                    terms[i] = old
+                else:
+                    old, values[i] = values[i], value
+                    value = log_sum_exp(values, big_lam)
+                    values[i] = old
             ends.append(value)
         grad[leaf] = (ends[0] - ends[1]) / (2.0 * step)
     return grad
@@ -85,7 +110,7 @@ def _within(name: str, observed: float, tolerance: float, detail: str = "", ok: 
 def _proportion_z(count: int, n_draws: int, target: float) -> float:
     # z-score of count/n_draws under the null standard error sqrt(p(1-p)/n)
     # of the analytic proportion, which stays meaningful when the count is 0.
-    se = float(np.sqrt(max(target * (1.0 - target), 0.0) / n_draws))
+    se = math.sqrt(max(target * (1.0 - target), 0.0) / n_draws)
     return abs(count / n_draws - target) / max(se, 1e-300)
 
 
@@ -97,6 +122,11 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run every analytic/simulation consistency check on one model; the
     Monte Carlo ones share n_draws >= 4 noise vectors from stream.child(1)."""
+    import numpy as np
+
+    from .montecarlo import correlation_with_error
+    from .simulate import _fold, _leaf_column
+
     if n_draws < 4:
         raise DomainError("correlation needs at least 4 draws")
     results: list[CheckResult] = []

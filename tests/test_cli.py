@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through subprocess: reports, files, exit codes."""
 
+import io
 import json
 import math
 import subprocess
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nestlogit import SeededStream, stable_sample
+import nestlogit.cli as cli
+from nestlogit import SeededStream, random_model, save_model, stable_sample
 from nestlogit.montecarlo import CHUNK_SIZE, mean_with_error
 
 SINGLE_LAYER = {
@@ -176,6 +178,20 @@ def test_probs_mixed_huge_utility(depth3_path):
     assert set(results["std_errors"].values()) == {0.0}
 
 
+def test_probs_mixed_tiny_lambda_is_refused(tmp_path):
+    # Two nested nests at lambda 1e-155 give Lambda = 1e-310, which build()
+    # accepts; the mixed scores overflow, and NaN estimates are refused.
+    doc = json.loads(json.dumps(DEPTH3))
+    doc["root"]["children"][0]["lambda"] = 1e-155
+    doc["root"]["children"][0]["children"][0]["lambda"] = 1e-155
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("probs", str(path), "--method", "mc", "--draws", "64").returncode == 0
+    proc = run_cli("probs", str(path), "--method", "mixed", "--draws", "64")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: mixed logit scores overflow at the model's smallest cumulative Lambda 1e-310\n"
+
+
 def test_probs_stochastic_determinism(depth3_path):
     args = ("probs", depth3_path, "--method", "mc", "--draws", "30000", "--seed", "11")
     first = run_cli(*args)
@@ -220,6 +236,34 @@ def test_sample_csv(single_layer_path, tmp_path):
     # 17 significant digits round-trip through float exactly
     value = float(lines[1].split(",")[0])
     assert f"{value:.17g}" == lines[1].split(",")[0]
+
+
+@pytest.mark.parametrize("width", [1, 3, 4, 1314])
+def test_write_csv_matches_savetxt(width):
+    # The CSV contract: the bytes np.savetxt(fmt="%.17g") wrote, for row
+    # counts around one write block and for extreme values.
+    values = np.array([-0.0, 5e-324, 1e308, -1e308, 1e-5, 123456789.0, -np.pi])
+    leaf_order = [f"leaf{i}" for i in range(width)]
+    per_block = max(1, 4096 // width)
+    for n_rows in sorted({0, 1, per_block - 1, per_block, per_block + 1, 2 * per_block + 1}):
+        draws = values[np.arange(n_rows * width).reshape(n_rows, width) % len(values)]
+        expected = io.StringIO()
+        expected.write(",".join(leaf_order) + "\n")
+        np.savetxt(expected, draws, fmt="%.17g", delimiter=",", newline="\n")
+        written = io.StringIO()
+        cli._write_csv(written, leaf_order, draws)
+        assert written.getvalue() == expected.getvalue()
+
+
+def test_sample_wide_tree_is_thread_count_free(tmp_path):
+    model = random_model(np.random.default_rng(0), max_nodes=2000)
+    path = tmp_path / "wide.json"
+    save_model(model, path)
+    outs = [tmp_path / f"t{threads}.csv" for threads in (1, 2)]
+    for threads, out in zip((1, 2), outs):
+        payload(run_cli("sample", str(path), "--draws", "50", "--seed", "2", "--threads", str(threads), "--out", str(out)))
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(outs[0].read_text().splitlines()) == 51
 
 
 def test_sample_zero_draws_header_only(single_layer_path, tmp_path):

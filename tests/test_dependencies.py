@@ -83,6 +83,7 @@ print(rc, "numpy" in sys.modules)
     ["stable", "density", "--lambda", "0.5", "--x", "1"],
     ["stable", "moment", "--lambda", "0.5", "--kappa", "0.25"],
     ["frechet-corr", "--alpha", "8", "--lambda", "0.5"],
+    ["grad-check", DEPTH3],
 ], ids=lambda argv: " ".join(argv[:2]).replace(DEPTH3, "depth3"))
 def test_analytic_commands_never_import_numpy(argv):
     assert fresh(RUN_MAIN, *argv).split() == ["0", "False"]

@@ -194,6 +194,10 @@ def test_finite_differences_match_the_full_rebuild_bit_for_bit(depth3_model, sin
     rng = np.random.default_rng(909)
     models = [depth3_model, single_layer_model, plain, _chain(400)]
     models += [random_model(rng, max_nodes=60) for _ in range(30)]
+    # Ties for the nest maxima: every utility equal, and integer
+    # utilities (3u rounded).
+    models += [with_utilities(m, {leaf: 0.0 for leaf in m.tree.leaves}) for m in models[:6]]
+    models += [with_utilities(m, {leaf: float(round(3 * v)) for leaf, v in m.utilities.items()}) for m in models[4:12]]
     for model in models:
         for step in (1e-5, 0.25):
             assert verify.finite_difference_gradient(model, step) == _rebuild_gradient(model, step)
