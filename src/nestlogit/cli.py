@@ -76,11 +76,32 @@ _POSITIVE = _real(lambda v: v > 0.0, "> 0")
 
 
 def _emit(report: dict, pretty: bool) -> None:
+    """Print the report, in either format only if every number in it is
+    finite: strict JSON has no NaN or Infinity."""
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        where, value = _first_nonfinite(report, "")
+        raise DomainError(f"{where} is {value}; a report holds finite numbers only") from None
     if pretty:
         for line in _pretty_lines(report, 0):
             print(line)
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(text)
+
+
+def _first_nonfinite(obj, where: str):
+    """(field path, value) of the first NaN or infinity in obj, keys in
+    sorted order as printed, or None if there is none."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (where, obj)
+    if isinstance(obj, dict):
+        fields = ((f"{where}.{key}" if where else key, obj[key]) for key in sorted(obj))
+    elif isinstance(obj, list):
+        fields = ((f"{where}[{i}]", value) for i, value in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_first_nonfinite(value, path) for path, value in fields)), None)
 
 
 def _pretty_lines(obj, depth):
@@ -93,15 +114,13 @@ def _pretty_lines(obj, depth):
                 yield from _pretty_lines(value, depth + 1)
             else:
                 yield f"{pad}{key}: {value!r}" if isinstance(value, str) else f"{pad}{key}: {value}"
-    elif isinstance(obj, list):
+    else:  # a list
         for value in obj:
             if isinstance(value, (dict, list)):
                 yield from _pretty_lines(value, depth + 1)
                 yield ""
             else:
                 yield f"{pad}- {value}"
-    else:
-        yield f"{pad}{obj}"
 
 
 def _parse_pairs(entries, what: str) -> dict[str, float]:
@@ -167,7 +186,7 @@ def _cmd_validate(args) -> dict:
         "n_nodes": len(tree.nodes),
         "n_nests": len(tree.nests),
         "n_leaves": len(tree.leaves),
-        "height": tree.height[tree.root],
+        "height": max(tree.depth.values()),
         "leaves": list(tree.leaves),
         "nests": nests,
     }
@@ -449,10 +468,7 @@ def main(argv=None) -> int:
     try:
         results = args.func(args)
         _emit(_report(args, results), args.pretty)
-    except NestLogitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (NestLogitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # draw-sized arrays are allocated before any draw

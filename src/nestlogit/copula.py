@@ -20,7 +20,8 @@ Gumbel eps_i and Z ~ P(lambda), which has exactly the margins and copula
 above. Times alpha, the exponent is the nested logit noise of two leaves in
 one lambda-nest, so sample_epsilon draws it on root -> n(lambda) -> {1, 2}.
 mc_frechet_corr correlates alpha * (delta_i - 1) = alpha * expm1(eps_i / alpha)
-instead, which, unlike delta_i, does not round to 1.0 at huge alpha.
+over the rows of draws.T instead, which, unlike delta_i, does not round to
+1.0 at huge alpha.
 The samplers import numpy and the simulator when called, so the closed
 form loads without them.
 """
@@ -104,10 +105,12 @@ def frechet_corr(alpha: float, lam: float) -> float:
     return (cross - first**2) / (second - first**2)
 
 
-def _pair_model(lam: float):
+def _pair_noise(stream: SeededStream, lam: float, n_draws: int, n_threads: int) -> np.ndarray:
     # Two leaves in one lambda-nest: their noise is the pair's exponent.
+    from .simulate import sample_epsilon
+
     pair = build("root", {"root": ("n",), "n": ("1", "2")}, {"n": lam})
-    return make_model(pair, {"1": 0.0, "2": 0.0})
+    return sample_epsilon(make_model(pair, {"1": 0.0, "2": 0.0}), stream, n_draws, n_threads).draws
 
 
 def frechet_pair_sample(
@@ -125,11 +128,8 @@ def frechet_pair_sample(
     """
     import numpy as np
 
-    from .simulate import sample_epsilon
-
     alpha, lam = _check_alpha_lambda(alpha, lam, need_variance=False)
-    batch = sample_epsilon(_pair_model(lam), stream, n_draws, n_threads=n_threads)
-    return np.exp(batch.draws / alpha)
+    return np.exp(_pair_noise(stream, lam, n_draws, n_threads) / alpha)
 
 
 def mc_frechet_corr(
@@ -146,11 +146,10 @@ def mc_frechet_corr(
     import numpy as np
 
     from .montecarlo import correlation_with_error
-    from .simulate import _fold
 
     alpha, lam = _check_alpha_lambda(alpha, lam, need_variance=True)
     if n_draws < 4:
         raise DomainError("correlation needs at least 4 draws")
-    eps = _fold(_pair_model(lam), stream, n_draws, n_threads, cols=np.arange(2))[0]
+    eps = _pair_noise(stream, lam, n_draws, n_threads).T
     shifted = alpha * np.expm1(eps / alpha)
     return correlation_with_error(shifted[0], shifted[1])

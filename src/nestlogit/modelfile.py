@@ -58,6 +58,8 @@ def load_model(path) -> ModelSpec:
             text = handle.read()
     except OSError as exc:
         raise ModelFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"cannot read {path}: not UTF-8 text, invalid byte at offset {exc.start}") from None
     return loads_model(text)
 
 

@@ -20,10 +20,10 @@ block rather than per nest and per leaf, in the same stream order.
 _factor_rows is the one sampler of these rows, and _fold the one chunk
 kernel that adds the leaf Gumbels: it folds the noise one leaf block at
 a time into what each draw keeps (noise columns, hit flags, the best
-total) plus each chunk's win counts. sample_epsilon keeps every column,
-its draws x leaves matrix; mc_choice_probs and mc_emax keep the best
-total per draw, mc_cdf a hit flag and mc_correlation two columns, and
-verify.run_checks all of them at once.
+total) plus each chunk's win counts. sample_epsilon keeps every column
+in one leaves x draws store and returns its transpose; mc_choice_probs
+and mc_emax keep the best total per draw, mc_cdf a hit flag and
+mc_correlation two columns, and verify.run_checks all of them at once.
 mixed_logit_probs splits the leaf Gumbels once more into exact
 softmaxes. Generation is chunked by montecarlo.run_chunked with one
 substream per fixed-size chunk, so results are bit-identical no
@@ -64,8 +64,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Matrix of noise draws, one row per draw, one column per leaf of
-    leaf_order (the tree's leaf preorder)."""
+    """Noise draws, one row per draw and one column per leaf of leaf_order
+    (the tree's leaf preorder): the transpose of a leaves x draws store."""
 
     draws: np.ndarray
     leaf_order: tuple[str, ...]
@@ -128,10 +128,7 @@ def _fold(
     tree = model.tree
     parent_rows, rows = _factor_rows(tree)
     coeffs = np.array([tree.big_lambda[leaf] for leaf in tree.leaves])[:, None]
-    # Every column in draw-major order, so that store.T is sample_epsilon's
-    # row-major matrix; fewer as contiguous rows, quicker to fill and correlate.
-    order = "F" if cols is not None and len(cols) == len(coeffs) else "C"
-    store = None if cols is None else np.empty((len(cols), n_draws), order=order)
+    store = None if cols is None else np.empty((len(cols), n_draws))
     hits = None if bounds is None else np.ones((len(bounds), n_draws), dtype=bool)
     best = None if u is None else np.full(n_draws, -np.inf)
 
@@ -147,10 +144,7 @@ def _fold(
             eps += acc[parent_rows[b]]
             if store is not None:
                 lo, hi = np.searchsorted(cols, (b.start, b.stop))
-                if hi - lo == len(eps):  # every column of the block: no gather
-                    store[lo:hi, start:stop] = eps
-                elif lo < hi:
-                    store[lo:hi, start:stop] = eps[cols[lo:hi] - b.start]
+                store[lo:hi, start:stop] = eps[cols[lo:hi] - b.start]
             if hits is not None:
                 hit &= np.all(eps <= bounds[:, b], axis=1)
             if best is not None:
@@ -179,7 +173,7 @@ def sample_epsilon(
     Columns follow the tree's leaf preorder. Within a chunk the factors
     log Z_n are drawn first (nests in preorder, lambda < 1 only), then the
     leaf Gumbels in column order, so the layout of randomness is a pure
-    function of (seed, stream_index, model, n_draws).
+    function of (stream key, model, n_draws).
 
     A leaf column is Lambda_leaf * eps'_j plus its parent nest's row of
     _factor_rows. Memory is O(chunk x nests) plus the output matrix.

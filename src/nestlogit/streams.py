@@ -1,7 +1,7 @@
 """Reproducible random streams.
 
 Every stochastic routine in the package draws from a SeededStream, which is
-just a (seed, stream_index) pair mapped onto a counter-based Philox
+just a seed and its child indices mapped onto a counter-based Philox
 generator. Two streams with the same key always replay the same draw
 sequence, and child streams derived for chunked generation depend only on
 their chunk index, never on how many worker threads consume them.
@@ -20,14 +20,13 @@ __all__ = ["SeededStream"]
 
 @dataclass
 class SeededStream:
-    """Random stream keyed by a 64-bit seed and a stream index.
+    """Random stream keyed by a 64-bit seed.
 
     The generator is created lazily and consumed statefully; rebuild the
     stream from the same key to replay its sequence from the start.
     """
 
     seed: int
-    stream_index: int = 0
     # Extra key words appended by child(); not part of the public identity.
     _subkey: tuple[int, ...] = field(default_factory=tuple, repr=False)
     _rng: np.random.Generator | None = field(default=None, repr=False, compare=False)
@@ -39,12 +38,12 @@ class SeededStream:
     @property
     def rng(self) -> np.random.Generator:
         if self._rng is None:
-            key = (self.stream_index,) + self._subkey
+            key = (0, *self._subkey)  # dropping the fixed leading 0 would change every draw
             ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=key)
             self._rng = np.random.Generator(np.random.Philox(ss))
         return self._rng
 
     def child(self, index: int) -> "SeededStream":
-        """Independent substream; same (seed, stream_index, lineage, index)
-        always yields the same substream regardless of caller threading."""
-        return SeededStream(self.seed, self.stream_index, self._subkey + (int(index),))
+        """Independent substream; same (seed, lineage, index) always yields
+        the same substream regardless of caller threading."""
+        return SeededStream(self.seed, self._subkey + (int(index),))

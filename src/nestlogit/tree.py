@@ -5,7 +5,7 @@ dissimilarity parameter lambda in (0, 1] and whose leaves are the choice
 alternatives. The root is a nest with lambda fixed at 1. Everything
 downstream (choice probabilities, noise simulation) is driven by quantities
 that build() computes once and stores on the tree: the depth-first preorder
-of the nodes, each node's depth and height, and the cumulative parameter
+of the nodes, each node's depth, and the cumulative parameter
 Lambda, the product of lambda over each node's root path. They depend on
 the tree alone, so models that differ only in utilities share them.
 
@@ -50,8 +50,8 @@ class Arborescence:
     node except the root; lam holds lambda for every nest (root included,
     always 1.0). nodes lists every node in depth-first preorder, children
     in declaration order, so a parent always precedes its children; nests
-    and leaves are its two subsequences. depth counts edges from the root;
-    height is the longest downward path (0 on leaves). big_lambda[n] is the
+    and leaves are its two subsequences. depth counts edges from the root,
+    so the tree's height is max(depth.values()). big_lambda[n] is the
     product of lambda over the nests on the root path of n, the node itself
     included when it is a nest; a leaf inherits its parent's value.
     Instances are immutable after build() and safe to share across threads.
@@ -65,7 +65,6 @@ class Arborescence:
     leaves: tuple[str, ...]
     nodes: tuple[str, ...]
     depth: Mapping[str, int]
-    height: Mapping[str, int]
     big_lambda: Mapping[str, float]
 
     def is_nest(self, node: str) -> bool:
@@ -79,8 +78,8 @@ class Arborescence:
             raise UnknownNodeError(f"unknown node id {node!r}")
 
 
-def metrics(root: str, children: Mapping, parent: Mapping, lam: Mapping, order: list[str]) -> tuple[dict, dict, dict]:
-    """Depth, height and cumulative Lambda for every node, from the pieces
+def metrics(root: str, children: Mapping, parent: Mapping, lam: Mapping, order: list[str]) -> tuple[dict, dict]:
+    """Depth and cumulative Lambda for every node, from the pieces
     of a tree and its preorder; build() calls it once."""
     depth: dict[str, int] = {root: 0}
     big_lambda: dict[str, float] = {root: 1.0}
@@ -92,12 +91,7 @@ def metrics(root: str, children: Mapping, parent: Mapping, lam: Mapping, order: 
         else:
             # A leaf shares the cumulative parameter of its parent nest.
             big_lambda[node] = big_lambda[par]
-
-    height: dict[str, int] = {}
-    for node in reversed(order):  # children precede parents
-        kids = children.get(node, ())
-        height[node] = 1 + max(height[k] for k in kids) if kids else 0
-    return depth, height, big_lambda
+    return depth, big_lambda
 
 
 def to_float(value) -> float:
@@ -115,7 +109,7 @@ def build(
     lam: Mapping[str, float],
 ) -> Arborescence:
     """Validate a raw tree description and compile it, once, into an
-    Arborescence with its preorder, depths, heights and cumulative Lambda.
+    Arborescence with its preorder, depths and cumulative Lambda.
 
     Inputs
     ------
@@ -197,7 +191,7 @@ def build(
             raise LambdaRangeError(f"lambda given for {node!r}, which is not a nest")
 
     lam_full = {n: (1.0 if n == root else lam[n]) for n in nests}
-    depth, height, big_lambda = metrics(root, children, parent, lam_full, order)
+    depth, big_lambda = metrics(root, children, parent, lam_full, order)
     for nest in nests:
         if big_lambda[nest] == 0.0:
             raise LambdaRangeError(f"the product of lambda down to nest {nest!r} underflows to 0")
@@ -210,7 +204,6 @@ def build(
         leaves=leaves,
         nodes=tuple(order),
         depth=depth,
-        height=height,
         big_lambda=big_lambda,
     )
 
@@ -272,6 +265,10 @@ def from_nested(doc: Mapping) -> tuple[Arborescence, dict[str, float]]:
         node_id = node["id"]
         if not isinstance(node_id, str) or not node_id:
             raise _fail(where, '"id" must be a non-empty string')
+        try:
+            node_id.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate escape, which no output can write
+            raise _fail(f"{where}.id", f"{node_id!r} holds a lone surrogate, not Unicode text") from None
         if node_id in children or node_id in utilities:
             raise DuplicateIdError(f"node id {node_id!r} appears more than once")
         if parent is not None:

@@ -394,6 +394,41 @@ def test_pretty_output(single_layer_path):
     assert "probabilities" in proc.stdout
 
 
+def test_pretty_reports_with_lists(depth3_path):
+    # A list of dicts prints each dict one level deeper, then a blank line;
+    # a list of numbers prints one "- value" line each.
+    proc = run_cli("verify", depth3_path, "--draws", "20000", "--seed", "1", "--pretty")
+    assert proc.returncode == 0, proc.stdout
+    lines = proc.stdout.splitlines()
+    checks = json.loads(run_cli("verify", depth3_path, "--draws", "20000", "--seed", "1").stdout)["results"]["checks"]
+    assert [line for line in lines if line.startswith("      name: ")] == [f"      name: {c['name']!r}" for c in checks]
+    assert lines.count("") == len(checks)
+    args = ("stable", "sample", "--lambda", "0.3", "--draws", "5", "--seed", "1")
+    draws = payload(run_cli(*args))["results"]["draws"]
+    proc = run_cli(*args, "--pretty")
+    assert proc.returncode == 0
+    assert [line for line in proc.stdout.splitlines() if line.startswith("    - ")] == [f"    - {d}" for d in draws]
+
+
+@pytest.mark.parametrize("args, field", [
+    # a subnormal lambda makes the pair's Kanter draw inf, the correlation NaN
+    (("frechet-corr", "--alpha", "3", "--lambda", "1e-320", "--mc", "100"), "results.mc_estimate is nan"),
+    (("stable", "sample", "--lambda", "1e-300", "--draws", "3"), "results.draws[0] is inf"),
+])
+@pytest.mark.parametrize("pretty", [(), ("--pretty",)])
+def test_nonfinite_report_exits_one(args, field, pretty):
+    proc = run_cli(*args, *pretty)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert f"error: {field}" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_density_term_budget_exits_one():
+    proc = run_cli("stable", "density", "--lambda", "0.9999999999", "--x", "1")
+    assert proc.returncode == 1
+    assert "within 400 terms" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_usage_errors_exit_one():
     assert run_cli().returncode == 1
     assert run_cli("no-such-command").returncode == 1
@@ -419,9 +454,11 @@ BAD_VALUES = {
     ("--draws", "0"): (("stable", "laplace", "--lambda", "0.5", "--t", "1"),),
     ("--mc", "0"): (FRECHET,),
     ("--step", "0"): (GRAD_CHECK,),
+    ("--step", "abc"): (GRAD_CHECK,),
     ("--tol", "nan"): (GRAD_CHECK, DENSITY),
     ("--tol", "inf"): (GRAD_CHECK, DENSITY),
     ("--tol", "0"): (DENSITY,),  # grad-check --tol 0 is legal: exact agreement
+    ("--tol", "abc"): (DENSITY,),
     ("--t", "-3"): (LAPLACE,),
     ("--t", "nan"): (LAPLACE,),
 }

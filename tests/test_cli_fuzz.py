@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from nestlogit import cli
 
 # Values every numeric flag is tried with, next to a valid one.
-EDGE = ("0", "-1", "-800", "nan", "inf", "1e308", "1000000000000000", "abc")
+EDGE = ("0", "-1", "-800", "nan", "inf", "1e308", "1e-300", "1000000000000000", "abc")
 VALID = {
     "draws": "64", "mc": "64", "seed": "7", "threads": "2", "lam": "0.5", "x": "1",
     "kappa": "0.25", "tol": "1e-6", "t": "1", "alpha": "8", "step": "1e-5", "node": "a",

@@ -254,6 +254,12 @@ def test_series_convergence_error():
         stable_density_series(0.9, 1e-4)
 
 
+def test_series_term_budget():
+    # terms that shrink too slowly to settle within the 400-term budget
+    with pytest.raises(ConvergenceError, match="within 400 terms"):
+        stable_density_series(0.9999999999, 1.0)
+
+
 def test_series_domain():
     with pytest.raises(DomainError):
         stable_density_series(1.0, 1.0)  # no density at the point mass
@@ -263,6 +269,8 @@ def test_series_domain():
         stable_density_series(0.5, 1.0, tol=0.0)
     with pytest.raises(DomainError):
         stable_survival_series(0.5, -1.0)
+    with pytest.raises(DomainError):
+        stable_density_half(0.0)
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.2, 1.0001, float("nan")])

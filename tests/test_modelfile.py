@@ -133,6 +133,34 @@ def test_load_missing_file(tmp_path):
         load_model(tmp_path / "absent.json")
 
 
+def test_load_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"root": 1}')
+    with pytest.raises(ModelFileError, match=r"^cannot read .*bad\.json: not UTF-8 text"):
+        load_model(path)
+
+
+# A JSON escape of a lone surrogate decodes to a str that no UTF-8 output
+# can encode, so sample --out and --pretty could not write the id.
+LONE_SURROGATE = json.dumps(GOOD).replace('"id": "2"', '"id": "2\\ud800"')
+
+
+def test_lone_surrogate_id_is_refused():
+    with pytest.raises(ModelFileError, match=r"^root\.children\[0\]\.children\[1\]\.id: .*lone surrogate"):
+        loads_model(LONE_SURROGATE)
+
+
+def test_cli_refuses_undecodable_model_files(tmp_path):
+    (tmp_path / "bytes.json").write_bytes(b'\xff\xfe{"root": 1}')
+    (tmp_path / "surrogate.json").write_text(LONE_SURROGATE, encoding="ascii")
+    for name in ("bytes.json", "surrogate.json"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["validate", str(tmp_path / name), "--pretty"]) == 1
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+
+
 def test_integer_literal_too_long_to_convert():
     # Valid JSON, but Python refuses to convert an integer literal of over
     # 4,300 digits.

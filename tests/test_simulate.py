@@ -49,12 +49,13 @@ KS_1PCT = 1.63
 
 
 def test_sample_batch_layout(depth3_model):
-    batch = sample_epsilon(depth3_model, SeededStream(21, stream_index=3), 500)
+    batch = sample_epsilon(depth3_model, SeededStream(21), 500)
     assert [f.name for f in fields(SampleBatch)] == ["draws", "leaf_order"]
     assert batch.draws.shape == (500, 4)
+    assert batch.draws.T.flags.c_contiguous  # a leaf-major store: each column contiguous
     assert batch.leaf_order == depth3_model.tree.leaves
-    # the stream index is part of the key
-    other = sample_epsilon(depth3_model, SeededStream(21), 500)
+    # the seed is part of the key
+    other = sample_epsilon(depth3_model, SeededStream(22), 500)
     assert not np.array_equal(batch.draws, other.draws)
 
 
@@ -501,3 +502,7 @@ def test_draw_count_validation(depth3_model):
         mc_choice_probs(depth3_model, SeededStream(0), 0)
     with pytest.raises(DomainError):
         mixed_logit_probs(depth3_model, SeededStream(0), 0)
+    with pytest.raises(DomainError):
+        mc_emax(depth3_model, SeededStream(0), 0)
+    with pytest.raises(DomainError):
+        mc_cdf(depth3_model, SeededStream(0), {leaf: 0.0 for leaf in depth3_model.tree.leaves}, 0)

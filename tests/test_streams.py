@@ -10,7 +10,7 @@ from nestlogit.montecarlo import CHUNK_SIZE, binomial_estimate, mean_with_error,
 
 def fresh(stream):
     """A copy of stream rewound to the start of its sequence."""
-    return SeededStream(stream.seed, stream.stream_index, stream._subkey)
+    return SeededStream(stream.seed, stream._subkey)
 
 
 def test_same_seed_same_draws():
@@ -27,7 +27,7 @@ def test_different_seeds_differ():
 
 def test_stream_index_and_children_are_distinct():
     base = SeededStream(7)
-    sibling = SeededStream(7, stream_index=1)
+    sibling = SeededStream(8)
     kid0 = base.child(0)
     kid1 = base.child(1)
     draws = [fresh(s).rng.standard_normal(8) for s in (base, sibling, kid0, kid1)]
@@ -38,6 +38,12 @@ def test_stream_index_and_children_are_distinct():
     assert_array_equal(
         base.child(3).child(5).rng.standard_normal(8),
         SeededStream(7).child(3).child(5).rng.standard_normal(8),
+    )
+    # the Philox key is a fixed 0 followed by the child indices
+    key = np.random.SeedSequence(entropy=7, spawn_key=(0, 3, 5))
+    assert_array_equal(
+        base.child(3).child(5).rng.standard_normal(8),
+        np.random.Generator(np.random.Philox(key)).standard_normal(8),
     )
 
 

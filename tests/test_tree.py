@@ -48,9 +48,7 @@ def test_metrics_depth3():
     assert tree.depth == {
         "root": 0, "a": 1, "leaf3": 1, "b": 2, "leaf2": 2, "leaf0": 3, "leaf1": 3,
     }
-    assert tree.height["root"] == 3
-    assert tree.height["a"] == 2
-    assert tree.height["b"] == 1
+    assert max(tree.depth.values()) == 3  # the height validate reports
     assert_allclose(tree.big_lambda["root"], 1.0)
     assert_allclose(tree.big_lambda["a"], 0.5)
     assert_allclose(tree.big_lambda["b"], 0.25)
@@ -198,7 +196,7 @@ def root_path(tree, node):
 
 
 def test_metrics_invariants_random_sweep():
-    # build()'s stored depth, height and Lambda against their definitions
+    # build()'s stored depth and Lambda against their definitions
     # on a spread of random trees
     for seed in range(25):
         tree = random_model(np.random.default_rng(seed), max_nodes=50).tree
@@ -208,13 +206,11 @@ def test_metrics_invariants_random_sweep():
             seen.add(node)
             path = root_path(tree, node)
             assert tree.depth[node] == len(path) - 1
-            below = [len(root_path(tree, leaf)) - len(path) for leaf in descendant_leaves(tree, node)]
-            assert tree.height[node] == max(below)
             product = 1.0
             for nest in reversed(path[1:] if tree.is_leaf(node) else path):
                 product *= tree.lam[nest]  # root first, as build() multiplies
             assert tree.big_lambda[node] == product
-        assert seen == set(tree.nests) | set(tree.leaves) == set(tree.depth) == set(tree.height) == set(tree.big_lambda)
+        assert seen == set(tree.nests) | set(tree.leaves) == set(tree.depth) == set(tree.big_lambda)
 
 
 def naive_lca(tree, a, b):
@@ -238,7 +234,7 @@ def test_lca_on_deep_chain():
     children[f"n{depth}"] = (f"x{depth}", f"y{depth}")
     tree = build("n0", children, {f"n{i}": 0.999 for i in range(1, depth + 1)})
     assert tree.depth[f"y{depth}"] == depth + 1
-    assert tree.height["n0"] == depth + 1
+    assert max(tree.depth.values()) == depth + 1
     pairs = [(f"x{depth}", f"y{depth}"), (f"y{depth}", "x0"), ("x1500", "x2999"), ("x2999", "n2999"), ("n0", "x7")]
     for a, b in pairs:
         assert lca(tree, a, b) == naive_lca(tree, a, b)
