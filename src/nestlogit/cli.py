@@ -10,6 +10,11 @@ scheduling only and is therefore not echoed into the report.
 Exit codes: 0 success, 1 usage or validation or I/O failure (diagnostic on
 stderr), 2 a verification check failed.
 
+`--at` and `--utilities` take one LEAF=VALUE each and are repeated once
+per leaf, so `cdf` on an n-leaf tree takes n flags; a leaf named twice
+exits 1. The parser gives argparse's results, but parses those repeats in
+time linear in their number, where argparse alone is quadratic.
+
 Each command imports the samplers it draws with when it runs, so
 `validate`, `emax`, `cdf`, analytic `probs`, `grad-check`,
 `stable density`, `stable moment` and `frechet-corr` without `--mc`
@@ -41,6 +46,66 @@ __all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
+    """argparse, with usage errors exiting 1 and a linear-time parse of
+    repeated one-value append flags (--at, --utilities)."""
+
+    def __init__(self, *args, **kwargs):
+        self._repeatable: dict[str, argparse.Action] = {}  # flag -> its append action
+        self._commands: dict[str, _Parser] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if kwargs.get("action") == "append" and kwargs.get("nargs") is None:
+            self._repeatable.update(dict.fromkeys(action.option_strings, action))
+        return action
+
+    def add_subparsers(self, **kwargs):
+        action = super().add_subparsers(**kwargs)
+        self._commands = action.choices
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse (CPython 3.10-3.12) scans every option's position once per
+        # option, so n repeats of --at cost O(n^2). An exact "--flag VALUE"
+        # that directly follows an exact "--at|--utilities VALUE", and is
+        # not the flag's first occurrence, is taken out before the parse and
+        # put back in its place after it: every token left keeps its kind and
+        # its neighbours', so argparse makes the same choices and errors.
+        # Tokens after "--" are not options, and an abbreviation (--a,
+        # --util=x) leaves the whole list to argparse. A command named first
+        # takes every later token, so the top level does this for it.
+        args = sys.argv[1:] if args is None else list(args)
+        start, repeatable = 0, self._repeatable
+        if args and args[0] in self._commands:
+            start, repeatable = 1, self._commands[args[0]]._repeatable
+        if not repeatable:
+            return super().parse_known_args(args, namespace)
+        kept, slots = args[:start], {}  # per action: None for a kept occurrence, else a taken value
+        i = start
+        while i < len(args) and args[i] != "--":
+            token = args[i]
+            head = token.partition("=")[0]
+            action = repeatable.get(head)
+            if action is None:
+                if token.startswith("--") and any(flag.startswith(head) for flag in repeatable):
+                    return super().parse_known_args(args, namespace)
+            elif (token in repeatable and action in slots and i - 2 >= start and args[i - 2] in repeatable
+                  and not args[i - 1].startswith("-") and i + 1 < len(args)
+                  and not args[i + 1].startswith("-")):
+                slots[action].append(args[i + 1])
+                i += 2
+                continue
+            else:
+                slots.setdefault(action, []).append(None)
+            kept.append(token)
+            i += 1
+        namespace, extras = super().parse_known_args(kept + args[i:], namespace)
+        for action, taken in slots.items():  # each kept occurrence added one value
+            kept_values = iter(getattr(namespace, action.dest))
+            setattr(namespace, action.dest, [next(kept_values) if v is None else v for v in taken])
+        return namespace, extras
+
     # argparse exits 2 on usage errors by default; 2 is reserved for
     # failed verification here, so usage problems exit 1 instead.
     def error(self, message):
@@ -123,12 +188,14 @@ def _pretty_lines(obj, depth):
                 yield f"{pad}- {value}"
 
 
-def _parse_pairs(entries, what: str) -> dict[str, float]:
+def _parse_pairs(entries, flag: str, what: str) -> dict[str, float]:
     values: dict[str, float] = {}
     for entry in entries or []:
         if "=" not in entry:
             raise DomainError(f"{what} {entry!r} is not of the form leaf=value")
         key, _, raw = entry.partition("=")
+        if key in values:
+            raise DomainError(f"{flag} names leaf {key!r} more than once")
         try:
             values[key] = float(raw)
         except ValueError:
@@ -140,7 +207,7 @@ def _load(args) -> ModelSpec:
     # The parsed overrides replace the raw strings, for the report to echo.
     model = load_model(args.path)
     if args.utilities is not None:
-        args.utilities = _parse_pairs(args.utilities, "utility override")
+        args.utilities = _parse_pairs(args.utilities, "--utilities", "utility override")
         model = with_utilities(model, args.utilities)
     return model
 
@@ -327,7 +394,7 @@ def _cmd_grad_check(args) -> dict:
 
 def _cmd_cdf(args) -> dict:
     model = _load(args)
-    args.at = _parse_pairs(args.at, "bound")
+    args.at = _parse_pairs(args.at, "--at", "bound")
     return {"cdf": cdf(model, args.at)}
 
 

@@ -19,7 +19,7 @@ depends on the interpreter version: about 495 nests on Python 3.10 and
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import ModelFileError
 from .model import ModelSpec, make_model

@@ -21,8 +21,8 @@ interpreter recursion limit.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .errors import (
     CycleError,

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -362,6 +363,35 @@ def test_cdf_command(single_layer_path):
     proc = run_cli("cdf", single_layer_path, "--at", "1=-800", "--at", "2=0", "--at", "3=0")
     assert proc.returncode == 0, proc.stderr
     assert '"cdf": 0.0' in proc.stdout
+
+
+@pytest.mark.parametrize("args, flag, leaf", [
+    (("cdf", "--at", "1=0", "--at", "2=0", "--at", "3=0", "--at", "1=1"), "--at", "1"),
+    (("probs", "--utilities", "3=1", "--utilities", "3=1"), "--utilities", "3"),
+])
+def test_leaf_named_twice_exits_one(single_layer_path, args, flag, leaf):
+    proc = run_cli(args[0], single_layer_path, *args[1:])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {flag} names leaf {leaf!r} more than once\n"
+
+
+def test_repeated_flags_parse_in_linear_time():
+    # Plain argparse on CPython 3.10-3.12 takes O(n^2) over n repeats of
+    # --at: about 64 times as long for 8 times the flags. Linear is about 8.
+    parser = cli._build_parser()
+
+    def best_of_three(n):
+        argv = ["cdf", "model.json", *(token for i in range(n) for token in ("--at", f"leaf{i}=0"))]
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            args = parser.parse_args(argv)
+            times.append(time.perf_counter() - start)
+        assert args.at == argv[3::2]
+        return min(times)
+
+    assert best_of_three(8 * 500) / best_of_three(500) < 20
 
 
 def test_verify(depth3_path):

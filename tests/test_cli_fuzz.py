@@ -1,17 +1,23 @@
-"""A property over random command lines: built from the parser's own
-subcommands and flags, with each value drawn from a valid one and a set of
-edge cases, every command line exits 0, 1 or 2 and none ends in a
-traceback. main runs in process, so an escaping exception fails the test
-with the command line that raised it. A report on stdout must be strict
-JSON: NaN and Infinity are not JSON."""
+"""Two properties over random command lines.
+
+Built from the parser's own subcommands and flags, with each value drawn
+from a valid one and a set of edge cases, every command line exits 0, 1 or
+2 and none ends in a traceback. main runs in process, so an escaping
+exception fails the test with the command line that raised it. A report on
+stdout must be strict JSON: NaN and Infinity are not JSON.
+
+Built from repeats of --at and --utilities in every form argparse reads
+them, the CLI's parser gives what plain argparse gives: the same namespace
+and leftovers, or the same exit code and output."""
 
 import argparse
 import contextlib
 import io
 import json
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nestlogit import cli
 
@@ -44,7 +50,8 @@ def leaf_commands(parser, prefix=()):
     yield " ".join(prefix), parser
 
 
-COMMANDS = dict(leaf_commands(cli._build_parser()))
+PARSER = cli._build_parser()
+COMMANDS = dict(leaf_commands(PARSER))
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +112,55 @@ def test_any_command_line_exits_cleanly(workdir, data):
     assert "Traceback" not in err.getvalue(), argv
     if report and rc in (0, 2) and "--pretty" not in argv:
         json.loads(out.getvalue(), parse_constant=no_constant)
+
+
+# A run of exact "--flag V" repeats, which the parser shortens, between
+# fragments of a command line: the "=" form, abbreviations, values that
+# read as options, a flag with no value, "--", and other commands' flags.
+VALUES = ("leaf0=1", "leaf1=-2", "x", "", "-1", "-x", "--", "-", "a=b=c")
+FLAGS = ("--at", "--at", "--utilities")
+RUN = st.lists(
+    st.tuples(st.sampled_from(FLAGS), st.sampled_from(("leaf0=1", "x", "", "-1"))), min_size=1, max_size=6,
+).map(lambda pairs: [token for pair in pairs for token in pair])
+FRAGMENTS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)).map(list),
+    st.builds(lambda flag, text: [f"{flag}={text}"], st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+    st.sampled_from([["--at"], ["--utilities"], ["--"], ["--pretty"], ["--pr"], ["--draws", "5"], ["--draws"],
+                     ["--method", "mc"], ["--node", "a"], ["--lambda", "0.5"], ["--bogus"], ["model.json"], ["-x"],
+                     ["-"], ["-h"], ["--version"], ["stable"], ["cdf"], ["--a", "x"], ["--util", "x"], ["--u=x"],
+                     ["--ut"], ["--="]]),
+), max_size=4).map(lambda fragments: [token for fragment in fragments for token in fragment])
+# What stands between two runs: nothing, the end of options, or an option
+# left without its value.
+EDGES = st.sampled_from([[], ["--"], ["--at"], ["--utilities"], ["--draws"], ["--node"], ["--method"], ["--pretty"]])
+# Every command, no command, and more often the commands that take the flags.
+COMMAND_LINES = st.one_of(st.sampled_from([*sorted(COMMANDS), ""]), st.sampled_from(["cdf", "probs", "sample"]))
+
+
+def outcome(parse, argv):
+    """(namespace as a dict, leftovers) of parse(argv), or its exit code,
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace, extras = parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    return vars(namespace), extras
+
+
+def plain_parse(argv):
+    # Every level of the parser, subcommands included, as plain argparse.
+    with mock.patch.object(cli._Parser, "parse_known_args", argparse.ArgumentParser.parse_known_args):
+        return PARSER.parse_known_args(argv)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(command=COMMAND_LINES, before=FRAGMENTS, first=RUN, edge=EDGES, second=RUN, after=FRAGMENTS)
+@example("emax", ["m.json"], ["--utilities", "a"], ["--node"], ["--utilities", "b"], ["x"])
+@example("cdf", [], ["--at", "a"], ["--"], ["--at", "b", "--at", "c"], [])
+@example("cdf", ["m.json"], ["--at", "a", "--at", "b"], [], ["--at", "c"], ["--at=d", "--a", "e"])
+@example("cdf", ["m.json"], ["--at", "a", "--at", "b"], ["--at", "-1"], ["--at", "c"], ["--at"])
+def test_repeated_flags_parse_as_plain_argparse(command, before, first, edge, second, after):
+    argv = command.split() + before + first + edge + second + after
+    assert outcome(PARSER.parse_known_args, argv) == outcome(plain_parse, argv), argv
