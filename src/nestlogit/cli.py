@@ -331,7 +331,9 @@ def _stable_draws(args):
     draws = np.empty(args.draws)
 
     def kernel(sub: SeededStream, start: int, stop: int) -> None:
-        draws[start:stop] = stable_sample(sub, lam, size=stop - start)
+        # Silent: _emit names the +inf of an overflow (errstate is per thread)
+        with np.errstate(over="ignore"):
+            draws[start:stop] = stable_sample(sub, lam, size=stop - start)
 
     run_chunked(SeededStream(args.seed), args.draws, kernel, n_threads=args.threads)
     return draws
@@ -377,9 +379,11 @@ def _cmd_stable(args) -> dict:
 
 
 def _cmd_grad_check(args) -> dict:
-    # main exits 2 when "passed" is False.
-    from .verify import finite_difference_gradient
+    # main exits 2 when "passed" is False. verify, imported here, holds the defaults.
+    from .verify import FD_STEP, FD_TOL, finite_difference_gradient
 
+    args.step = FD_STEP if args.step is None else args.step
+    args.tol = FD_TOL if args.tol is None else args.tol
     model = _load(args)
     analytic = choice_probs(model)
     numeric = finite_difference_gradient(model, args.step)
@@ -497,8 +501,8 @@ def _build_parser() -> _Parser:
     q.set_defaults(func=_cmd_stable)
 
     p = sub.add_parser("grad-check", help="choice probabilities against finite differences of the inclusive value (exit 2 on mismatch)")
-    p.add_argument("--step", type=_real(lambda v: v != 0.0, "other than 0"), default=1e-5, help="central-difference step")
-    p.add_argument("--tol", type=_NONNEGATIVE, default=1e-6, help="max allowed |analytic - finite difference|")
+    p.add_argument("--step", type=_real(lambda v: v != 0.0, "other than 0"), help="central-difference step")
+    p.add_argument("--tol", type=_NONNEGATIVE, help="max allowed |analytic - finite difference|")
     common(p)
     p.set_defaults(func=_cmd_grad_check)
 

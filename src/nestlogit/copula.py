@@ -148,8 +148,6 @@ def mc_frechet_corr(
     from .montecarlo import correlation_with_error
 
     alpha, lam = _check_alpha_lambda(alpha, lam, need_variance=True)
-    if n_draws < 4:
-        raise DomainError("correlation needs at least 4 draws")
     eps = _pair_noise(stream, lam, n_draws, n_threads).T
     shifted = alpha * np.expm1(eps / alpha)
     return correlation_with_error(shifted[0], shifted[1])

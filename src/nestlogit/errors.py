@@ -61,7 +61,7 @@ class RootHasNoParentError(InvalidModelError):
 
 
 class UtilityError(InvalidModelError):
-    """Utilities are not defined on exactly the leaf set, or are not finite."""
+    """A utility or bound map does not cover exactly the leaf set, or is not finite."""
 
 
 class ModelFileError(InvalidModelError):

@@ -12,6 +12,9 @@ inclusive values u_n = Lambda_n * log sum_z exp(u_z / Lambda_n), and the
 forward pass splits probability mass down the tree with the within-nest
 softmax exp((u_z - u_n)/Lambda_n). All sums of exponentials are max-shifted
 and probabilities live in log space until the final exponentiation.
+
+A leaf map (make_model's utilities, the bounds of cdf and simulate.mc_cdf)
+has one check, _leaf_values, whose errors name the leaves at fault.
 """
 
 from __future__ import annotations
@@ -46,26 +49,28 @@ class ModelSpec:
     utilities: Mapping[str, float]
 
 
-def _finite_utilities(utilities: Mapping[str, float]) -> dict[str, float]:
-    values = {str(k): to_float(v) for k, v in utilities.items()}
-    bad = [k for k, v in values.items() if not math.isfinite(v)]
-    if bad:
-        raise UtilityError(f"non-finite utility for {sorted(bad)}")
-    return values
+def _finite_values(values: Mapping[str, float], what: str) -> dict[str, float]:
+    out = {str(k): to_float(v) for k, v in values.items()}
+    if bad := [k for k, v in out.items() if not math.isfinite(v)]:
+        raise UtilityError(f"non-finite {what} for {sorted(bad)}")
+    return out
+
+
+def _leaf_values(tree: Arborescence, values: Mapping[str, float], what: str) -> dict[str, float]:
+    # Finite floats on exactly the leaf set, or a UtilityError naming the leaves.
+    out = _finite_values(values, what)
+    leaf_set = set(tree.leaves)
+    if out.keys() != leaf_set:  # the faults are named only on failure
+        if missing := sorted(leaf_set - out.keys()):
+            raise UtilityError(f"no {what} for leaves {missing}")
+        raise UtilityError(f"{what} given for non-leaves {sorted(out.keys() - leaf_set)}")
+    return out
 
 
 def make_model(tree: Arborescence, utilities: Mapping[str, float]) -> ModelSpec:
     """Bundle tree and utilities after checking the utility map covers
     exactly the leaf set with finite values."""
-    utilities = _finite_utilities(utilities)
-    leaf_set = set(tree.leaves)
-    missing = leaf_set - set(utilities)
-    extra = set(utilities) - leaf_set
-    if missing:
-        raise UtilityError(f"no utility for leaves {sorted(missing)}")
-    if extra:
-        raise UtilityError(f"utilities given for non-leaves {sorted(extra)}")
-    return ModelSpec(tree=tree, utilities=utilities)
+    return ModelSpec(tree=tree, utilities=_leaf_values(tree, utilities, "utility"))
 
 
 def with_utilities(model: ModelSpec, overrides: Mapping[str, float]) -> ModelSpec:
@@ -74,7 +79,7 @@ def with_utilities(model: ModelSpec, overrides: Mapping[str, float]) -> ModelSpe
     for key in overrides:
         require_leaf(model.tree, key, "utilities live on leaves")
     merged = dict(model.utilities)
-    merged.update(_finite_utilities(overrides))
+    merged.update(_finite_values(overrides, "utility"))
     return ModelSpec(tree=model.tree, utilities=merged)
 
 
@@ -103,6 +108,18 @@ def backward_utils(model: ModelSpec) -> dict[str, float]:
     return u
 
 
+def _log_forward(model: ModelSpec, u: Mapping[str, float]) -> dict[str, float]:
+    # log pi of every node: 0 at the root, plus each child's (u_z - u_n)/Lambda_n
+    tree = model.tree
+    log_pi: dict[str, float] = {tree.root: 0.0}
+    for node in tree.nests:  # preorder: every parent before its children
+        big_lam = tree.big_lambda[node]
+        u_n = u[node]
+        for kid in tree.children[node]:
+            log_pi[kid] = log_pi[node] + (u[kid] - u_n) / big_lam
+    return log_pi
+
+
 def forward_probs(model: ModelSpec, u: Mapping[str, float]) -> dict[str, float]:
     """Node probabilities from the inclusive values of backward_utils.
 
@@ -112,14 +129,7 @@ def forward_probs(model: ModelSpec, u: Mapping[str, float]) -> dict[str, float]:
     log space; underflow to zero can only occur when the true probability
     is below the smallest positive double.
     """
-    tree = model.tree
-    log_pi: dict[str, float] = {tree.root: 0.0}
-    for node in tree.nests:  # preorder: every parent before its children
-        big_lam = tree.big_lambda[node]
-        u_n = u[node]
-        for kid in tree.children[node]:
-            log_pi[kid] = log_pi[node] + (u[kid] - u_n) / big_lam
-    return {node: math.exp(lp) for node, lp in log_pi.items()}
+    return {node: math.exp(lp) for node, lp in _log_forward(model, u).items()}
 
 
 def choice_probs(model: ModelSpec) -> dict[str, float]:
@@ -173,14 +183,7 @@ def cdf(model: ModelSpec, bounds: Mapping[str, float]) -> float:
     is exact, so this is bit for bit the recursion written out in a_n.
     """
     tree = model.tree
-    if set(bounds) != set(tree.leaves):
-        raise UtilityError("bounds must be given for exactly the leaf set")
-    negated: dict[str, float] = {}
-    for leaf in tree.leaves:
-        value = to_float(bounds[leaf])
-        if not math.isfinite(value):
-            raise UtilityError(f"bound for {leaf!r} is not finite")
-        negated[leaf] = -value
+    negated = {leaf: -value for leaf, value in _leaf_values(tree, bounds, "bound").items()}
     u = backward_utils(ModelSpec(tree=tree, utilities=negated))
     try:
         return math.exp(-math.exp(u[tree.root]))

@@ -4,6 +4,10 @@ chunked driver for parallel draw generation.
 Chunks have a fixed size, each chunk gets its own substream keyed by the
 chunk index, and results are assembled in chunk order, so output is
 bit-identical whether one thread or many produced it.
+
+The estimators own the draw floors of the routines built on them: below
+one draw for a frequency or a mean, or four for a correlation, they raise
+DomainError. run_chunked makes no chunks for a count below one.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import DomainError
 
 __all__ = ["EstimateWithError", "mean_with_error", "binomial_estimate",
            "correlation_with_error", "run_chunked"]
@@ -30,8 +36,6 @@ class EstimateWithError:
     def __post_init__(self) -> None:
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
-        if self.n_draws < 0:
-            raise ValueError("n_draws must be nonnegative")
 
 
 def mean_with_error(samples: np.ndarray) -> EstimateWithError:
@@ -39,7 +43,7 @@ def mean_with_error(samples: np.ndarray) -> EstimateWithError:
     samples = np.asarray(samples, dtype=float)
     n = samples.size
     if n == 0:
-        raise ValueError("need at least one sample")
+        raise DomainError("n_draws must be positive")
     sd = samples.std(ddof=1) if n > 1 else 0.0
     return EstimateWithError(float(samples.mean()), float(sd / np.sqrt(n)), n)
 
@@ -47,7 +51,7 @@ def mean_with_error(samples: np.ndarray) -> EstimateWithError:
 def binomial_estimate(count: int, n_draws: int) -> EstimateWithError:
     """Frequency estimate of a probability with binomial standard error."""
     if n_draws <= 0:
-        raise ValueError("n_draws must be positive")
+        raise DomainError("n_draws must be positive")
     p = count / n_draws
     return EstimateWithError(p, float(np.sqrt(p * (1.0 - p) / n_draws)), n_draws)
 
@@ -55,6 +59,8 @@ def binomial_estimate(count: int, n_draws: int) -> EstimateWithError:
 def correlation_with_error(a: np.ndarray, b: np.ndarray) -> EstimateWithError:
     """Pearson correlation with normal-theory std error (1 - r^2)/sqrt(n - 3)."""
     n = len(a)
+    if n < 4:
+        raise DomainError("correlation needs at least 4 draws")
     r = float(np.corrcoef(a, b)[0, 1])
     err = max(0.0, 1.0 - r * r) / float(np.sqrt(n - 3.0))
     return EstimateWithError(r, err, n)
@@ -67,8 +73,6 @@ def run_chunked(stream, n_draws, kernel, n_threads=1, chunk_size=CHUNK_SIZE):
     depends only on n_draws and chunk_size; n_threads affects scheduling
     only, never the draws themselves.
     """
-    if n_draws < 0:
-        raise ValueError("n_draws must be nonnegative")
     bounds = [(k, min(k + chunk_size, n_draws)) for k in range(0, n_draws, chunk_size)]
 
     def one(i_start_stop):

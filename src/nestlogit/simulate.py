@@ -24,6 +24,8 @@ total) plus each chunk's win counts. sample_epsilon keeps every column
 in one leaves x draws store and returns its transpose; mc_choice_probs
 and mc_emax keep the best total per draw, mc_cdf a hit flag and
 mc_correlation two columns, and verify.run_checks all of them at once.
+_fold refuses a negative draw count before it allocates; the floors
+below which an estimate is undefined belong to montecarlo's estimators.
 mixed_logit_probs splits the leaf Gumbels once more into exact
 softmaxes. Generation is chunked by montecarlo.run_chunked with one
 substream per fixed-size chunk, so results are bit-identical no
@@ -39,7 +41,7 @@ import numpy as np
 
 from .distributions import EULER_GAMMA, _kanter_log, gumbel_sample
 from .errors import DomainError
-from .model import ModelSpec, cdf
+from .model import ModelSpec, _leaf_values
 from .montecarlo import (
     CHUNK_SIZE,
     EstimateWithError,
@@ -125,6 +127,8 @@ def _fold(
       how often each column won (ties to the earliest, as argmax does).
     Everything per draw is allocated before any draw is made.
     """
+    if n_draws < 0:
+        raise DomainError("n_draws must be nonnegative")
     tree = model.tree
     parent_rows, rows = _factor_rows(tree)
     coeffs = np.array([tree.big_lambda[leaf] for leaf in tree.leaves])[:, None]
@@ -162,7 +166,7 @@ def _fold(
         return None if best is None else np.bincount(won, minlength=len(coeffs))
 
     counts = run_chunked(stream, n_draws, kernel, n_threads=n_threads)
-    return store, hits, best, None if best is None else sum(counts)
+    return store, hits, best, None if best is None else sum(counts, np.zeros(len(coeffs), dtype=np.intp))
 
 
 def sample_epsilon(
@@ -178,8 +182,6 @@ def sample_epsilon(
     A leaf column is Lambda_leaf * eps'_j plus its parent nest's row of
     _factor_rows. Memory is O(chunk x nests) plus the output matrix.
     """
-    if n_draws < 0:
-        raise DomainError("n_draws must be nonnegative")
     leaves = model.tree.leaves
     store = _fold(model, stream, n_draws, n_threads, cols=np.arange(len(leaves)))[0]
     return SampleBatch(draws=store.T, leaf_order=leaves)
@@ -195,8 +197,6 @@ def mc_choice_probs(
     (they occur with probability zero under the continuous noise). Only
     each draw's best total is kept, and each chunk's win counts.
     """
-    if n_draws <= 0:
-        raise DomainError("n_draws must be positive")
     counts = _fold(model, stream, n_draws, n_threads, u=_leaf_column(model, model.utilities))[3]
     return {
         leaf: binomial_estimate(int(counts[i]), n_draws)
@@ -210,8 +210,6 @@ def mc_emax(
     """Simulated Emax: mean over draws of max_j(U_j + eps_j), minus the
     Euler-Mascheroni constant so the value is directly comparable to
     emax(model) (the marginals are uncentered Gumbel)."""
-    if n_draws <= 0:
-        raise DomainError("n_draws must be positive")
     best = _fold(model, stream, n_draws, n_threads, u=_leaf_column(model, model.utilities))[2]
     est = mean_with_error(best)
     return EstimateWithError(est.value - EULER_GAMMA, est.std_error, est.n_draws)
@@ -231,8 +229,6 @@ def mc_correlation(
     ancestor. The standard error is the normal-theory approximation
     (1 - r^2)/sqrt(n - 3).
     """
-    if n_draws < 4:
-        raise DomainError("correlation needs at least 4 draws")
     for leaf in (leaf_a, leaf_b):
         require_leaf(model.tree, leaf, "noise columns belong to leaves")
     pair = [model.tree.leaves.index(leaf) for leaf in (leaf_a, leaf_b)]
@@ -251,9 +247,7 @@ def mc_cdf(
 ) -> EstimateWithError:
     """Empirical frequency of the event {eps_j <= bounds_j for all j},
     the Monte Carlo counterpart of cdf(model, bounds)."""
-    if n_draws <= 0:
-        raise DomainError("n_draws must be positive")
-    cdf(model, bounds)  # validates the bounds map against the leaf set
+    bounds = _leaf_values(model.tree, bounds, "bound")
     hits = _fold(model, stream, n_draws, n_threads, bounds=_leaf_column(model, bounds)[None])[1]
     return binomial_estimate(int(hits.sum()), n_draws)
 

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .model import ModelSpec, _finite_utilities, backward_utils, cdf, forward_probs, log_sum_exp
+from .model import ModelSpec, _finite_values, _log_forward, backward_utils, cdf, forward_probs, log_sum_exp
 
 if TYPE_CHECKING:
     from .streams import SeededStream
 
 __all__ = ["CheckResult", "finite_difference_gradient", "run_checks"]
 
-FD_STEP = 1e-5
+FD_STEP, FD_TOL = 1e-5, 1e-6  # central-difference step and gap; grad-check's defaults too
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def finite_difference_gradient(model: ModelSpec, step: float) -> dict[str, float
     for leaf in tree.leaves:
         ends = []
         for value in (u[leaf] + step, u[leaf] - step):
-            node, value = leaf, _finite_utilities({leaf: value})[leaf]
+            node, value = leaf, _finite_values({leaf: value}, "utility")[leaf]
             while node != tree.root:
                 node, i, top, n_top, values, terms, big_lam = up[node]
                 # Both branches edit the parent's lists in place and restore
@@ -138,16 +138,11 @@ def run_checks(
     # --- deterministic identities -------------------------------------
     total = sum(leaf_probs.values())
     # A leaf probability of exactly 0.0 is legitimate underflow when its
-    # log probability (a sum of log odds, computed without exponentials)
-    # sits below what a double can represent; anything else must be > 0.
+    # log probability (the forward pass before it is exponentiated) sits
+    # below what a double can represent; anything else must be > 0.
     positive = all(p > 0.0 for p in leaf_probs.values())
     if not positive:
-        # log pi top down in preorder, as forward_probs accumulates it; the
-        # order of the terms does not matter for a comparison with -700.
-        log_pi = {tree.root: 0.0}
-        for node in tree.nodes[1:]:
-            par = tree.parent[node]
-            log_pi[node] = log_pi[par] + (u[node] - u[par]) / tree.big_lambda[par]
+        log_pi = _log_forward(model, u)
         positive = all(p > 0.0 or (p == 0.0 and log_pi[leaf] < -700.0) for leaf, p in leaf_probs.items())
     detail = "" if positive else "a leaf probability is not strictly positive"
     results.append(_within("leaf-probability-simplex", abs(total - 1.0), 1e-12, detail, ok=positive))
@@ -160,7 +155,7 @@ def run_checks(
 
     fd = finite_difference_gradient(model, FD_STEP)
     gap = max(abs(leaf_probs[leaf] - fd[leaf]) for leaf in tree.leaves)
-    results.append(_within("emax-gradient-is-choice-probability", gap, 1e-6))
+    results.append(_within("emax-gradient-is-choice-probability", gap, FD_TOL))
 
     # --- Monte Carlo comparisons on one stream of noise ----------------
     # One pair per nest with two or more children: the first leaves under

@@ -453,6 +453,34 @@ def test_nonfinite_report_exits_one(args, field, pretty):
     assert f"error: {field}" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_stable_sample_overflow_prints_only_its_error():
+    # the Kanter draw overflows to +inf without a numpy RuntimeWarning
+    proc = run_cli("stable", "sample", "--lambda", "1e-300", "--draws", "3", "--threads", "2")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: results.draws[0] is inf; a report holds finite numbers only\n"
+
+
+@pytest.mark.parametrize("at, message", [
+    (("--at", "1=0", "--at", "2=0"), "no bound for leaves ['3']"),
+    (("--at", "1=0", "--at", "2=0", "--at", "3=0", "--at", "nope=1"), "bound given for non-leaves ['nope']"),
+    (("--at", "1=0", "--at", "2=0", "--at", "3=0", "--at", "A=1"), "bound given for non-leaves ['A']"),
+    (("--at", "1=0", "--at", "2=nan", "--at", "3=0"), "non-finite bound for ['2']"),
+])
+def test_cdf_bound_map_names_the_leaves_at_fault(single_layer_path, at, message):
+    proc = run_cli("cdf", single_layer_path, *at)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
+def test_grad_check_defaults_are_verify_constants(depth3_path):
+    from nestlogit.verify import FD_STEP, FD_TOL
+
+    assert payload(run_cli("grad-check", depth3_path))["inputs"] == {"path": depth3_path, "step": FD_STEP, "tol": FD_TOL}
+    inputs = payload(run_cli("grad-check", depth3_path, "--step", "1e-4", "--tol", "1e-3"))["inputs"]
+    assert (inputs["step"], inputs["tol"]) == (1e-4, 1e-3)
+
+
 def test_density_term_budget_exits_one():
     proc = run_cli("stable", "density", "--lambda", "0.9999999999", "--x", "1")
     assert proc.returncode == 1

@@ -172,5 +172,8 @@ def test_pair_sample_matches_shared_factor_formula(lam):
 def test_mc_frechet_corr_domain():
     with pytest.raises(DomainError):
         mc_frechet_corr(SeededStream(0), 2.0, 0.5, 100)  # infinite variance
-    with pytest.raises(DomainError):
-        mc_frechet_corr(SeededStream(0), 5.0, 0.5, 3)
+    for n in (-1, 0, 1, 2, 3):
+        with pytest.raises(DomainError, match="^(n_draws must be nonnegative|correlation needs at least 4 draws)$"):
+            mc_frechet_corr(SeededStream(0), 5.0, 0.5, n)
+    with pytest.raises(DomainError, match="^n_draws must be nonnegative$"):
+        frechet_pair_sample(SeededStream(0), 5.0, 0.5, -1)

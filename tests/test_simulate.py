@@ -20,6 +20,7 @@ from nestlogit import (
     SampleBatch,
     SeededStream,
     UnknownNodeError,
+    UtilityError,
     backward_utils,
     build,
     cdf,
@@ -43,6 +44,7 @@ from nestlogit.montecarlo import (
     binomial_estimate,
     correlation_with_error,
     mean_with_error,
+    run_chunked,
 )
 
 KS_1PCT = 1.63
@@ -270,8 +272,11 @@ def test_correlation_single_nest_half():
 
 
 def test_correlation_needs_draws(depth3_model):
-    with pytest.raises(DomainError):
-        mc_correlation(depth3_model, SeededStream(0), "leaf0", "leaf1", 3)
+    for n in (-1, 0, 1, 2, 3):
+        with pytest.raises(DomainError, match="^(n_draws must be nonnegative|correlation needs at least 4 draws)$"):
+            mc_correlation(depth3_model, SeededStream(0), "leaf0", "leaf1", n)
+    with pytest.raises(DomainError, match="^correlation needs at least 4 draws$"):
+        correlation_with_error(np.arange(3.0), np.arange(3.0))
 
 
 def test_correlation_checks_leaf_ids(depth3_model):
@@ -504,5 +509,35 @@ def test_draw_count_validation(depth3_model):
         mixed_logit_probs(depth3_model, SeededStream(0), 0)
     with pytest.raises(DomainError):
         mc_emax(depth3_model, SeededStream(0), 0)
+    bounds = {leaf: 0.0 for leaf in depth3_model.tree.leaves}
     with pytest.raises(DomainError):
-        mc_cdf(depth3_model, SeededStream(0), {leaf: 0.0 for leaf in depth3_model.tree.leaves}, 0)
+        mc_cdf(depth3_model, SeededStream(0), bounds, 0)
+    # below zero draws every entry point refuses the count before it draws
+    for routine in (sample_epsilon, mc_choice_probs, mixed_logit_probs, mc_emax):
+        with pytest.raises(DomainError, match="^n_draws must be (nonnegative|positive)$"):
+            routine(depth3_model, SeededStream(0), -1)
+    with pytest.raises(DomainError, match="^n_draws must be nonnegative$"):
+        mc_cdf(depth3_model, SeededStream(0), bounds, -1)
+
+
+def test_estimators_own_the_draw_floors():
+    with pytest.raises(DomainError, match="^n_draws must be positive$"):
+        binomial_estimate(0, 0)
+    with pytest.raises(DomainError, match="^n_draws must be positive$"):
+        mean_with_error(np.empty(0))
+    assert correlation_with_error(np.arange(4.0), np.arange(4.0)).n_draws == 4
+    assert run_chunked(SeededStream(0), -1, lambda *chunk: chunk) == []
+    # with no draws _fold counts zero wins per leaf, which the estimator refuses
+    tree = build("r", {"r": ("a", "b")}, {})
+    counts = simulate._fold(make_model(tree, {"a": 0.0, "b": 0.0}), SeededStream(0), 0, 1, u=np.zeros((2, 1)))[3]
+    assert counts.tolist() == [0, 0]
+
+
+def test_mc_cdf_names_the_leaves_at_fault(depth3_model):
+    leaves = depth3_model.tree.leaves
+    with pytest.raises(UtilityError, match=r"^no bound for leaves \['leaf3'\]$"):
+        mc_cdf(depth3_model, SeededStream(0), {leaf: 0.0 for leaf in leaves[:3]}, 10)
+    with pytest.raises(UtilityError, match=r"^bound given for non-leaves \['nope'\]$"):
+        mc_cdf(depth3_model, SeededStream(0), {**{leaf: 0.0 for leaf in leaves}, "nope": 1.0}, 10)
+    with pytest.raises(UtilityError, match=r"^non-finite bound for \['leaf0'\]$"):
+        mc_cdf(depth3_model, SeededStream(0), {**{leaf: 0.0 for leaf in leaves}, "leaf0": math.nan}, 10)

@@ -165,9 +165,42 @@ def test_correct_model_fails_at_most_two_of_40_seeds(depth3_model):
     assert len(failing) <= 2, failing
 
 
+UNDERFLOW_TREE = build("root", {"root": ("a", "n"), "n": ("b", "c")}, {"n": 0.5})
+UNDERFLOW_UTILITIES = {"a": 0.0, "b": -1000.0, "c": -300.0}
+
+
+def _simplex(model):
+    checks = run_checks(model, SeededStream(0), n_draws=64)
+    return next(c for c in checks if c.name == "leaf-probability-simplex")
+
+
+def test_simplex_accepts_a_probability_that_underflows():
+    # log pi_b = -300 + (-1000 + 300)/0.5 = -1700, past what a double holds
+    model = make_model(UNDERFLOW_TREE, UNDERFLOW_UTILITIES)
+    assert choice_probs(model)["b"] == 0.0
+    check = _simplex(model)
+    assert check.passed and check.detail == ""
+
+
+def test_simplex_rejects_a_zero_above_the_underflow_line(monkeypatch):
+    # c's log probability is about -300: a forward pass that returns 0.0
+    # for it is wrong, and the log-space pass shows it.
+    model = make_model(UNDERFLOW_TREE, UNDERFLOW_UTILITIES)
+    real = verify.forward_probs
+
+    def zeroing(model, u):
+        return {**real(model, u), "c": 0.0}
+
+    monkeypatch.setattr(verify, "forward_probs", zeroing)
+    check = _simplex(model)
+    assert not check.passed
+    assert check.detail == "a leaf probability is not strictly positive"
+
+
 def test_needs_four_draws(depth3_model):
-    with pytest.raises(DomainError):
-        run_checks(depth3_model, SeededStream(0), n_draws=3)
+    for n in (-1, 3):
+        with pytest.raises(DomainError, match="^correlation needs at least 4 draws$"):
+            run_checks(depth3_model, SeededStream(0), n_draws=n)
 
 
 def _rebuild_gradient(model, step):
