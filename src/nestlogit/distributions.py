@@ -69,9 +69,9 @@ def gumbel_sample(stream: SeededStream, size: int) -> np.ndarray:
     import numpy as np
 
     u = stream.rng.random(int(size))
-    # Keep u off 0 exactly; 0 occurs with probability 2^-53 and would map
-    # to -inf.
-    np.clip(u, sys.float_info.min, np.nextafter(1.0, 0.0), out=u)
+    # Keep u off 0, which has probability 2^-53 and maps to -inf. random()
+    # returns k * 2^-53 with k < 2^53, so its top is already nextafter(1, 0).
+    np.maximum(u, sys.float_info.min, out=u)
     return -np.log(-np.log(u))
 
 

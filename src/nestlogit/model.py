@@ -13,8 +13,8 @@ forward pass splits probability mass down the tree with the within-nest
 softmax exp((u_z - u_n)/Lambda_n). All sums of exponentials are max-shifted
 and probabilities live in log space until the final exponentiation.
 
-A leaf map (make_model's utilities, the bounds of cdf and simulate.mc_cdf)
-has one check, _leaf_values, whose errors name the leaves at fault.
+A leaf map (utilities, overrides, the bounds of cdf and simulate.mc_cdf)
+has one check, _leaf_values, whose errors name the keys at fault.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import RootHasNoParentError, UtilityError
-from .tree import Arborescence, require_leaf, require_nest, require_two_level, to_float
+from .tree import Arborescence, require_nest, require_two_level, to_float
 
 __all__ = [
     "ModelSpec",
@@ -74,12 +74,11 @@ def make_model(tree: Arborescence, utilities: Mapping[str, float]) -> ModelSpec:
 
 
 def with_utilities(model: ModelSpec, overrides: Mapping[str, float]) -> ModelSpec:
-    """Copy of the model with some leaf utilities replaced. The copy shares
-    the original's tree, which does not depend on utilities."""
-    for key in overrides:
-        require_leaf(model.tree, key, "utilities live on leaves")
-    merged = dict(model.utilities)
-    merged.update(_finite_values(overrides, "utility"))
+    """Copy of the model with some leaf utilities replaced, sharing its tree.
+    Only the overrides are converted, so a valid call is O(overrides)."""
+    merged = {**model.utilities, **_finite_values(overrides, "utility")}
+    if len(merged) != len(model.utilities):  # an override named a non-leaf
+        _leaf_values(model.tree, merged, "utility")  # raises, naming each one
     return ModelSpec(tree=model.tree, utilities=merged)
 
 
@@ -213,26 +212,15 @@ def emax_gradient(model: ModelSpec) -> dict[str, float]:
     return choice_probs(model)
 
 
-def log_odds(
-    model: ModelSpec,
-    z: str,
-    u: Mapping[str, float] | None = None,
-    pi: Mapping[str, float] | None = None,
-) -> float:
-    """Within-nest log odds log(pi_z / pi_parent) of a non-root node.
-
-    Computed from pi when given, otherwise from inclusive values u via the
-    identity log(pi_z/pi_n) = (u_z - u_n)/Lambda_n; the two routes agree to
-    machine precision. Raises for the root, which has no parent to be
-    conditioned on.
+def log_odds(model: ModelSpec, z: str) -> float:
+    """Within-nest log odds log(pi_z / pi_parent) of a non-root node, from
+    the inclusive values by the identity log(pi_z/pi_n) = (u_z - u_n)/Lambda_n.
+    Raises for the root, which has no parent to be conditioned on.
     """
     tree = model.tree
     tree.require_node(z)
     if z == tree.root:
         raise RootHasNoParentError("the root has no parent nest")
     parent = tree.parent[z]
-    if pi is not None:
-        return math.log(pi[z]) - math.log(pi[parent])
-    if u is None:
-        u = backward_utils(model)
+    u = backward_utils(model)
     return (u[z] - u[parent]) / tree.big_lambda[parent]

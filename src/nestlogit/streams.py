@@ -10,6 +10,7 @@ their chunk index, never on how many worker threads consume them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,26 +23,24 @@ __all__ = ["SeededStream"]
 class SeededStream:
     """Random stream keyed by a 64-bit seed.
 
-    The generator is created lazily and consumed statefully; rebuild the
-    stream from the same key to replay its sequence from the start.
+    The generator is built once, on first use, and consumed statefully;
+    rebuild the stream from the same key to replay its sequence from the
+    start.
     """
 
     seed: int
     # Extra key words appended by child(); not part of the public identity.
     _subkey: tuple[int, ...] = field(default_factory=tuple, repr=False)
-    _rng: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= int(self.seed) < 2**64:
             raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
-    @property
+    @cached_property
     def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            key = (0, *self._subkey)  # dropping the fixed leading 0 would change every draw
-            ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=key)
-            self._rng = np.random.Generator(np.random.Philox(ss))
-        return self._rng
+        key = (0, *self._subkey)  # dropping the fixed leading 0 would change every draw
+        ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=key)
+        return np.random.Generator(np.random.Philox(ss))
 
     def child(self, index: int) -> "SeededStream":
         """Independent substream; same (seed, lineage, index) always yields

@@ -209,7 +209,7 @@ def test_utilities_override(single_layer_path):
     assert proc.returncode == 1
     proc = run_cli("probs", single_layer_path, "--utilities", "b=1")
     assert proc.returncode == 1
-    assert proc.stderr == "error: unknown node id 'b'\n"
+    assert proc.stderr == "error: utility given for non-leaves ['b']\n"
 
 
 def test_emax(depth3_path):

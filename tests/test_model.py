@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import nestlogit.model
 from nestlogit import (
     DomainError,
     ModelSpec,
-    NotALeafError,
     NotANestError,
     RootHasNoParentError,
     ShapeError,
@@ -249,18 +249,17 @@ def test_cdf_bounds_validation(depth3_model):
 
 
 def test_log_odds_depth3(depth3_model):
-    u = backward_utils(depth3_model)
-    pi = forward_probs(depth3_model, u)
+    pi = forward_probs(depth3_model, backward_utils(depth3_model))
     # nest a against the root: (u_a - u_0)/Lambda_root
     expected = U_A - U_ROOT
     assert_allclose(log_odds(depth3_model, "a"), expected, rtol=1e-14)
-    assert_allclose(log_odds(depth3_model, "a", u=u), expected, rtol=1e-14)
-    assert_allclose(log_odds(depth3_model, "a", pi=pi), expected, rtol=1e-12)
     # leaf2 against nest a: (0 - u_a)/0.5 = -ln(1 + sqrt(2))
     assert_allclose(log_odds(depth3_model, "leaf2"), -math.log(1.0 + SQRT2), rtol=1e-14)
-    assert abs(
-        log_odds(depth3_model, "leaf2", u=u) - log_odds(depth3_model, "leaf2", pi=pi)
-    ) < 1e-12
+    # the identity against the probabilities of the forward pass
+    tree = depth3_model.tree
+    for node in ("a", "b", "leaf0", "leaf2", "leaf3"):
+        via_pi = math.log(pi[node]) - math.log(pi[tree.parent[node]])
+        assert abs(log_odds(depth3_model, node) - via_pi) < 1e-12
 
 
 def test_log_odds_plain_logit():
@@ -275,12 +274,12 @@ def test_log_odds_root_rejected(depth3_model):
         log_odds(depth3_model, "root")
 
 
-def log_prob_via_odds(model, u, leaf):
+def log_prob_via_odds(model, leaf):
     # path sum of log odds: the leaf's log probability without ever
     # exponentiating, so it cannot underflow
     total, node = 0.0, leaf
     while node != model.tree.root:
-        total += log_odds(model, node, u=u)
+        total += log_odds(model, node)
         node = model.tree.parent[node]
     return total
 
@@ -294,7 +293,7 @@ def test_simplex_and_hierarchy_random_sweep():
         for leaf, p in leaf_probs.items():
             # exact zeros are only acceptable as certified underflow of a
             # representable-in-log-space probability
-            assert p > 0.0 or log_prob_via_odds(model, u, leaf) < -700.0
+            assert p > 0.0 or log_prob_via_odds(model, leaf) < -700.0
         assert abs(sum(leaf_probs.values()) - 1.0) < 1e-12
         tree = model.tree
         for nest in tree.nests:
@@ -368,10 +367,9 @@ def test_make_model_validation(depth3_model):
 
 
 def test_with_utilities_validation(depth3_model):
-    with pytest.raises(UnknownNodeError):
-        with_utilities(depth3_model, {"void": 0.0})
-    with pytest.raises(NotALeafError):
-        with_utilities(depth3_model, {"a": 0.0})
+    # one map with a nest and an unknown id: both are named, as make_model names them
+    with pytest.raises(UtilityError, match=r"^utility given for non-leaves \['a', 'void'\]$"):
+        with_utilities(depth3_model, {"void": 0.0, "leaf0": 1.0, "a": 0.0})
     bumped = with_utilities(depth3_model, {"leaf3": 1.0})
     assert bumped.utilities["leaf3"] == 1.0
     assert depth3_model.utilities["leaf3"] == 0.0  # original untouched
@@ -380,6 +378,29 @@ def test_with_utilities_validation(depth3_model):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(UtilityError):
             with_utilities(depth3_model, {"leaf0": bad})
+
+
+def test_with_utilities_converts_only_the_overrides(monkeypatch):
+    # the 3,000-deep chain: a valid override must not revalidate the model
+    depth = 3000
+    children = {"root": ("n1", "x0")}
+    for i in range(1, depth):
+        children[f"n{i}"] = (f"n{i + 1}", f"x{i}")
+    children[f"n{depth}"] = (f"x{depth}", f"y{depth}")
+    tree = build("root", children, {f"n{i}": 0.999 for i in range(1, depth + 1)})
+    model = make_model(tree, {leaf: 0.0 for leaf in tree.leaves})
+    calls = []
+    real = nestlogit.model.to_float
+
+    def counted(value):
+        calls.append(value)
+        return real(value)
+
+    monkeypatch.setattr(nestlogit.model, "to_float", counted)
+    bumped = with_utilities(model, {"x7": 0.5, "y3000": "1.5"})
+    assert calls == [0.5, "1.5"]
+    assert bumped.utilities["x7"] == 0.5 and bumped.utilities["y3000"] == 1.5
+    assert len(bumped.utilities) == depth + 2
 
 
 def test_numbers_past_float_range_name_the_leaf():
