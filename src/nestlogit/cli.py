@@ -27,11 +27,10 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from dataclasses import asdict
 
 from . import __version__
-from .errors import DomainError, NestLogitError, PrecisionLossWarning
+from .errors import DomainError, NestLogitError
 from .model import (
     ModelSpec,
     backward_utils,
@@ -346,13 +345,7 @@ def _cmd_stable(args) -> dict:
     if args.stable_command == "density":
         from .distributions import stable_density_half, stable_density_series
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", PrecisionLossWarning)
-            value = stable_density_series(lam, args.x, tol=args.tol)
-        results = {
-            "density": value,
-            "precision_loss": any(issubclass(w.category, PrecisionLossWarning) for w in caught),
-        }
+        results = {"density": stable_density_series(lam, args.x), "method": "kanter-integral"}
         if lam == 0.5:
             results["closed_form"] = stable_density_half(args.x)
         return results
@@ -481,10 +474,9 @@ def _build_parser() -> _Parser:
     common(q, model=False, stochastic=True, draws_default=10, draws_min=0)
     q.set_defaults(func=_cmd_stable)
 
-    q = stable_sub.add_parser("density", help="density by series; closed form included at lambda = 1/2")
+    q = stable_sub.add_parser("density", help="density by Kanter's integral; closed form included at lambda = 1/2")
     q.add_argument("--lambda", dest="lam", type=float, required=True)
-    q.add_argument("--x", type=float, required=True)
-    q.add_argument("--tol", type=_POSITIVE, default=1e-12)
+    q.add_argument("--x", type=_POSITIVE, required=True)
     common(q, model=False)
     q.set_defaults(func=_cmd_stable)
 

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Model-construction problems all derive from InvalidModelError so callers
-(and the CLI) can catch one base class; numeric domain violations and
-series-convergence failures get their own roots.
+(and the CLI) can catch one base class; numeric domain violations get
+their own root, DomainError.
 """
 
 
@@ -70,11 +70,3 @@ class ModelFileError(InvalidModelError):
 
 class DomainError(NestLogitError, ValueError):
     """A numeric argument lies outside the domain of the requested quantity."""
-
-
-class ConvergenceError(NestLogitError, ArithmeticError):
-    """A series or iteration failed to converge within its budget."""
-
-
-class PrecisionLossWarning(RuntimeWarning):
-    """Catastrophic cancellation likely ruined the returned value."""

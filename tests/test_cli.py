@@ -295,7 +295,7 @@ def test_stable_density(tmp_path):
     report = payload(run_cli("stable", "density", "--lambda", "0.5", "--x", "1"))
     assert_allclose(report["results"]["density"], 0.2196956447338612, rtol=1e-10)
     assert_allclose(report["results"]["closed_form"], 0.2196956447338612, rtol=1e-14)
-    assert report["results"]["precision_loss"] is False
+    assert report["results"]["method"] == "kanter-integral"
     proc = run_cli("stable", "density", "--lambda", "0.5", "--x", "-1")
     assert proc.returncode == 1
 
@@ -481,10 +481,17 @@ def test_grad_check_defaults_are_verify_constants(depth3_path):
     assert (inputs["step"], inputs["tol"]) == (1e-4, 1e-3)
 
 
-def test_density_term_budget_exits_one():
-    proc = run_cli("stable", "density", "--lambda", "0.9999999999", "--x", "1")
-    assert proc.returncode == 1
-    assert "within 400 terms" in proc.stderr and "Traceback" not in proc.stderr
+def test_density_deep_left_tail_is_positive():
+    # an alternating series printed -0.203 here, where the density is 3.9e-9
+    results = payload(run_cli("stable", "density", "--lambda", "0.5", "--x", "0.01"))["results"]
+    assert_allclose(results["density"], results["closed_form"], rtol=1e-13)
+    assert results["density"] > 0.0 and "precision_loss" not in results
+
+
+def test_density_near_lambda_one_exits_zero():
+    # a series ran out of terms here; the integral has no budget to run out of
+    results = payload(run_cli("stable", "density", "--lambda", "0.9999999999", "--x", "1"))["results"]
+    assert math.isfinite(results["density"]) and results["density"] > 0.0
 
 
 def test_usage_errors_exit_one():
@@ -513,10 +520,14 @@ BAD_VALUES = {
     ("--mc", "0"): (FRECHET,),
     ("--step", "0"): (GRAD_CHECK,),
     ("--step", "abc"): (GRAD_CHECK,),
-    ("--tol", "nan"): (GRAD_CHECK, DENSITY),
-    ("--tol", "inf"): (GRAD_CHECK, DENSITY),
-    ("--tol", "0"): (DENSITY,),  # grad-check --tol 0 is legal: exact agreement
-    ("--tol", "abc"): (DENSITY,),
+    ("--tol", "nan"): (GRAD_CHECK,),  # --tol 0 is legal there: exact agreement
+    ("--tol", "inf"): (GRAD_CHECK,),
+    ("--tol", "abc"): (GRAD_CHECK,),
+    ("--x", "0"): (DENSITY,),
+    ("--x", "-1"): (DENSITY,),
+    ("--x", "nan"): (DENSITY,),
+    ("--x", "inf"): (DENSITY,),
+    ("--x", "abc"): (DENSITY,),
     ("--t", "-3"): (LAPLACE,),
     ("--t", "nan"): (LAPLACE,),
 }

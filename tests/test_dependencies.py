@@ -19,11 +19,11 @@ DEPTH3 = str(Path(__file__).resolve().parents[1] / "demos" / "models" / "depth3.
 
 # The package's public names: its API and the submodules it binds.
 PUBLIC = [
-    "Arborescence", "CheckResult", "ConvergenceError", "CycleError", "DomainError",
+    "Arborescence", "CheckResult", "CycleError", "DomainError",
     "DuplicateIdError", "EULER_GAMMA", "EmptyNestError", "EstimateWithError",
     "InvalidModelError", "LambdaRangeError", "ModelFileError", "ModelSpec",
     "NestLogitError", "NotALeafError", "NotANestError", "OrphanNodeError",
-    "PrecisionLossWarning", "RootHasNoParentError", "RootLambdaError", "SampleBatch",
+    "RootHasNoParentError", "RootLambdaError", "SampleBatch",
     "SeededStream", "ShapeError", "UnknownNodeError", "UtilityError", "backward_utils",
     "build", "cdf", "choice_probs", "choice_probs_single_layer", "copula",
     "descendant_leaves", "distributions", "emax", "emax_gradient", "errors",
