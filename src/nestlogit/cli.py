@@ -456,8 +456,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_probs)
 
     p = sub.add_parser("emax", help="inclusive value (expected maximum net of the Euler constant)")
-    p.add_argument("--node", help="nest whose subtree to evaluate (default: root)")
-    p.add_argument("--all", action="store_true", help="print every node's inclusive value")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--node", help="nest whose subtree to evaluate (default: root)")
+    which.add_argument("--all", action="store_true", help="print every node's inclusive value")
     common(p)
     p.set_defaults(func=_cmd_emax)
 

@@ -12,6 +12,7 @@ inclusive values u_n = Lambda_n * log sum_z exp(u_z / Lambda_n), and the
 forward pass splits probability mass down the tree with the within-nest
 softmax exp((u_z - u_n)/Lambda_n). All sums of exponentials are max-shifted
 and probabilities live in log space until the final exponentiation.
+Both passes walk lists by the tree's slots and return dicts keyed by id.
 
 A leaf map (utilities, overrides, the bounds of cdf and simulate.mc_cdf)
 has one check, _leaf_values, whose errors name the keys at fault.
@@ -100,23 +101,23 @@ def backward_utils(model: ModelSpec) -> dict[str, float]:
     constant added to every leaf utility adds the same constant to every
     u_n. A single-child nest passes its child's value through unchanged.
     """
-    tree = model.tree
-    u: dict[str, float] = dict(model.utilities)
-    for node in reversed(tree.nests):  # every child nest before its parent
-        u[node] = log_sum_exp([u[k] for k in tree.children[node]], tree.big_lambda[node])
-    return u
+    tree, kids, scale = model.tree, model.tree.kids, model.tree.scale
+    v = [0.0] * len(kids) + [model.utilities[leaf] for leaf in tree.leaves]
+    for i in reversed(range(len(kids))):  # every child nest before its parent
+        v[i] = log_sum_exp([v[k] for k in kids[i]], scale[i])
+    return {**model.utilities, **dict(zip(tree.nests, v))}
 
 
 def _log_forward(model: ModelSpec, u: Mapping[str, float]) -> dict[str, float]:
     # log pi of every node: 0 at the root, plus each child's (u_z - u_n)/Lambda_n
     tree = model.tree
-    log_pi: dict[str, float] = {tree.root: 0.0}
-    for node in tree.nests:  # preorder: every parent before its children
-        big_lam = tree.big_lambda[node]
-        u_n = u[node]
-        for kid in tree.children[node]:
-            log_pi[kid] = log_pi[node] + (u[kid] - u_n) / big_lam
-    return log_pi
+    ids = tree.nests + tree.leaves
+    v, log_pi = [u[node] for node in ids], [0.0] * len(ids)
+    for i, kids in enumerate(tree.kids):  # slot order: every parent before its children
+        big_lam, u_n, base = tree.scale[i], v[i], log_pi[i]
+        for k in kids:
+            log_pi[k] = base + (v[k] - u_n) / big_lam
+    return dict(zip(ids, log_pi))
 
 
 def forward_probs(model: ModelSpec, u: Mapping[str, float]) -> dict[str, float]:

@@ -13,9 +13,10 @@ and are skipped in sampling.
 
 The factor part of the sum is shared by the leaves of a nest and equals
 its parent nest's plus Lambda_n * log Z_n, so it is assembled as a prefix
-sum down the tree, O(chunk x nests) memory. The factors and the leaf
-Gumbels are drawn in blocks of rows, one Kanter and one Gumbel call per
-block rather than per nest and per leaf, in the same stream order.
+sum down the tree, O(chunk x nests) memory; its rows are the nest slots,
+linked by tree.up. The factors and the leaf Gumbels are drawn in blocks
+of rows, one Kanter and one Gumbel call per block rather than per nest
+and per leaf, in the same stream order.
 
 _factor_rows is the one sampler of these rows, and _fold the one chunk
 kernel that adds the leaf Gumbels: it folds the noise one leaf block at
@@ -83,26 +84,24 @@ def _factor_rows(tree: Arborescence):
     """Each leaf's parent-nest row (in leaf preorder) and rows(sub, m):
     it draws log Z_n from sub for the nests with lambda_n < 1 in preorder
     and returns the (nests x m) prefix sums of Lambda_n * log Z_n."""
-    row = {n: i for i, n in enumerate(tree.nests)}
-    factors = [n for n in tree.nests if tree.lam[n] < 1.0]
-    factor_rows = np.array([row[n] for n in factors], dtype=np.intp)
-    lam = np.array([tree.lam[n] for n in factors])
-    big_lam = np.array([tree.big_lambda[n] for n in factors])[:, None]
-    # Non-root nests in preorder with their parent's row: every parent row
-    # is complete before a child adds it in.
-    links = [(row[n], row[tree.parent[n]]) for n in tree.nests[1:]]
+    n, up = len(tree.nests), tree.up
+    lam = np.array([tree.lam[nest] for nest in tree.nests])
+    factors = np.flatnonzero(lam < 1.0)  # rows of the nests that draw a factor
+    lam, big_lam = lam[factors], np.array(tree.scale)[factors, None]
 
     def rows(sub: SeededStream, m: int) -> np.ndarray:
-        acc = np.zeros((len(tree.nests), m))
+        acc = np.zeros((n, m))
         for b in _blocks(len(factors), m):
             log_z = _kanter_log(sub.rng, lam[b], m)
             log_z *= big_lam[b]
-            acc[factor_rows[b]] = log_z
-        for i, parent in links:
-            acc[i] += acc[parent]
+            acc[factors[b]] = log_z
+        # Non-root nests in preorder: every parent row is complete before
+        # a child adds it in.
+        for i in range(1, n):
+            acc[i] += acc[up[i]]
         return acc
 
-    return [row[tree.parent[leaf]] for leaf in tree.leaves], rows
+    return list(up[n:]), rows
 
 
 def _leaf_column(model: ModelSpec, values) -> np.ndarray:
@@ -131,7 +130,7 @@ def _fold(
         raise DomainError("n_draws must be nonnegative")
     tree = model.tree
     parent_rows, rows = _factor_rows(tree)
-    coeffs = np.array([tree.big_lambda[leaf] for leaf in tree.leaves])[:, None]
+    coeffs = np.array(tree.scale[len(tree.nests):])[:, None]
     store = None if cols is None else np.empty((len(cols), n_draws))
     hits = None if bounds is None else np.ones((len(bounds), n_draws), dtype=bool)
     best = None if u is None else np.full(n_draws, -np.inf)
@@ -277,7 +276,7 @@ def mixed_logit_probs(
         raise DomainError("n_draws must be positive")
     tree = model.tree
     parent_rows, rows = _factor_rows(tree)
-    leaf_lam = np.array([tree.big_lambda[leaf] for leaf in tree.leaves])
+    leaf_lam = np.array(tree.scale[len(tree.nests):])
     mu = float(leaf_lam.min())
     u = _leaf_column(model, model.utilities)
     # Shifted by max U, which a softmax ignores, so that U/mu cannot

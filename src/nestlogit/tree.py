@@ -5,8 +5,9 @@ dissimilarity parameter lambda in (0, 1] and whose leaves are the choice
 alternatives. The root is a nest with lambda fixed at 1. Everything
 downstream (choice probabilities, noise simulation) is driven by quantities
 that build() computes once and stores on the tree: the depth-first preorder
-of the nodes, each node's depth, and the cumulative parameter
-Lambda, the product of lambda over each node's root path. They depend on
+of the nodes, each node's depth, the cumulative parameter Lambda (the
+product of lambda over each node's root path) and the node slots, the one
+index form of the tree (nests in preorder, then leaves). They depend on
 the tree alone, so models that differ only in utilities share them.
 
 build() owns the structural rules (non-empty ids, lambda in (0, 1], a
@@ -53,8 +54,10 @@ class Arborescence:
     and leaves are its two subsequences. depth counts edges from the root,
     so the tree's height is max(depth.values()). big_lambda[n] is the
     product of lambda over the nests on the root path of n, the node itself
-    included when it is a nest; a leaf inherits its parent's value.
-    Instances are immutable after build() and safe to share across threads.
+    included when it is a nest; a leaf inherits its parent's value. By
+    slot, kids[i] holds nest i's child slots, up[s] the parent slot of s
+    (-1 for the root, else below s) and scale[s] its Lambda. Instances are
+    immutable after build() and safe to share across threads.
     """
 
     root: str
@@ -66,6 +69,9 @@ class Arborescence:
     nodes: tuple[str, ...]
     depth: Mapping[str, int]
     big_lambda: Mapping[str, float]
+    kids: tuple[tuple[int, ...], ...]
+    up: tuple[int, ...]
+    scale: tuple[float, ...]
 
     def is_nest(self, node: str) -> bool:
         return node in self.children
@@ -78,20 +84,14 @@ class Arborescence:
             raise UnknownNodeError(f"unknown node id {node!r}")
 
 
-def metrics(root: str, children: Mapping, parent: Mapping, lam: Mapping, order: list[str]) -> tuple[dict, dict]:
-    """Depth and cumulative Lambda for every node, from the pieces
-    of a tree and its preorder; build() calls it once."""
-    depth: dict[str, int] = {root: 0}
-    big_lambda: dict[str, float] = {root: 1.0}
-    for node in order[1:]:  # the root comes first
-        par = parent[node]
-        depth[node] = depth[par] + 1
-        if node in children:
-            big_lambda[node] = big_lambda[par] * lam[node]
-        else:
-            # A leaf shares the cumulative parameter of its parent nest.
-            big_lambda[node] = big_lambda[par]
-    return depth, big_lambda
+def metrics(up: tuple[int, ...], lam: list[float]) -> tuple[list[int], list[float]]:
+    """Depth and cumulative Lambda by slot, from the parent slots and lambda
+    by slot (1.0 at the root and at the leaves); build() calls it once."""
+    depth, scale = [0], [1.0]
+    for par, value in zip(up[1:], lam[1:]):
+        depth.append(depth[par] + 1)
+        scale.append(scale[par] * value)
+    return depth, scale
 
 
 def to_float(value) -> float:
@@ -109,7 +109,7 @@ def build(
     lam: Mapping[str, float],
 ) -> Arborescence:
     """Validate a raw tree description and compile it, once, into an
-    Arborescence with its preorder, depths and cumulative Lambda.
+    Arborescence with its preorder, depths, cumulative Lambda and slots.
 
     Inputs
     ------
@@ -127,9 +127,8 @@ def build(
     children = {str(nest): tuple(str(k) for k in kids) for nest, kids in children.items()}
     lam = {str(k): to_float(v) for k, v in lam.items()}
 
-    for node in [root, *children, *lam, *(kid for kids in children.values() for kid in kids)]:
-        if not node:
-            raise InvalidModelError("node ids must be non-empty strings")
+    if not root or "" in children or "" in lam or any("" in kids for kids in children.values()):
+        raise InvalidModelError("node ids must be non-empty strings")
 
     parent: dict[str, str] = {}
     for nest, kids in children.items():
@@ -146,21 +145,21 @@ def build(
     if root not in children:
         raise EmptyNestError(f"root {root!r} has no children")
 
-    # Reachability from the root, walked once in depth-first preorder.
-    # Unreached nodes with a parent chain that loops are a cycle; unreached
-    # nodes hanging off nothing are orphans.
-    order = []
-    reached = {root}
+    # Depth-first preorder from the root, split into nests and leaves. With
+    # one parent per node and none for the root, it meets each node once;
+    # a declared node it misses is on a cycle or hangs off nothing (orphan).
+    order, nests, leaves = [], [], []
     stack = [root]
     while stack:
         node = stack.pop()
         order.append(node)
-        for kid in reversed(children.get(node, ())):
-            reached.add(kid)
-            stack.append(kid)
+        if node in children:
+            nests.append(node)
+            stack.extend(reversed(children[node]))
+        else:
+            leaves.append(node)
 
-    declared = set(children) | set(lam) | set(parent)
-    unreachable = declared - reached
+    unreachable = (children.keys() | lam.keys() | parent.keys()).difference(order)
     if unreachable:
         probe = min(unreachable)  # deterministic pick for the message
         seen = set()
@@ -174,14 +173,11 @@ def build(
 
     # Lambda placement and range. Nests need lambda in (0, 1]; leaves must
     # not carry one; the root is pinned at 1.
-    nests = tuple(n for n in order if n in children)
-    leaves = tuple(n for n in order if n not in children)
-    for nest in nests:
-        if nest == root:
-            continue
+    lam_full = {root: 1.0}
+    for nest in nests[1:]:  # the root comes first
         if nest not in lam:
             raise LambdaRangeError(f"nest {nest!r} has no lambda")
-        value = lam[nest]
+        value = lam_full[nest] = lam[nest]
         if not (0.0 < value <= 1.0):
             raise LambdaRangeError(f"lambda for nest {nest!r} is {value!r}, not in (0, 1]")
     if root in lam and lam[root] != 1.0:
@@ -190,21 +186,25 @@ def build(
         if node not in children:
             raise LambdaRangeError(f"lambda given for {node!r}, which is not a nest")
 
-    lam_full = {n: (1.0 if n == root else lam[n]) for n in nests}
-    depth, big_lambda = metrics(root, children, parent, lam_full, order)
-    for nest in nests:
-        if big_lambda[nest] == 0.0:
-            raise LambdaRangeError(f"the product of lambda down to nest {nest!r} underflows to 0")
+    ids = nests + leaves
+    slot = {node: s for s, node in enumerate(ids)}.__getitem__
+    up = (-1, *map(slot, map(parent.__getitem__, ids[1:])))
+    depth, scale = metrics(up, [*lam_full.values(), *[1.0] * len(leaves)])
+    if 0.0 in scale:  # nests come first, so this names the first in preorder
+        raise LambdaRangeError(f"the product of lambda down to nest {ids[scale.index(0.0)]!r} underflows to 0")
     return Arborescence(
         root=root,
         children=children,
         parent=parent,
         lam=lam_full,
-        nests=nests,
-        leaves=leaves,
+        nests=tuple(nests),
+        leaves=tuple(leaves),
         nodes=tuple(order),
-        depth=depth,
-        big_lambda=big_lambda,
+        depth=dict(zip(ids, depth)),
+        big_lambda=dict(zip(ids, scale)),
+        kids=tuple(tuple(map(slot, children[nest])) for nest in nests),
+        up=up,
+        scale=tuple(scale),
     )
 
 

@@ -11,6 +11,7 @@ item 8). The Monte Carlo checks all read one stream of noise, folded
 by simulate._fold in one pass: per draw it keeps the best total, a hit
 flag per bound vector and only the noise columns the correlation pairs
 read, never the draws x leaves matrix, plus the win counts per chunk.
+Its pairs, like the finite differences' parent table, come from tree.kids.
 
 The module imports numpy only inside run_checks, so that grad-check,
 which needs only finite_difference_gradient, starts without it.
@@ -65,23 +66,23 @@ def finite_difference_gradient(model: ModelSpec, step: float) -> dict[str, float
     rebuilt model at base +- step would give.
     """
     tree, u = model.tree, backward_utils(model)
-    # Per node below the root: its parent, its slot among the parent's
-    # children, and the parent's max, how many children hold it, the
-    # children's values, the terms log_sum_exp sums over them, and Lambda.
-    up = {}
-    for nest in tree.nests:
-        kids, big_lam = tree.children[nest], tree.big_lambda[nest]
-        values = [u[k] for k in kids]
+    # Per slot below the root: its parent's slot, its place among the
+    # parent's children, and the parent's max, how many children hold it,
+    # the children's values, the terms log_sum_exp sums over them, and Lambda.
+    v = [u[node] for node in tree.nests + tree.leaves]
+    above = {}
+    for nest, (kids, big_lam) in enumerate(zip(tree.kids, tree.scale)):
+        values = [v[k] for k in kids]
         top = max(values)
-        shared = (top, values.count(top), values, [math.exp((v - top) / big_lam) for v in values], big_lam)
-        up.update((kid, (nest, i, *shared)) for i, kid in enumerate(kids))
+        shared = (top, values.count(top), values, [math.exp((x - top) / big_lam) for x in values], big_lam)
+        above.update((kid, (nest, i, *shared)) for i, kid in enumerate(kids))
     grad = {}
-    for leaf in tree.leaves:
+    for slot, leaf in enumerate(tree.leaves, len(tree.kids)):
         ends = []
-        for value in (u[leaf] + step, u[leaf] - step):
-            node, value = leaf, _finite_values({leaf: value}, "utility")[leaf]
-            while node != tree.root:
-                node, i, top, n_top, values, terms, big_lam = up[node]
+        for value in (v[slot] + step, v[slot] - step):
+            node, value = slot, _finite_values({leaf: value}, "utility")[leaf]
+            while node:  # the root is slot 0
+                node, i, top, n_top, values, terms, big_lam = above[node]
                 # Both branches edit the parent's lists in place and restore
                 # them. max() keeps top when value equals it, or when value is
                 # below it and a sibling still holds it.
@@ -160,12 +161,12 @@ def run_checks(
     # --- Monte Carlo comparisons on one stream of noise ----------------
     # One pair per nest with two or more children: the first leaves under
     # its first two children, whose lowest common ancestor is the nest.
-    # first_col maps a node to the noise column of its first leaf.
-    first_col = {leaf: i for i, leaf in enumerate(tree.leaves)}
-    for nest in reversed(tree.nests):
-        first_col[nest] = first_col[tree.children[nest][0]]
-    pairs = [(nest, first_col[kids[0]], first_col[kids[1]])
-             for nest in tree.nests if len(kids := tree.children[nest]) >= 2]
+    # first[s] is the noise column of slot s's first leaf (leaf slot - N).
+    first = [0] * len(tree.kids) + list(range(len(tree.leaves)))
+    for nest in reversed(range(len(tree.kids))):
+        first[nest] = first[tree.kids[nest][0]]
+    pairs = [(tree.scale[nest], first[kids[0]], first[kids[1]])
+             for nest, kids in enumerate(tree.kids) if len(kids) >= 2]
     cols = np.unique(np.array([col for _, *pair in pairs for col in pair], dtype=np.intp))
     grid = [
         {leaf: 0.0 for leaf in tree.leaves},
@@ -179,9 +180,9 @@ def run_checks(
     store, hits, _, counts = _fold(model, stream.child(1), n_draws, n_threads, utilities, bounds, cols)
 
     pair_gap = 0.0
-    for nest, i, j in pairs:
+    for big_lam, i, j in pairs:
         r = correlation_with_error(store[np.searchsorted(cols, i)], store[np.searchsorted(cols, j)])
-        pair_gap = max(pair_gap, abs(r.value - (1.0 - tree.big_lambda[nest] ** 2)))
+        pair_gap = max(pair_gap, abs(r.value - (1.0 - big_lam ** 2)))
     corr_tol = 3.0 / float(np.sqrt(n_draws - 3.0))  # 3 standard errors of r at rho = 0, the widest
     detail = f"max |empirical - (1 - Lambda_lca^2)| over {len(pairs)} pairs, one per nest"
     results.append(_within("lca-correlations", pair_gap, corr_tol, detail))

@@ -225,6 +225,14 @@ def test_emax(depth3_path):
     assert proc.returncode == 1
 
 
+def test_emax_all_and_node_exclude_each_other(depth3_path):
+    # --all printed every node while the report echoed "node": "a"
+    proc = run_cli("emax", depth3_path, "--all", "--node", "a")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "--all" in proc.stderr and "--node" in proc.stderr
+
+
 def test_sample_csv(single_layer_path, tmp_path):
     out = tmp_path / "draws.csv"
     report = payload(run_cli(

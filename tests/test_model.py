@@ -416,3 +416,64 @@ def test_numbers_past_float_range_name_the_leaf():
 
 def test_model_is_tree_plus_utilities():
     assert [f.name for f in dataclasses.fields(ModelSpec)] == ["tree", "utilities"]
+
+
+# --- the id-keyed walks, kept as the bit-for-bit oracle of the slot passes ---
+
+def _reference_backward(model):
+    # u_n over tree.children and tree.big_lambda, child nests before parents
+    tree = model.tree
+    u = dict(model.utilities)
+    for node in reversed(tree.nests):
+        values = [u[kid] for kid in tree.children[node]]
+        top, big_lam = max(values), tree.big_lambda[node]
+        u[node] = top + big_lam * math.log(sum(math.exp((v - top) / big_lam) for v in values))
+    return u
+
+
+def _reference_forward(model, u):
+    # log pi down tree.children in preorder, exponentiated at the end
+    tree = model.tree
+    log_pi = {tree.root: 0.0}
+    for node in tree.nests:
+        for kid in tree.children[node]:
+            log_pi[kid] = log_pi[node] + (u[kid] - u[node]) / tree.big_lambda[node]
+    return {node: math.exp(lp) for node, lp in log_pi.items()}
+
+
+def _reference_cdf(model, bounds):
+    negated = make_model(model.tree, {leaf: -value for leaf, value in bounds.items()})
+    try:
+        return math.exp(-math.exp(_reference_backward(negated)[model.tree.root]))
+    except OverflowError:
+        return 0.0
+
+
+def _oracle_chain(n_nests):
+    # n0 -> {n1, x0}, n1 -> {n2, x1}, ..., with differing utilities
+    children = {f"n{i}": (f"n{i + 1}", f"x{i}") for i in range(n_nests - 1)}
+    children[f"n{n_nests - 1}"] = ("end", f"x{n_nests - 1}")
+    tree = build("n0", children, {f"n{i}": 0.9 for i in range(1, n_nests)})
+    return make_model(tree, {leaf: 0.01 * i for i, leaf in enumerate(tree.leaves)})
+
+
+def test_passes_equal_the_id_keyed_walks_bit_for_bit(depth3_model, single_layer_model):
+    plain = plain_logit({"a": 0.3, "b": -1.0, "c": 2.0})
+    rng = np.random.default_rng(909)
+    models = [depth3_model, single_layer_model, plain, _oracle_chain(400)]
+    models += [random_model(rng, max_nodes=60) for _ in range(30)]
+    # Ties for the nest maxima: every utility equal, and integer utilities.
+    models += [with_utilities(m, {leaf: 0.0 for leaf in m.tree.leaves}) for m in models[:6]]
+    models += [with_utilities(m, {leaf: float(round(3 * v)) for leaf, v in m.utilities.items()}) for m in models[4:12]]
+    for model in models:
+        tree = model.tree
+        u = _reference_backward(model)
+        pi = _reference_forward(model, u)
+        assert backward_utils(model) == u
+        assert forward_probs(model, u) == pi
+        assert choice_probs(model) == {leaf: pi[leaf] for leaf in tree.leaves}
+        assert [emax(model, nest) for nest in tree.nests] == [u[nest] for nest in tree.nests]
+        bounds = {leaf: 0.25 * (i % 5) - 0.5 for i, leaf in enumerate(tree.leaves)}
+        assert cdf(model, bounds) == _reference_cdf(model, bounds)
+        deep = {**bounds, tree.leaves[0]: -800.0}
+        assert cdf(model, deep) == _reference_cdf(model, deep)

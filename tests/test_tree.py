@@ -195,8 +195,24 @@ def root_path(tree, node):
     return path
 
 
+def assert_slots(tree):
+    """The compiled form against the id-keyed fields: nests then leaves,
+    each in preorder, and kids, up and scale read back through the ids."""
+    ids = tree.nests + tree.leaves
+    assert tree.nests == tuple(node for node in tree.nodes if tree.is_nest(node))
+    assert tree.leaves == tuple(node for node in tree.nodes if tree.is_leaf(node))
+    assert ids[0] == tree.root and tree.up[0] == -1
+    assert len(tree.kids) == len(tree.nests) and len(tree.up) == len(tree.scale) == len(ids)
+    for nest, kids in zip(tree.nests, tree.kids):
+        assert tuple(ids[k] for k in kids) == tree.children[nest]
+    for s in range(1, len(ids)):
+        assert tree.up[s] < s
+        assert ids[tree.up[s]] == tree.parent[ids[s]]
+    assert tree.scale == tuple(tree.big_lambda[node] for node in ids)
+
+
 def test_metrics_invariants_random_sweep():
-    # build()'s stored depth and Lambda against their definitions
+    # build()'s stored depth, Lambda and slots against their definitions
     # on a spread of random trees
     for seed in range(25):
         tree = random_model(np.random.default_rng(seed), max_nodes=50).tree
@@ -211,6 +227,7 @@ def test_metrics_invariants_random_sweep():
                 product *= tree.lam[nest]  # root first, as build() multiplies
             assert tree.big_lambda[node] == product
         assert seen == set(tree.nests) | set(tree.leaves) == set(tree.depth) == set(tree.big_lambda)
+        assert_slots(tree)
 
 
 def naive_lca(tree, a, b):
@@ -239,6 +256,8 @@ def test_lca_on_deep_chain():
     for a, b in pairs:
         assert lca(tree, a, b) == naive_lca(tree, a, b)
     assert lca(tree, f"x{depth}", f"y{depth}") == f"n{depth}"
+    assert_slots(tree)
+    assert tree.up[depth] == depth - 1 and tree.up[-1] == 0  # n3000 under n2999; x0, last in preorder, under n0
 
 
 @st.composite
