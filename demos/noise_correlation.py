@@ -5,7 +5,7 @@ What the noise vector looks like: marginals and correlation
 Simulated utility noise on the depth-3 tree. Every leaf's noise is a
 standard Gumbel regardless of the tree, and the correlation between two
 leaves is 1 - Lambda_lca^2 where Lambda is the product of lambdas down
-to their lowest common ancestor; the tree stores it as tree.big_lambda.
+to their lowest common ancestor; the tree stores it by slot as tree.scale.
 """
 
 import math
@@ -36,6 +36,6 @@ order = batch.leaf_order
 for i in range(len(order)):
     for j in range(i + 1, len(order)):
         a, b = order[i], order[j]
-        rho = 1 - tree.big_lambda[lca(tree, a, b)] ** 2
+        rho = 1 - tree.scale[tree.slot[lca(tree, a, b)]] ** 2
         emp = np.corrcoef(eps[:, i], eps[:, j])[0, 1]
         print(f"{a}-{b}    {emp: .4f}     {rho:.4f}")

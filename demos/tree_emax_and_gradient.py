@@ -17,7 +17,7 @@ model = load_model(Path(__file__).parent / "models" / "depth3.json")
 # Backward pass: every nest's inclusive value u_n = Lambda_n * LSE(u_z / Lambda_n).
 u = backward_utils(model)
 print("node   inclusive value")
-for node in model.tree.nodes:
+for node in model.tree.nests + model.tree.leaves:
     print(f"{node:6s} {u[node]: .15f}")
 
 # The root inclusive value is the Emax net of the Euler constant.

@@ -241,18 +241,18 @@ def _cmd_validate(args) -> dict:
     nests = {
         nest: {
             "lambda": tree.lam[nest],
-            "big_lambda": tree.big_lambda[nest],
-            "depth": tree.depth[nest],
-            "n_children": len(tree.children[nest]),
+            "big_lambda": big_lambda,
+            "depth": depth,
+            "n_children": len(kids),
         }
-        for nest in tree.nests
+        for nest, kids, big_lambda, depth in zip(tree.nests, tree.kids, tree.scale, tree.depth)
     }
     results = {
         "valid": True,
-        "n_nodes": len(tree.nodes),
+        "n_nodes": len(tree.slot),
         "n_nests": len(tree.nests),
         "n_leaves": len(tree.leaves),
-        "height": max(tree.depth.values()),
+        "height": max(tree.depth),
         "leaves": list(tree.leaves),
         "nests": nests,
     }
@@ -282,9 +282,8 @@ def _cmd_probs(args) -> dict:
 
 def _cmd_emax(args) -> dict:
     model = _load(args)
-    if args.all:
-        u = backward_utils(model)
-        return {"inclusive_values": {node: u[node] for node in model.tree.nodes}}
+    if args.all:  # the report prints keys sorted, so the pass's slot order never shows
+        return {"inclusive_values": backward_utils(model)}
     return {"node": args.node or model.tree.root, "emax": emax(model, args.node)}
 
 
@@ -359,9 +358,10 @@ def _cmd_stable(args) -> dict:
     from .montecarlo import mean_with_error
 
     draws = _stable_draws(args)
+    # At t = 0 every term is 1, also where a draw overflowed to inf (0 * inf is nan)
     with np.errstate(over="ignore"):  # t Z = inf gives exp(-inf) = 0 exactly
-        scaled = -args.t * draws
-    est = mean_with_error(np.exp(scaled))
+        terms = np.exp(-args.t * draws) if args.t else np.ones_like(draws)
+    est = mean_with_error(terms)
     exact = math.exp(-args.t**lam)
     return {
         "estimate": est.value,

@@ -1,7 +1,7 @@
 """Analytic nested logit on a nest tree.
 
 Let Lambda_n be the product of lambda over the nests on the root path of
-n, which tree.build stores once as tree.big_lambda. A model is the tree
+n, which tree.build stores once by slot as tree.scale. A model is the tree
 plus a utility on every leaf. The joint noise CDF is
 
     Pr(eps_j <= A_j for all j) = exp(-exp(-a_root)),
@@ -222,6 +222,6 @@ def log_odds(model: ModelSpec, z: str) -> float:
     tree.require_node(z)
     if z == tree.root:
         raise RootHasNoParentError("the root has no parent nest")
-    parent = tree.parent[z]
+    parent = tree.up[tree.slot[z]]
     u = backward_utils(model)
-    return (u[z] - u[parent]) / tree.big_lambda[parent]
+    return (u[z] - u[tree.nests[parent]]) / tree.scale[parent]

@@ -9,8 +9,10 @@ This module owns the JSON text: decoding, the top-level "root" key and
 writing. tree.from_nested, the one walk over the nodes, owns the node
 schema and reports each violation with the JSON path of the offending
 node (for instance root.children[1].lambda) so files can be fixed
-without guesswork; tree.build owns the structural rules. The JSON
-reader and writer recurse once per level, so a document nested deeper
+without guesswork; tree.build owns the structural rules. model_to_doc
+assembles the document from the compiled tree without recursion: the
+leaves first, then the nests in reverse preorder. The JSON reader and
+writer recurse once per level, so a document nested deeper
 than the interpreter allows is refused with a ModelFileError. The limit
 depends on the interpreter version: about 495 nests on Python 3.10 and
 3.11, which use the recursion limit, and more from 3.12 on.
@@ -66,16 +68,13 @@ def load_model(path) -> ModelSpec:
 def model_to_doc(model: ModelSpec) -> dict:
     """Nested document form of a model, suitable for json.dump."""
     tree = model.tree
-    built: dict[str, dict] = {}
-    for node in reversed(tree.nodes):  # children first
-        if tree.is_nest(node):
-            built[node] = {
-                "id": node,
-                "lambda": tree.lam[node],
-                "children": [built[kid] for kid in tree.children[node]],
-            }
-        else:
-            built[node] = {"id": node, "utility": model.utilities[node]}
+    built = {leaf: {"id": leaf, "utility": model.utilities[leaf]} for leaf in tree.leaves}
+    for nest in reversed(tree.nests):  # a child nest comes after its parent in preorder
+        built[nest] = {
+            "id": nest,
+            "lambda": tree.lam[nest],
+            "children": [built[kid] for kid in tree.children[nest]],
+        }
     return {"root": built[tree.root]}
 
 

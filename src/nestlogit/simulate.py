@@ -230,7 +230,7 @@ def mc_correlation(
     """
     for leaf in (leaf_a, leaf_b):
         require_leaf(model.tree, leaf, "noise columns belong to leaves")
-    pair = [model.tree.leaves.index(leaf) for leaf in (leaf_a, leaf_b)]
+    pair = [model.tree.slot[leaf] - len(model.tree.nests) for leaf in (leaf_a, leaf_b)]
     cols = np.unique(pair)
     store = _fold(model, stream, n_draws, n_threads, cols=cols)[0]
     a, b = np.searchsorted(cols, pair)

@@ -1,14 +1,16 @@
-"""Nest trees (arborescences), compiled once with their structural metrics.
+"""Nest trees (arborescences), compiled once into slots.
 
 A nest tree is a finite rooted tree whose internal nodes ("nests") carry a
 dissimilarity parameter lambda in (0, 1] and whose leaves are the choice
-alternatives. The root is a nest with lambda fixed at 1. Everything
-downstream (choice probabilities, noise simulation) is driven by quantities
-that build() computes once and stores on the tree: the depth-first preorder
-of the nodes, each node's depth, the cumulative parameter Lambda (the
-product of lambda over each node's root path) and the node slots, the one
-index form of the tree (nests in preorder, then leaves). They depend on
-the tree alone, so models that differ only in utilities share them.
+alternatives. The root is a nest with lambda fixed at 1. build() keeps the
+description it was given and compiles it once into slots, the one index
+form of the tree: each node gets a number, the nests in depth-first
+preorder and then the leaves in preorder, and each nest's child slots,
+each node's parent slot, depth and cumulative parameter Lambda (the
+product of lambda over its root path) are stored by slot. Everything
+downstream (choice probabilities, noise simulation) reads those slots.
+They depend on the tree alone, so models that differ only in utilities
+share them.
 
 build() owns the structural rules (non-empty ids, lambda in (0, 1], a
 nonzero Lambda, no cycles, orphans or empty nests); from_nested() owns the
@@ -47,40 +49,39 @@ __all__ = ["Arborescence", "build", "from_nested", "lca", "descendant_leaves"]
 class Arborescence:
     """Validated nest tree.
 
-    children maps each nest to its ordered child tuple; parent covers every
-    node except the root; lam holds lambda for every nest (root included,
-    always 1.0). nodes lists every node in depth-first preorder, children
-    in declaration order, so a parent always precedes its children; nests
-    and leaves are its two subsequences. depth counts edges from the root,
-    so the tree's height is max(depth.values()). big_lambda[n] is the
-    product of lambda over the nests on the root path of n, the node itself
-    included when it is a nest; a leaf inherits its parent's value. By
-    slot, kids[i] holds nest i's child slots, up[s] the parent slot of s
-    (-1 for the root, else below s) and scale[s] its Lambda. Instances are
-    immutable after build() and safe to share across threads.
+    root, children and lam are the description build() was given:
+    children maps each nest to its ordered child tuple, and lam holds
+    lambda for every nest (root included, always 1.0). The rest is its
+    compiled form. slot numbers every node: nests holds the nests in
+    depth-first preorder, children in declaration order, at slots
+    0..N-1, and leaves the leaves in the same order at slots N..N+L-1.
+    By slot, kids[i] holds nest i's child slots, up[s] the parent slot of
+    s (-1 for the root, else below s), scale[s] its Lambda, the product of
+    lambda over the nests on its root path (a leaf inherits its parent's
+    value), and depth[s] its number of edges from the root, so the
+    tree's height is max(depth). Instances are immutable after build()
+    and safe to share across threads.
     """
 
     root: str
     children: Mapping[str, tuple[str, ...]]
-    parent: Mapping[str, str]
     lam: Mapping[str, float]
     nests: tuple[str, ...]
     leaves: tuple[str, ...]
-    nodes: tuple[str, ...]
-    depth: Mapping[str, int]
-    big_lambda: Mapping[str, float]
+    slot: Mapping[str, int]
     kids: tuple[tuple[int, ...], ...]
     up: tuple[int, ...]
     scale: tuple[float, ...]
+    depth: tuple[int, ...]
 
     def is_nest(self, node: str) -> bool:
         return node in self.children
 
     def is_leaf(self, node: str) -> bool:
-        return node in self.parent and node not in self.children
+        return node in self.slot and node not in self.children
 
     def require_node(self, node: str) -> None:
-        if node != self.root and node not in self.parent:
+        if node not in self.slot:
             raise UnknownNodeError(f"unknown node id {node!r}")
 
 
@@ -109,7 +110,7 @@ def build(
     lam: Mapping[str, float],
 ) -> Arborescence:
     """Validate a raw tree description and compile it, once, into an
-    Arborescence with its preorder, depths, cumulative Lambda and slots.
+    Arborescence with its slots, depths and cumulative Lambda.
 
     Inputs
     ------
@@ -148,18 +149,19 @@ def build(
     # Depth-first preorder from the root, split into nests and leaves. With
     # one parent per node and none for the root, it meets each node once;
     # a declared node it misses is on a cycle or hangs off nothing (orphan).
-    order, nests, leaves = [], [], []
+    nests, leaves = [], []
     stack = [root]
     while stack:
         node = stack.pop()
-        order.append(node)
         if node in children:
             nests.append(node)
             stack.extend(reversed(children[node]))
         else:
             leaves.append(node)
 
-    unreachable = (children.keys() | lam.keys() | parent.keys()).difference(order)
+    ids = nests + leaves
+    slot = {node: s for s, node in enumerate(ids)}
+    unreachable = (children.keys() | lam.keys() | parent.keys()).difference(slot)
     if unreachable:
         probe = min(unreachable)  # deterministic pick for the message
         seen = set()
@@ -186,25 +188,21 @@ def build(
         if node not in children:
             raise LambdaRangeError(f"lambda given for {node!r}, which is not a nest")
 
-    ids = nests + leaves
-    slot = {node: s for s, node in enumerate(ids)}.__getitem__
-    up = (-1, *map(slot, map(parent.__getitem__, ids[1:])))
+    up = (-1, *map(slot.__getitem__, map(parent.__getitem__, ids[1:])))
     depth, scale = metrics(up, [*lam_full.values(), *[1.0] * len(leaves)])
     if 0.0 in scale:  # nests come first, so this names the first in preorder
         raise LambdaRangeError(f"the product of lambda down to nest {ids[scale.index(0.0)]!r} underflows to 0")
     return Arborescence(
         root=root,
         children=children,
-        parent=parent,
         lam=lam_full,
         nests=tuple(nests),
         leaves=tuple(leaves),
-        nodes=tuple(order),
-        depth=dict(zip(ids, depth)),
-        big_lambda=dict(zip(ids, scale)),
-        kids=tuple(tuple(map(slot, children[nest])) for nest in nests),
+        slot=slot,
+        kids=tuple(tuple(map(slot.__getitem__, children[nest])) for nest in nests),
         up=up,
         scale=tuple(scale),
+        depth=tuple(depth),
     )
 
 
@@ -297,38 +295,34 @@ def from_nested(doc: Mapping) -> tuple[Arborescence, dict[str, float]]:
 def lca(tree: Arborescence, a: str, b: str) -> str:
     """Lowest common ancestor of two nodes.
 
-    Lifts the deeper node to the other's depth, read off tree.depth, then
-    walks both parent chains up together; O(distance to the ancestor) per
-    query. lca(x, x) = x and the root is a universal ancestor.
+    A parent's slot is below its child's, so the node with the larger slot
+    is never an ancestor of the other, and climbing it keeps the answer;
+    O(distance to the ancestor) per query. lca(x, x) = x and the root is a
+    universal ancestor.
     """
     tree.require_node(a)
     tree.require_node(b)
-    depth, parent = tree.depth, tree.parent
-    while depth[a] > depth[b]:
-        a = parent[a]
-    while depth[b] > depth[a]:
-        b = parent[b]
-    while a != b:
-        a = parent[a]
-        b = parent[b]
-    return a
+    up, s, t = tree.up, tree.slot[a], tree.slot[b]
+    while s != t:
+        s, t = (up[s], t) if s > t else (s, up[t])
+    return a if a == b else tree.nests[s]  # a common ancestor of two nodes is a nest
 
 
 def descendant_leaves(tree: Arborescence, node: str) -> frozenset[str]:
-    """Set of leaves below a node; a leaf yields the singleton of itself."""
+    """Set of leaves below a node; a leaf yields the singleton of itself.
+
+    Leaves are numbered in preorder, so those below a node take the
+    consecutive slots from its first-child descent to its last-child
+    descent; O(depth) to find, plus the leaves returned.
+    """
     tree.require_node(node)
-    if tree.is_leaf(node):
-        return frozenset((node,))
-    found = []
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        kids = tree.children.get(cur, ())
-        if kids:
-            stack.extend(kids)
-        else:
-            found.append(cur)
-    return frozenset(found)
+    kids, n = tree.kids, len(tree.nests)
+    first = last = tree.slot[node]
+    while first < n:
+        first = kids[first][0]
+    while last < n:
+        last = kids[last][-1]
+    return frozenset(tree.leaves[first - n:last - n + 1])
 
 
 def require_nest(tree: Arborescence, node: str) -> None:

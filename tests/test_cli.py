@@ -565,6 +565,15 @@ def test_laplace_overflowing_product_is_silent():
     assert results["estimate"] == results["exact"] == 0.0
 
 
+def test_laplace_at_zero_is_one_even_past_overflowing_draws():
+    # At lambda 0.01 some draws overflow to inf, where -0 * inf is nan;
+    # E[exp(-0 Z)] = 1 exactly whatever Z is.
+    proc = run_cli("stable", "laplace", "--lambda", "0.01", "--t", "0", "--draws", "100000", "--seed", "1")
+    results = payload(proc)["results"]
+    assert proc.stderr == ""
+    assert results["estimate"] == results["exact"] == 1.0 and results["std_error"] == 0.0
+
+
 def test_version():
     proc = run_cli("--version")
     assert proc.returncode == 0

@@ -35,6 +35,7 @@ from nestlogit import (
     random_single_layer_model,
     with_utilities,
 )
+from reference_tree import walk
 
 SQRT2 = math.sqrt(2.0)
 
@@ -202,7 +203,7 @@ def test_cdf_single_layer_closed_form(single_layer_model):
 
 def _cdf_recursion(model, bounds):
     # The joint CDF's nest recursion written out in a_n, min-shifted.
-    tree, big_lambda = model.tree, model.tree.big_lambda
+    tree, big_lambda = model.tree, walk(model.tree).big_lambda
     a = {leaf: float(bounds[leaf]) for leaf in tree.leaves}
     for node in reversed(tree.nests):
         kids = tree.children[node]
@@ -256,9 +257,9 @@ def test_log_odds_depth3(depth3_model):
     # leaf2 against nest a: (0 - u_a)/0.5 = -ln(1 + sqrt(2))
     assert_allclose(log_odds(depth3_model, "leaf2"), -math.log(1.0 + SQRT2), rtol=1e-14)
     # the identity against the probabilities of the forward pass
-    tree = depth3_model.tree
+    parent = walk(depth3_model.tree).parent
     for node in ("a", "b", "leaf0", "leaf2", "leaf3"):
-        via_pi = math.log(pi[node]) - math.log(pi[tree.parent[node]])
+        via_pi = math.log(pi[node]) - math.log(pi[parent[node]])
         assert abs(log_odds(depth3_model, node) - via_pi) < 1e-12
 
 
@@ -277,10 +278,10 @@ def test_log_odds_root_rejected(depth3_model):
 def log_prob_via_odds(model, leaf):
     # path sum of log odds: the leaf's log probability without ever
     # exponentiating, so it cannot underflow
-    total, node = 0.0, leaf
+    total, node, parent = 0.0, leaf, walk(model.tree).parent
     while node != model.tree.root:
         total += log_odds(model, node)
-        node = model.tree.parent[node]
+        node = parent[node]
     return total
 
 
@@ -421,23 +422,23 @@ def test_model_is_tree_plus_utilities():
 # --- the id-keyed walks, kept as the bit-for-bit oracle of the slot passes ---
 
 def _reference_backward(model):
-    # u_n over tree.children and tree.big_lambda, child nests before parents
-    tree = model.tree
+    # u_n over tree.children and the walked Lambda, child nests before parents
+    tree, big_lambda = model.tree, walk(model.tree).big_lambda
     u = dict(model.utilities)
     for node in reversed(tree.nests):
         values = [u[kid] for kid in tree.children[node]]
-        top, big_lam = max(values), tree.big_lambda[node]
+        top, big_lam = max(values), big_lambda[node]
         u[node] = top + big_lam * math.log(sum(math.exp((v - top) / big_lam) for v in values))
     return u
 
 
 def _reference_forward(model, u):
     # log pi down tree.children in preorder, exponentiated at the end
-    tree = model.tree
+    tree, big_lambda = model.tree, walk(model.tree).big_lambda
     log_pi = {tree.root: 0.0}
     for node in tree.nests:
         for kid in tree.children[node]:
-            log_pi[kid] = log_pi[node] + (u[kid] - u[node]) / tree.big_lambda[node]
+            log_pi[kid] = log_pi[node] + (u[kid] - u[node]) / big_lambda[node]
     return {node: math.exp(lp) for node, lp in log_pi.items()}
 
 

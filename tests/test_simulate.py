@@ -46,6 +46,7 @@ from nestlogit.montecarlo import (
     mean_with_error,
     run_chunked,
 )
+from reference_tree import walk
 
 KS_1PCT = 1.63
 
@@ -85,6 +86,7 @@ def path_sum_reference(model, stream, n_draws):
     Lambda_t * log Z_t over the factor nests on its root path, read from
     the same per-chunk substreams in the same order as sample_epsilon."""
     tree = model.tree
+    ref = walk(tree)
     factor_nests = [n for n in tree.nests if tree.lam[n] < 1.0]
     out = np.empty((n_draws, len(tree.leaves)))
     for i, start in enumerate(range(0, n_draws, CHUNK_SIZE)):
@@ -92,12 +94,12 @@ def path_sum_reference(model, stream, n_draws):
         sub = stream.child(i)
         log_z = {n: stable_log_sample(sub, tree.lam[n], size=stop - start) for n in factor_nests}
         for col, leaf in enumerate(tree.leaves):
-            eps = tree.big_lambda[leaf] * gumbel_sample(sub, size=stop - start)
-            nest = tree.parent[leaf]
+            eps = ref.big_lambda[leaf] * gumbel_sample(sub, size=stop - start)
+            nest = ref.parent[leaf]
             while nest != tree.root:
                 if nest in log_z:
-                    eps = eps + tree.big_lambda[nest] * log_z[nest]
-                nest = tree.parent[nest]
+                    eps = eps + ref.big_lambda[nest] * log_z[nest]
+                nest = ref.parent[nest]
             out[start:stop, col] = eps
     return out
 
@@ -138,12 +140,13 @@ def test_sample_matches_path_sum_deep_chain():
 def replay_factor_rows(tree, sub, m):
     """Per nest, the prefix sum of Lambda_t * log Z_t down its root path,
     drawn one stable_log_sample call per factor nest in preorder."""
+    ref = walk(tree)
     acc = {n: np.zeros(m) for n in tree.nests}
     for n in tree.nests:
         if tree.lam[n] < 1.0:
-            acc[n] = tree.big_lambda[n] * stable_log_sample(sub, tree.lam[n], size=m)
+            acc[n] = ref.big_lambda[n] * stable_log_sample(sub, tree.lam[n], size=m)
     for n in tree.nests[1:]:
-        acc[n] = acc[n] + acc[tree.parent[n]]
+        acc[n] = acc[n] + acc[ref.parent[n]]
     return acc
 
 
@@ -153,13 +156,14 @@ def row_replay(model, stream, n_draws):
     gumbel_sample call per leaf in column order. The block kernel must give
     exactly these bits."""
     tree = model.tree
+    ref = walk(tree)
     out = np.empty((n_draws, len(tree.leaves)))
     for i, start in enumerate(range(0, n_draws, CHUNK_SIZE)):
         stop = min(start + CHUNK_SIZE, n_draws)
         sub = stream.child(i)
         acc = replay_factor_rows(tree, sub, stop - start)
         for col, leaf in enumerate(tree.leaves):
-            out[start:stop, col] = tree.big_lambda[leaf] * gumbel_sample(sub, size=stop - start) + acc[tree.parent[leaf]]
+            out[start:stop, col] = ref.big_lambda[leaf] * gumbel_sample(sub, size=stop - start) + acc[ref.parent[leaf]]
     return out
 
 
@@ -189,16 +193,17 @@ def mixed_row_replay(model, stream, n_draws):
     equalized leaf in leaf order; utilities enter shifted by their max.
     Returns the per-leaf means and std errors."""
     tree = model.tree
-    mu = min(tree.big_lambda[leaf] for leaf in tree.leaves)
+    ref = walk(tree)
+    mu = min(ref.big_lambda[leaf] for leaf in tree.leaves)
     probs = np.empty((len(tree.leaves), n_draws))
     for i, start in enumerate(range(0, n_draws, CHUNK_SIZE)):
         m = min(start + CHUNK_SIZE, n_draws) - start
         sub = stream.child(i)
         acc = replay_factor_rows(tree, sub, m)
-        scores = np.array([acc[tree.parent[leaf]] for leaf in tree.leaves]) / mu
+        scores = np.array([acc[ref.parent[leaf]] for leaf in tree.leaves]) / mu
         for j, leaf in enumerate(tree.leaves):
-            if mu < tree.big_lambda[leaf]:
-                scores[j] += stable_log_sample(sub, mu / tree.big_lambda[leaf], size=m)
+            if mu < ref.big_lambda[leaf]:
+                scores[j] += stable_log_sample(sub, mu / ref.big_lambda[leaf], size=m)
         u = np.array([model.utilities[leaf] for leaf in tree.leaves])
         scores += ((u - u.max()) / mu)[:, None]
         scores = np.exp(scores - scores.max(axis=0))
@@ -405,7 +410,8 @@ def mixed_logit_reference(model, stream, n_draws):
     softmax of (U_j + sum_t Lambda_t log Z_t + mu log Z'_j)/mu over the
     nests t on leaf j's root path. Returns the per-draw probability rows."""
     tree = model.tree
-    mu = min(tree.big_lambda[leaf] for leaf in tree.leaves)
+    ref = walk(tree)
+    mu = min(ref.big_lambda[leaf] for leaf in tree.leaves)
     rows = []
     for i, start in enumerate(range(0, n_draws, CHUNK_SIZE)):
         m = min(start + CHUNK_SIZE, n_draws) - start
@@ -414,15 +420,15 @@ def mixed_logit_reference(model, stream, n_draws):
         scores = np.empty((m, len(tree.leaves)))
         for col, leaf in enumerate(tree.leaves):
             total = np.full(m, model.utilities[leaf])
-            nest = tree.parent[leaf]
+            nest = ref.parent[leaf]
             while nest != tree.root:
                 if nest in log_z:
-                    total = total + tree.big_lambda[nest] * log_z[nest]
-                nest = tree.parent[nest]
+                    total = total + ref.big_lambda[nest] * log_z[nest]
+                nest = ref.parent[nest]
             scores[:, col] = total
         for col, leaf in enumerate(tree.leaves):
-            if mu < tree.big_lambda[leaf]:
-                scores[:, col] += mu * stable_log_sample(sub, mu / tree.big_lambda[leaf], size=m)
+            if mu < ref.big_lambda[leaf]:
+                scores[:, col] += mu * stable_log_sample(sub, mu / ref.big_lambda[leaf], size=m)
         weights = np.exp(scores / mu - (scores / mu).max(axis=1, keepdims=True))
         rows.append(weights / weights.sum(axis=1, keepdims=True))
     return np.concatenate(rows)

@@ -1,4 +1,6 @@
-"""Arborescence construction, validation, the metrics build() stores, and LCA."""
+"""Arborescence construction, validation, the slots build() stores, and LCA."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from nestlogit import (
+    Arborescence,
     CycleError,
     DuplicateIdError,
     EmptyNestError,
@@ -22,6 +25,7 @@ from nestlogit import (
     random_model,
 )
 from nestlogit.tree import require_nest
+from reference_tree import walk
 
 DEPTH3_CHILDREN = {"root": ("a", "leaf3"), "a": ("b", "leaf2"), "b": ("leaf0", "leaf1")}
 DEPTH3_LAM = {"a": 0.5, "b": 0.5}
@@ -36,38 +40,51 @@ def test_basic_shape():
     assert tree.root == "root"
     assert tree.nests == ("root", "a", "b")
     assert tree.leaves == ("leaf0", "leaf1", "leaf2", "leaf3")
-    assert tree.parent["leaf2"] == "a"
+    assert tree.nests[tree.up[tree.slot["leaf2"]]] == "a" == walk(tree).parent["leaf2"]
     assert tree.is_nest("a") and not tree.is_nest("leaf0")
     assert tree.is_leaf("leaf3") and not tree.is_leaf("root")
     # child order is preserved from the input mapping
     assert tree.children["root"] == ("a", "leaf3")
 
 
+def by_id(tree, values):
+    """A tuple by slot read back as a dict keyed by node id."""
+    return dict(zip(tree.nests + tree.leaves, values))
+
+
+def test_fields_are_the_description_and_its_slots():
+    assert [field.name for field in dataclasses.fields(Arborescence)] == [
+        "root", "children", "lam", "nests", "leaves", "slot", "kids", "up", "scale", "depth",
+    ]
+
+
 def test_metrics_depth3():
     tree = depth3()
-    assert tree.depth == {
+    assert by_id(tree, tree.depth) == {
         "root": 0, "a": 1, "leaf3": 1, "b": 2, "leaf2": 2, "leaf0": 3, "leaf1": 3,
-    }
-    assert max(tree.depth.values()) == 3  # the height validate reports
-    assert_allclose(tree.big_lambda["root"], 1.0)
-    assert_allclose(tree.big_lambda["a"], 0.5)
-    assert_allclose(tree.big_lambda["b"], 0.25)
+    } == walk(tree).depth
+    assert max(tree.depth) == 3  # the height validate reports
+    big_lambda = by_id(tree, tree.scale)
+    assert_allclose(big_lambda["root"], 1.0)
+    assert_allclose(big_lambda["a"], 0.5)
+    assert_allclose(big_lambda["b"], 0.25)
     # leaves inherit the parent nest's product
-    assert_allclose(tree.big_lambda["leaf0"], 0.25)
-    assert_allclose(tree.big_lambda["leaf2"], 0.5)
-    assert_allclose(tree.big_lambda["leaf3"], 1.0)
+    assert_allclose(big_lambda["leaf0"], 0.25)
+    assert_allclose(big_lambda["leaf2"], 0.5)
+    assert_allclose(big_lambda["leaf3"], 1.0)
 
 
 def test_big_lambda_is_product_along_parent_chain():
     for seed in range(10):
         tree = random_model(np.random.default_rng(seed), max_nodes=60).tree
-        for node in tree.nodes:
+        ref = walk(tree)
+        for node in ref.nodes:
             product = 1.0
-            nest = node if tree.is_nest(node) else tree.parent[node]
+            nest = node if tree.is_nest(node) else ref.parent[node]
             while nest != tree.root:
                 product *= tree.lam[nest]
-                nest = tree.parent[nest]
-            assert_allclose(tree.big_lambda[node], product, rtol=1e-14)
+                nest = ref.parent[nest]
+            assert_allclose(tree.scale[tree.slot[node]], product, rtol=1e-14)
 
 
 def test_root_lambda_optional_but_pinned():
@@ -185,30 +202,33 @@ def test_from_nested():
     assert utilities == {"x": 1.5, "y": -2.0, "z": 0.25}
 
 
-def root_path(tree, node):
-    """node, its parent, ..., the root: the naive reference for depth and
-    lca."""
+def root_path(ref, node):
+    """node, its parent, ..., the root, from the reference walk: the naive
+    reference for depth and lca."""
     path = [node]
-    while node != tree.root:
-        node = tree.parent[node]
+    while node in ref.parent:
+        node = ref.parent[node]
         path.append(node)
     return path
 
 
 def assert_slots(tree):
-    """The compiled form against the id-keyed fields: nests then leaves,
-    each in preorder, and kids, up and scale read back through the ids."""
-    ids = tree.nests + tree.leaves
-    assert tree.nests == tuple(node for node in tree.nodes if tree.is_nest(node))
-    assert tree.leaves == tuple(node for node in tree.nodes if tree.is_leaf(node))
+    """The compiled form against the reference walk: nests then leaves,
+    each in preorder, and slot, kids, up, scale and depth read back
+    through the ids."""
+    ids, ref = tree.nests + tree.leaves, walk(tree)
+    assert tree.nests == tuple(node for node in ref.nodes if tree.is_nest(node))
+    assert tree.leaves == tuple(node for node in ref.nodes if tree.is_leaf(node))
+    assert tree.slot == {node: s for s, node in enumerate(ids)}
     assert ids[0] == tree.root and tree.up[0] == -1
-    assert len(tree.kids) == len(tree.nests) and len(tree.up) == len(tree.scale) == len(ids)
+    assert len(tree.kids) == len(tree.nests) and len(tree.up) == len(tree.scale) == len(tree.depth) == len(ids)
     for nest, kids in zip(tree.nests, tree.kids):
         assert tuple(ids[k] for k in kids) == tree.children[nest]
     for s in range(1, len(ids)):
         assert tree.up[s] < s
-        assert ids[tree.up[s]] == tree.parent[ids[s]]
-    assert tree.scale == tuple(tree.big_lambda[node] for node in ids)
+        assert ids[tree.up[s]] == ref.parent[ids[s]]
+    assert tree.scale == tuple(ref.big_lambda[node] for node in ids)
+    assert tree.depth == tuple(ref.depth[node] for node in ids)
 
 
 def test_metrics_invariants_random_sweep():
@@ -216,33 +236,46 @@ def test_metrics_invariants_random_sweep():
     # on a spread of random trees
     for seed in range(25):
         tree = random_model(np.random.default_rng(seed), max_nodes=50).tree
+        ref = walk(tree)
         seen = set()
-        for node in tree.nodes:
+        for node in ref.nodes:
             assert node not in seen  # preorder reaches each node once
             seen.add(node)
-            path = root_path(tree, node)
-            assert tree.depth[node] == len(path) - 1
+            path = root_path(ref, node)
+            assert tree.depth[tree.slot[node]] == len(path) - 1
             product = 1.0
             for nest in reversed(path[1:] if tree.is_leaf(node) else path):
                 product *= tree.lam[nest]  # root first, as build() multiplies
-            assert tree.big_lambda[node] == product
-        assert seen == set(tree.nests) | set(tree.leaves) == set(tree.depth) == set(tree.big_lambda)
+            assert tree.scale[tree.slot[node]] == product
+        assert seen == set(tree.nests) | set(tree.leaves) == set(tree.slot)
+        assert len(tree.depth) == len(tree.scale) == len(seen)
         assert_slots(tree)
 
 
-def naive_lca(tree, a, b):
-    common = set(root_path(tree, a)) & set(root_path(tree, b))
-    return next(node for node in root_path(tree, a) if node in common)
+def naive_lca(ref, a, b):
+    common = set(root_path(ref, a)) & set(root_path(ref, b))
+    return next(node for node in root_path(ref, a) if node in common)
 
 
 def test_lca_matches_ancestor_sets_random_trees():
     for seed in range(30):
         tree = random_model(np.random.default_rng(500 + seed), max_nodes=80).tree
-        nodes = tree.nodes
+        ref = walk(tree)
+        nodes = ref.nodes
         rng = np.random.default_rng(seed)
         for _ in range(40):
             a, b = (nodes[int(i)] for i in rng.integers(len(nodes), size=2))
-            assert lca(tree, a, b) == lca(tree, b, a) == naive_lca(tree, a, b)
+            assert lca(tree, a, b) == lca(tree, b, a) == naive_lca(ref, a, b)
+
+
+def test_descendant_leaves_match_ancestor_sets_random_trees():
+    # the leaf-slot range against the leaves whose root path holds the node
+    for seed in range(20):
+        tree = random_model(np.random.default_rng(700 + seed), max_nodes=80).tree
+        ref = walk(tree)
+        paths = {leaf: set(root_path(ref, leaf)) for leaf in tree.leaves}
+        for node in ref.nodes:
+            assert descendant_leaves(tree, node) == {leaf for leaf, path in paths.items() if node in path}
 
 
 def test_lca_on_deep_chain():
@@ -250,12 +283,15 @@ def test_lca_on_deep_chain():
     children = {f"n{i}": (f"n{i + 1}", f"x{i}") for i in range(depth)}
     children[f"n{depth}"] = (f"x{depth}", f"y{depth}")
     tree = build("n0", children, {f"n{i}": 0.999 for i in range(1, depth + 1)})
-    assert tree.depth[f"y{depth}"] == depth + 1
-    assert max(tree.depth.values()) == depth + 1
+    assert tree.depth[tree.slot[f"y{depth}"]] == depth + 1
+    assert max(tree.depth) == depth + 1
+    ref = walk(tree)
     pairs = [(f"x{depth}", f"y{depth}"), (f"y{depth}", "x0"), ("x1500", "x2999"), ("x2999", "n2999"), ("n0", "x7")]
     for a, b in pairs:
-        assert lca(tree, a, b) == naive_lca(tree, a, b)
+        assert lca(tree, a, b) == naive_lca(ref, a, b)
     assert lca(tree, f"x{depth}", f"y{depth}") == f"n{depth}"
+    assert descendant_leaves(tree, f"n{depth - 1}") == {f"x{depth - 1}", f"x{depth}", f"y{depth}"}
+    assert descendant_leaves(tree, "n0") == set(tree.leaves)
     assert_slots(tree)
     assert tree.up[depth] == depth - 1 and tree.up[-1] == 0  # n3000 under n2999; x0, last in preorder, under n0
 
@@ -276,8 +312,9 @@ def test_lca_matches_bruteforce(parents):
     lam = {nest: 0.5 for nest in children if nest != "v0"}
     tree = build("v0", children, lam)
 
-    nodes = tree.nodes
+    ref = walk(tree)
+    nodes = ref.nodes
     rng = np.random.default_rng(len(parents))
     for _ in range(10):
         a, b = (nodes[int(i)] for i in rng.integers(len(nodes), size=2))
-        assert lca(tree, a, b) == naive_lca(tree, a, b)
+        assert lca(tree, a, b) == naive_lca(ref, a, b)

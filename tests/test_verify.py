@@ -28,6 +28,7 @@ from nestlogit import (
     with_utilities,
 )
 from nestlogit.montecarlo import CHUNK_SIZE, correlation_with_error, run_chunked
+from reference_tree import walk
 
 
 def test_one_noise_batch_serves_every_mc_check(depth3_model, monkeypatch):
@@ -54,10 +55,10 @@ def full_batch_checks(model, stream, n_draws, n_threads):
     for nest in reversed(tree.nests):
         first_col[nest] = first_col[tree.children[nest][0]]
     pairs = [(nest, kids) for nest in tree.nests if len(kids := tree.children[nest]) >= 2]
-    pair_gap = 0.0
+    pair_gap, big_lambda = 0.0, walk(tree).big_lambda
     for nest, kids in pairs:
         r = correlation_with_error(batch.draws[:, first_col[kids[0]]], batch.draws[:, first_col[kids[1]]])
-        pair_gap = max(pair_gap, abs(r.value - (1.0 - tree.big_lambda[nest] ** 2)))
+        pair_gap = max(pair_gap, abs(r.value - (1.0 - big_lambda[nest] ** 2)))
     grid = [
         {leaf: 0.0 for leaf in tree.leaves},
         {leaf: 1.0 for leaf in tree.leaves},
