@@ -12,7 +12,7 @@ inclusive values u_n = Lambda_n * log sum_z exp(u_z / Lambda_n), and the
 forward pass splits probability mass down the tree with the within-nest
 softmax exp((u_z - u_n)/Lambda_n). All sums of exponentials are max-shifted
 and probabilities live in log space until the final exponentiation.
-Both passes walk lists by the tree's slots and return dicts keyed by id.
+Both passes pass lists by slot; only the public functions key by id.
 
 A leaf map (utilities, overrides, the bounds of cdf and simulate.mc_cdf)
 has one check, _leaf_values, whose errors name the keys at fault.
@@ -86,11 +86,20 @@ def with_utilities(model: ModelSpec, overrides: Mapping[str, float]) -> ModelSpe
 def log_sum_exp(values: list[float], big_lam: float) -> float:
     """big_lam * log sum exp(v / big_lam) over values, shifted by their max:
     a nest's inclusive value from its children's, in child order. The one
-    implementation, shared by backward_utils and verify's re-walk; the
+    implementation, shared by _backward and verify's re-walk; the
     re-walk repeats the last line on cached terms, so the two change
     together."""
     top = max(values)
     return top + big_lam * math.log(sum(math.exp((v - top) / big_lam) for v in values))
+
+
+def _backward(model: ModelSpec) -> list[float]:
+    # u by slot: the utility at a leaf, the log-sum-exp of the children at a nest
+    tree, kids, scale = model.tree, model.tree.kids, model.tree.scale
+    v = [0.0] * len(kids) + [model.utilities[leaf] for leaf in tree.leaves]
+    for i in reversed(range(len(kids))):  # every child nest before its parent
+        v[i] = log_sum_exp([v[k] for k in kids[i]], scale[i])
+    return v
 
 
 def backward_utils(model: ModelSpec) -> dict[str, float]:
@@ -101,23 +110,17 @@ def backward_utils(model: ModelSpec) -> dict[str, float]:
     constant added to every leaf utility adds the same constant to every
     u_n. A single-child nest passes its child's value through unchanged.
     """
-    tree, kids, scale = model.tree, model.tree.kids, model.tree.scale
-    v = [0.0] * len(kids) + [model.utilities[leaf] for leaf in tree.leaves]
-    for i in reversed(range(len(kids))):  # every child nest before its parent
-        v[i] = log_sum_exp([v[k] for k in kids[i]], scale[i])
-    return {**model.utilities, **dict(zip(tree.nests, v))}
+    return {**model.utilities, **dict(zip(model.tree.nests, _backward(model)))}
 
 
-def _log_forward(model: ModelSpec, u: Mapping[str, float]) -> dict[str, float]:
-    # log pi of every node: 0 at the root, plus each child's (u_z - u_n)/Lambda_n
-    tree = model.tree
-    ids = tree.nests + tree.leaves
-    v, log_pi = [u[node] for node in ids], [0.0] * len(ids)
+def _log_forward(tree: Arborescence, v: list[float]) -> list[float]:
+    # log pi by slot from u by slot: 0 at the root, plus each child's (u_z - u_n)/Lambda_n
+    log_pi = [0.0] * len(v)
     for i, kids in enumerate(tree.kids):  # slot order: every parent before its children
         big_lam, u_n, base = tree.scale[i], v[i], log_pi[i]
         for k in kids:
             log_pi[k] = base + (v[k] - u_n) / big_lam
-    return dict(zip(ids, log_pi))
+    return log_pi
 
 
 def forward_probs(model: ModelSpec, u: Mapping[str, float]) -> dict[str, float]:
@@ -129,13 +132,14 @@ def forward_probs(model: ModelSpec, u: Mapping[str, float]) -> dict[str, float]:
     log space; underflow to zero can only occur when the true probability
     is below the smallest positive double.
     """
-    return {node: math.exp(lp) for node, lp in _log_forward(model, u).items()}
+    ids = model.tree.nests + model.tree.leaves
+    return dict(zip(ids, map(math.exp, _log_forward(model.tree, [u[node] for node in ids]))))
 
 
 def choice_probs(model: ModelSpec) -> dict[str, float]:
     """Leaf choice probabilities (backward pass then forward pass)."""
-    pi = forward_probs(model, backward_utils(model))
-    return {leaf: pi[leaf] for leaf in model.tree.leaves}
+    tree = model.tree
+    return dict(zip(tree.leaves, map(math.exp, _log_forward(tree, _backward(model))[len(tree.kids):])))
 
 
 def choice_probs_single_layer(model: ModelSpec) -> dict[str, float]:
@@ -152,27 +156,23 @@ def choice_probs_single_layer(model: ModelSpec) -> dict[str, float]:
     tree = model.tree
     nests = require_two_level(tree)
 
-    scaled: dict[str, dict[str, float]] = {}
-    log_s: dict[str, float] = {}
-    log_weight: dict[str, float] = {}
+    # Per root child, in order: U_j/lambda_n over its leaves, log S_n and lambda_n log S_n.
+    scaled, log_s, log_weight = [], [], []
     for nest in nests:
         lam = tree.lam[nest]
-        t = {leaf: model.utilities[leaf] / lam for leaf in tree.children[nest]}
-        top = max(t.values())
-        log_s[nest] = top + math.log(sum(math.exp(v - top) for v in t.values()))
-        log_weight[nest] = lam * log_s[nest]
-        scaled[nest] = t
+        t = [model.utilities[leaf] / lam for leaf in tree.children[nest]]
+        top = max(t)
+        scaled.append(t)
+        log_s.append(top + math.log(sum(math.exp(v - top) for v in t)))
+        log_weight.append(lam * log_s[-1])
 
-    top_w = max(log_weight.values())
-    log_denom = top_w + math.log(sum(math.exp(w - top_w) for w in log_weight.values()))
-
-    probs: dict[str, float] = {}
-    for nest in nests:
-        for leaf in tree.children[nest]:
-            probs[leaf] = math.exp(
-                log_weight[nest] - log_denom + scaled[nest][leaf] - log_s[nest]
-            )
-    return probs
+    top_w = max(log_weight)
+    log_denom = top_w + math.log(sum(math.exp(w - top_w) for w in log_weight))
+    return {
+        leaf: math.exp(w - log_denom + x - s)
+        for nest, t, s, w in zip(nests, scaled, log_s, log_weight)
+        for leaf, x in zip(tree.children[nest], t)
+    }
 
 
 def cdf(model: ModelSpec, bounds: Mapping[str, float]) -> float:
@@ -184,9 +184,9 @@ def cdf(model: ModelSpec, bounds: Mapping[str, float]) -> float:
     """
     tree = model.tree
     negated = {leaf: -value for leaf, value in _leaf_values(tree, bounds, "bound").items()}
-    u = backward_utils(ModelSpec(tree=tree, utilities=negated))
+    u_root = _backward(ModelSpec(tree=tree, utilities=negated))[0]
     try:
-        return math.exp(-math.exp(u[tree.root]))
+        return math.exp(-math.exp(u_root))
     except OverflowError:  # exp(u_root) past float range: exp(-inf) = 0
         return 0.0
 
@@ -201,7 +201,7 @@ def emax(model: ModelSpec, at: str | None = None) -> float:
     """
     target = model.tree.root if at is None else at
     require_nest(model.tree, target)
-    return backward_utils(model)[target]
+    return _backward(model)[model.tree.slot[target]]
 
 
 def emax_gradient(model: ModelSpec) -> dict[str, float]:
@@ -222,6 +222,6 @@ def log_odds(model: ModelSpec, z: str) -> float:
     tree.require_node(z)
     if z == tree.root:
         raise RootHasNoParentError("the root has no parent nest")
-    parent = tree.up[tree.slot[z]]
-    u = backward_utils(model)
-    return (u[z] - u[tree.nests[parent]]) / tree.scale[parent]
+    slot = tree.slot[z]
+    parent, v = tree.up[slot], _backward(model)
+    return (v[slot] - v[parent]) / tree.scale[parent]

@@ -6,7 +6,8 @@ chunk index, and results are assembled in chunk order, so output is
 bit-identical whether one thread or many produced it.
 
 The estimators own the draw floors of the routines built on them: below
-one draw for a frequency or a mean, or four for a correlation, they raise
+one draw for a frequency, two for a mean (one draw has no spread to
+estimate a standard error from) or four for a correlation, they raise
 DomainError. run_chunked makes no chunks for a count below one.
 """
 
@@ -42,10 +43,9 @@ def mean_with_error(samples: np.ndarray) -> EstimateWithError:
     """Sample mean with std error = sample standard deviation / sqrt(n)."""
     samples = np.asarray(samples, dtype=float)
     n = samples.size
-    if n == 0:
-        raise DomainError("n_draws must be positive")
-    sd = samples.std(ddof=1) if n > 1 else 0.0
-    return EstimateWithError(float(samples.mean()), float(sd / np.sqrt(n)), n)
+    if n < 2:
+        raise DomainError("a mean's standard error needs at least 2 draws" if n else "n_draws must be positive")
+    return EstimateWithError(float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n)), n)
 
 
 def binomial_estimate(count: int, n_draws: int) -> EstimateWithError:

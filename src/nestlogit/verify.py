@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .model import ModelSpec, _finite_values, _log_forward, backward_utils, cdf, forward_probs, log_sum_exp
+from .model import ModelSpec, _backward, _finite_values, _log_forward, cdf, forward_probs, log_sum_exp
 
 if TYPE_CHECKING:
     from .streams import SeededStream
@@ -63,14 +63,18 @@ def finite_difference_gradient(model: ModelSpec, step: float) -> dict[str, float
     child's new value leaves log_sum_exp's max in place, only its own term
     is recomputed and the same list is summed, else the nest goes through
     log_sum_exp. Either way every quotient is bit for bit the one a
-    rebuilt model at base +- step would give.
+    rebuilt model at base +- step would give. A step that u +- step
+    rounds away raises DomainError, naming the leaf.
     """
-    tree, u = model.tree, backward_utils(model)
+    return _differences(model, _backward(model), step)
+
+
+def _differences(model: ModelSpec, v: list[float], step: float) -> dict[str, float]:
+    # finite_difference_gradient from u by slot, which run_checks shares.
     # Per slot below the root: its parent's slot, its place among the
     # parent's children, and the parent's max, how many children hold it,
     # the children's values, the terms log_sum_exp sums over them, and Lambda.
-    v = [u[node] for node in tree.nests + tree.leaves]
-    above = {}
+    tree, above = model.tree, {}
     for nest, (kids, big_lam) in enumerate(zip(tree.kids, tree.scale)):
         values = [v[k] for k in kids]
         top = max(values)
@@ -81,6 +85,8 @@ def finite_difference_gradient(model: ModelSpec, step: float) -> dict[str, float
         ends = []
         for value in (v[slot] + step, v[slot] - step):
             node, value = slot, _finite_values({leaf: value}, "utility")[leaf]
+            if value == v[slot]:
+                raise DomainError(f"step {step!r} is lost in the utility {v[slot]!r} of leaf {leaf!r}")
             while node:  # the root is slot 0
                 node, i, top, n_top, values, terms, big_lam = above[node]
                 # Both branches edit the parent's lists in place and restore
@@ -131,9 +137,8 @@ def run_checks(
     if n_draws < 4:
         raise DomainError("correlation needs at least 4 draws")
     results: list[CheckResult] = []
-    tree = model.tree
-    u = backward_utils(model)
-    pi = forward_probs(model, u)
+    tree, v = model.tree, _backward(model)
+    pi = forward_probs(model, dict(zip(tree.nests + tree.leaves, v)))
     leaf_probs = {leaf: pi[leaf] for leaf in tree.leaves}
 
     # --- deterministic identities -------------------------------------
@@ -141,20 +146,15 @@ def run_checks(
     # A leaf probability of exactly 0.0 is legitimate underflow when its
     # log probability (the forward pass before it is exponentiated) sits
     # below what a double can represent; anything else must be > 0.
-    positive = all(p > 0.0 for p in leaf_probs.values())
-    if not positive:
-        log_pi = _log_forward(model, u)
-        positive = all(p > 0.0 or (p == 0.0 and log_pi[leaf] < -700.0) for leaf, p in leaf_probs.items())
+    log_pi = _log_forward(tree, v)[len(tree.kids):]
+    positive = all(p > 0.0 or (p == 0.0 and lp < -700.0) for p, lp in zip(leaf_probs.values(), log_pi))
     detail = "" if positive else "a leaf probability is not strictly positive"
     results.append(_within("leaf-probability-simplex", abs(total - 1.0), 1e-12, detail, ok=positive))
 
-    worst = 0.0
-    for nest in tree.nests:
-        mass = sum(pi[kid] for kid in tree.children[nest])
-        worst = max(worst, abs(mass - pi[nest]))
+    worst = max(abs(sum(pi[kid] for kid in tree.children[nest]) - pi[nest]) for nest in tree.nests)
     results.append(_within("hierarchy-consistency", worst, 1e-12))
 
-    fd = finite_difference_gradient(model, FD_STEP)
+    fd = _differences(model, v, FD_STEP)
     gap = max(abs(leaf_probs[leaf] - fd[leaf]) for leaf in tree.leaves)
     results.append(_within("emax-gradient-is-choice-probability", gap, FD_TOL))
 

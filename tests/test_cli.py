@@ -574,6 +574,16 @@ def test_laplace_at_zero_is_one_even_past_overflowing_draws():
     assert results["estimate"] == results["exact"] == 1.0 and results["std_error"] == 0.0
 
 
+def test_one_draw_exits_one_without_a_standard_error(depth3_path):
+    # One draw printed a standard error of 0.0 for every estimate.
+    for args in (("probs", depth3_path, "--method", "mixed", "--draws", "1"),
+                 ("stable", "laplace", "--lambda", "0.5", "--t", "1", "--draws", "1")):
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: a mean's standard error needs at least 2 draws\n"
+
+
 def test_version():
     proc = run_cli("--version")
     assert proc.returncode == 0

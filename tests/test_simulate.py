@@ -388,15 +388,18 @@ def test_mixed_logit_unequal_lambdas():
 
 
 def test_mixed_logit_single_draw_is_simplex(single_layer_model):
-    estimates = mixed_logit_probs(single_layer_model, SeededStream(51), 1)
+    # Each draw's softmax sums to 1, so a mean over draws does too. One
+    # draw alone has no spread to give a standard error from: refused.
+    with pytest.raises(DomainError, match="^a mean's standard error needs at least 2 draws$"):
+        mixed_logit_probs(single_layer_model, SeededStream(51), 1)
+    estimates = mixed_logit_probs(single_layer_model, SeededStream(51), 2)
     assert sum(est.value for est in estimates.values()) == pytest.approx(1.0, abs=1e-12)
-    assert all(est.std_error == 0.0 for est in estimates.values())
 
 
 def test_mixed_logit_all_lambda_one_is_exact_softmax():
     tree = build("root", {"root": ("A", "B"), "A": ("1",), "B": ("2", "3")}, {"A": 1.0, "B": 1.0})
     model = make_model(tree, {"1": 1.0, "2": 0.0, "3": 2.0})
-    estimates = mixed_logit_probs(model, SeededStream(52), 1)
+    estimates = mixed_logit_probs(model, SeededStream(52), 2)
     weights = {leaf: math.exp(u) for leaf, u in model.utilities.items()}
     z = sum(weights.values())
     for leaf, est in estimates.items():
@@ -531,12 +534,23 @@ def test_estimators_own_the_draw_floors():
         binomial_estimate(0, 0)
     with pytest.raises(DomainError, match="^n_draws must be positive$"):
         mean_with_error(np.empty(0))
+    with pytest.raises(DomainError, match="^a mean's standard error needs at least 2 draws$"):
+        mean_with_error(np.ones(1))
+    assert mean_with_error(np.ones(2)).std_error == 0.0
     assert correlation_with_error(np.arange(4.0), np.arange(4.0)).n_draws == 4
     assert run_chunked(SeededStream(0), -1, lambda *chunk: chunk) == []
     # with no draws _fold counts zero wins per leaf, which the estimator refuses
     tree = build("r", {"r": ("a", "b")}, {})
     counts = simulate._fold(make_model(tree, {"a": 0.0, "b": 0.0}), SeededStream(0), 0, 1, u=np.zeros((2, 1)))[3]
     assert counts.tolist() == [0, 0]
+
+
+def test_one_draw_gives_no_standard_error(depth3_model):
+    # One draw printed a standard error of 0.0, as if the estimate were exact.
+    for routine in (mc_emax, mixed_logit_probs):
+        with pytest.raises(DomainError, match="^a mean's standard error needs at least 2 draws$"):
+            routine(depth3_model, SeededStream(0), 1)
+    assert mc_emax(depth3_model, SeededStream(0), 2).std_error > 0.0
 
 
 def test_mc_cdf_names_the_leaves_at_fault(depth3_model):

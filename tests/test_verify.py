@@ -1,5 +1,6 @@
 """The consistency battery of verify.run_checks."""
 
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,6 @@ from nestlogit import (
     DomainError,
     SeededStream,
     UtilityError,
-    backward_utils,
     build,
     cdf,
     choice_probs,
@@ -27,6 +27,7 @@ from nestlogit import (
     save_model,
     with_utilities,
 )
+from nestlogit.model import log_odds
 from nestlogit.montecarlo import CHUNK_SIZE, correlation_with_error, run_chunked
 from reference_tree import walk
 
@@ -237,20 +238,75 @@ def test_finite_differences_match_the_full_rebuild_bit_for_bit(depth3_model, sin
             assert verify.finite_difference_gradient(model, step) == _rebuild_gradient(model, step)
 
 
-def test_finite_differences_run_one_backward_pass(monkeypatch):
-    # Counts the pass under both names, so a return to one rebuild per
-    # quotient (emax -> model.backward_utils) fails here, not only by time.
+def count_backward_passes(monkeypatch):
+    # Counts the slot pass under both names it is bound to: the backward
+    # pass of every public function, backward_utils' included.
     calls = []
+    real = model_module._backward
 
     def counting(model):
         calls.append(model)
-        return backward_utils(model)
+        return real(model)
 
-    monkeypatch.setattr(model_module, "backward_utils", counting)
-    monkeypatch.setattr(verify, "backward_utils", counting)
+    monkeypatch.setattr(model_module, "_backward", counting)
+    monkeypatch.setattr(verify, "_backward", counting)
+    return calls
+
+
+def test_finite_differences_run_one_backward_pass(monkeypatch):
+    # A return to one rebuild per quotient (emax -> model._backward)
+    # fails here, not only by time.
+    calls = count_backward_passes(monkeypatch)
     model = random_model(np.random.default_rng(3), max_nodes=200)
     verify.finite_difference_gradient(model, 1e-5)
     assert calls == [model]
+
+
+def test_each_analytic_entry_runs_one_backward_pass(depth3_model, monkeypatch):
+    # The forward pass and the finite differences read the backward pass's
+    # slot list; none of them runs it again or goes through backward_utils.
+    calls = count_backward_passes(monkeypatch)
+    bounds = {leaf: 0.5 for leaf in depth3_model.tree.leaves}
+    for run in (
+        lambda: choice_probs(depth3_model),
+        lambda: emax(depth3_model),
+        lambda: emax(depth3_model, "b"),
+        lambda: log_odds(depth3_model, "leaf1"),
+        lambda: verify.finite_difference_gradient(depth3_model, 1e-5),
+    ):
+        calls.clear()
+        run()
+        assert calls == [depth3_model]
+    calls.clear()
+    cdf(depth3_model, bounds)
+    assert [m.utilities for m in calls] == [{leaf: -0.5 for leaf in bounds}]
+    # run_checks: one pass on the model, and one per joint-cdf bound vector
+    calls.clear()
+    run_checks(depth3_model, SeededStream(0), n_draws=64)
+    assert [m for m in calls if m is depth3_model] == [depth3_model]
+    assert all(m.tree is depth3_model.tree for m in calls)
+
+
+def test_a_step_lost_in_the_utility_is_refused(tmp_path):
+    # 1e308 + 1e-5 rounds back to 1e308: the quotient read 0.0 and
+    # grad-check exited 2, blaming a correct model.
+    tree = build("root", {"root": ("a", "b")}, {})
+    model = make_model(tree, {"a": 1e308, "b": 0.0})
+    message = "step 1e-05 is lost in the utility 1e+308 of leaf 'a'"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        verify.finite_difference_gradient(model, 1e-5)
+    path = tmp_path / "huge.json"
+    save_model(model, path)
+    for command in ("grad-check", "verify"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nestlogit", command, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
 
 
 def test_non_finite_perturbed_utility_is_rejected(tmp_path):
