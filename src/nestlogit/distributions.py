@@ -46,6 +46,9 @@ EULER_GAMMA = 0.5772156649015329  # float(numpy.euler_gamma)
 # Kanter's angle is drawn from (0, pi); clip away the endpoints where the
 # log-sine terms are singular. The displaced mass is ~1e-12 of the support.
 _ANGLE_EPS = 1e-12
+# pi/2 in two floats: _HALF_PI - x + _HALF_PI_LO is pi/2 - x, rounded
+# relative to itself, for x in [pi/4, pi/2], where the subtraction is exact.
+_HALF_PI, _HALF_PI_LO = 0.5 * math.pi, 6.123233995736766e-17
 
 
 def _check_lambda(lam: float, allow_one: bool) -> float:
@@ -75,14 +78,40 @@ def gumbel_sample(stream: SeededStream, size: int) -> np.ndarray:
 # Positive stable sampling (Kanter)
 # ---------------------------------------------------------------------------
 
+def _log_tan_sum(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """x <- log(t + 1/t) with t = tan(x), in place: log 2 - log sin(2x).
+
+    numpy's float64 tan is vectorized on x86 with AVX-512 where its sin is
+    not, so this costs less than log(sin(2x)) there; elsewhere both are
+    scalar and the identity costs a few vector operations more."""
+    import numpy as np
+
+    np.tan(x, out=x)
+    np.divide(1.0, x, out=scratch)
+    x += scratch
+    return np.log(x, out=x)
+
+
 def _kanter_log(rng: np.random.Generator, lam, m: int) -> np.ndarray:
-    """log Z for a (rows x m) block: m draws of Z ~ P(lam[r]) in row r,
-    for a sequence lam of values in (0, 1).
+    """eta = lam * log Z for a (rows x m) block: m draws of Z ~ P(lam[r])
+    in row r, for a sequence lam of values in (0, 1).
 
     Z = (a(U)/E)^((1-lam)/lam) with U uniform on (0, pi), E standard
     exponential and
-        a(u) = sin((1-lam)u) * sin(lam*u)^(lam/(1-lam)) / sin(u)^(1/(1-lam)).
-    Everything is assembled as log a(U) so neither factor can overflow.
+        a(u) = sin((1-lam)u) * sin(lam*u)^(lam/(1-lam)) / sin(u)^(1/(1-lam)),
+    so eta = (1-lam)*(log a(U) - log E)
+           = (1-lam)*log sin((1-lam)U) + lam*log sin(lam*U) - log sin(U) - (1-lam)*log E.
+    No factor (1-lam)/lam appears, so eta is finite at any lam in (0, 1),
+    and callers scale it by their own Lambda; log Z itself is eta / lam.
+
+    Each log sin X is log 2 - log(t + 1/t) with t = tan(X/2) (see
+    _log_tan_sum); the three log 2 carry weights (1-lam) + lam - 1 = 0
+    and are left out. Of the weights lam and 1-lam, call the smaller lo
+    and the larger hi. lo*U/2 < pi/4 is taken as it is, floored at the
+    smallest normal float where a subnormal lam underflows it. t + 1/t is
+    the same at X and pi - X, so hi*U/2 is replaced by (pi - hi*U)/2 =
+    (pi - U)/2 + lo*U/2 where that is smaller: each is rounded relative to
+    itself, so the sines are as accurate near pi as near 0.
 
     Row by row, rng gives the row's m uniforms (times pi, bitwise
     rng.uniform(0, pi)) and then its m exponentials, so a block consumes
@@ -93,22 +122,33 @@ def _kanter_log(rng: np.random.Generator, lam, m: int) -> np.ndarray:
     import numpy as np
 
     lam = np.asarray(lam, dtype=float)[:, None]
-    u = np.empty((len(lam), m))
-    e = np.empty_like(u)
-    for u_row, e_row in zip(u, e):
-        rng.random(out=u_row)
+    c = 1.0 - lam
+    lo, hi = np.minimum(lam, c), np.maximum(lam, c)
+    h = np.empty((len(lam), m))
+    e = np.empty_like(h)
+    for h_row, e_row in zip(h, e):
+        rng.random(out=h_row)
         rng.standard_exponential(out=e_row)
-    u *= math.pi
-    np.clip(u, _ANGLE_EPS, math.pi - _ANGLE_EPS, out=u)
+    h *= _HALF_PI  # U/2, bitwise: the float pi/2 is the float pi halved
+    np.clip(h, 0.5 * _ANGLE_EPS, 0.5 * (math.pi - _ANGLE_EPS), out=h)
     np.maximum(e, sys.float_info.min, out=e)
-    log_a = np.multiply(1.0 - lam, u)
-    part = np.multiply(lam, u)
-    for x in (log_a, part, u):
-        np.log(np.sin(x, out=x), out=x)
-    log_a += np.multiply(part, lam / (1.0 - lam), out=part)
-    log_a -= np.multiply(u, 1.0 / (1.0 - lam), out=u)
-    log_a -= np.log(e, out=e)
-    return np.multiply(log_a, (1.0 - lam) / lam, out=log_a)
+    small = np.multiply(lo, h)
+    np.maximum(small, sys.float_info.min, out=small)
+    big = np.multiply(hi, h)
+    w = np.subtract(_HALF_PI, h)
+    w += _HALF_PI_LO
+    w += small
+    np.minimum(big, w, out=big)
+    # eta = log(t + 1/t) at U - hi*log(t + 1/t) at hi*U - lo*log(t + 1/t) at lo*U - (1-lam)*log E
+    _log_tan_sum(big, w)
+    big *= hi
+    np.log(e, out=e)
+    e *= c
+    big += e
+    _log_tan_sum(small, e)
+    small *= lo
+    big += small
+    return np.subtract(_log_tan_sum(h, e), big, out=h)
 
 
 def stable_log_sample(stream: SeededStream, lam: float, size: int) -> np.ndarray:
@@ -118,7 +158,9 @@ def stable_log_sample(stream: SeededStream, lam: float, size: int) -> np.ndarray
     lam = _check_lambda(lam, allow_one=True)
     if lam == 1.0:
         return np.zeros(int(size))
-    return _kanter_log(stream.rng, [lam], int(size))[0]
+    log_z = _kanter_log(stream.rng, [lam], int(size))[0]
+    log_z /= lam
+    return log_z
 
 
 def stable_sample(stream: SeededStream, lam: float, size: int) -> np.ndarray:
@@ -175,7 +217,7 @@ def _gauss_legendre(n: int) -> list[tuple[float, float]]:
 
 
 _GAUSS = _gauss_legendre(16)
-_HALF_PI, _TINY = 0.5 * math.pi, math.ulp(0.0)
+_TINY = math.ulp(0.0)
 _STEEP = 4.0  # the most log h may change across a panel: _STEEP / h where h > 1
 
 

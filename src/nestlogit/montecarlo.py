@@ -1,7 +1,8 @@
 """Small Monte Carlo utilities: error-tagged estimates and a deterministic
 chunked driver for parallel draw generation.
 
-Chunks have a fixed size, each chunk gets its own substream keyed by the
+Chunks have a size fixed by the caller (CHUNK_SIZE unless the simulator
+sizes them by the tree), each chunk gets its own substream keyed by the
 chunk index, and results are assembled in chunk order, so output is
 bit-identical whether one thread or many produced it.
 

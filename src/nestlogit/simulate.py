@@ -14,9 +14,12 @@ and are skipped in sampling.
 The factor part of the sum is shared by the leaves of a nest and equals
 its parent nest's plus Lambda_n * log Z_n, so it is assembled as a prefix
 sum down the tree, O(chunk x nests) memory; its rows are the nest slots,
-linked by tree.up. The factors and the leaf Gumbels are drawn in blocks
-of rows, one Kanter and one Gumbel call per block rather than per nest
-and per leaf, in the same stream order.
+linked by tree.up. Each term is drawn as eta_n = lambda_n * log Z_n and
+scaled by the parent nest's Lambda, since Lambda_n = Lambda_parent *
+lambda_n: no factor 1/lambda_n enters, so tiny lambdas cannot overflow
+it. The factors and the leaf Gumbels are drawn in blocks of rows, one
+Kanter and one Gumbel call per block rather than per nest and per leaf,
+in the same stream order.
 
 _factor_rows is the one sampler of these rows, and _fold the one chunk
 kernel that adds the leaf Gumbels: it folds the noise one leaf block at
@@ -29,8 +32,11 @@ _fold refuses a negative draw count before it allocates; the floors
 below which an estimate is undefined belong to montecarlo's estimators.
 mixed_logit_probs splits the leaf Gumbels once more into exact
 softmaxes. Generation is chunked by montecarlo.run_chunked with one
-substream per fixed-size chunk, so results are bit-identical no
-matter how many worker threads produced them.
+substream per chunk, so results are bit-identical no matter how many
+worker threads produced them. The chunk size is a function of the tree
+alone (_chunk_size): 65,536 draws while a chunk's factor rows fit 2^22
+floats, fewer on trees with more than 64 nests, so each running chunk
+holds at most 32 MiB of factor rows.
 """
 
 from __future__ import annotations
@@ -74,27 +80,39 @@ class SampleBatch:
     leaf_order: tuple[str, ...]
 
 
+# A chunk's factor rows hold at most this many floats (32 MiB) per thread.
+FACTOR_FLOATS = 1 << 22
+
+
+def _chunk_size(tree: Arborescence) -> int:
+    """Draws per chunk: CHUNK_SIZE while the (nests x draws) factor rows fit
+    FACTOR_FLOATS, else the largest power of two that does (at least 1)."""
+    fit = FACTOR_FLOATS // len(tree.nests)
+    return min(CHUNK_SIZE, 1 << max(fit.bit_length() - 1, 0))
+
+
 def _blocks(n_rows: int, m: int) -> list[slice]:
-    # At most one chunk row of floats per block: one row at full chunks.
+    # At most CHUNK_SIZE floats per block: one row at full chunks.
     step = max(1, CHUNK_SIZE // m)
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
 def _factor_rows(tree: Arborescence):
     """Each leaf's parent-nest row (in leaf preorder) and rows(sub, m):
-    it draws log Z_n from sub for the nests with lambda_n < 1 in preorder
-    and returns the (nests x m) prefix sums of Lambda_n * log Z_n."""
+    it draws eta_n = lambda_n * log Z_n from sub for the nests with
+    lambda_n < 1 in preorder and returns the (nests x m) prefix sums of
+    Lambda_n * log Z_n, each taken as Lambda_parent * eta_n."""
     n, up = len(tree.nests), tree.up
     lam = np.array([tree.lam[nest] for nest in tree.nests])
     factors = np.flatnonzero(lam < 1.0)  # rows of the nests that draw a factor
-    lam, big_lam = lam[factors], np.array(tree.scale)[factors, None]
+    lam, big_lam = lam[factors], np.array(tree.scale)[np.array(up)[factors], None]
 
     def rows(sub: SeededStream, m: int) -> np.ndarray:
         acc = np.zeros((n, m))
         for b in _blocks(len(factors), m):
-            log_z = _kanter_log(sub.rng, lam[b], m)
-            log_z *= big_lam[b]
-            acc[factors[b]] = log_z
+            eta = _kanter_log(sub.rng, lam[b], m)
+            eta *= big_lam[b]
+            acc[factors[b]] = eta
         # Non-root nests in preorder: every parent row is complete before
         # a child adds it in.
         for i in range(1, n):
@@ -110,20 +128,22 @@ def _leaf_column(model: ModelSpec, values) -> np.ndarray:
 
 
 def _fold(
-    model: ModelSpec, stream: SeededStream, n_draws: int, n_threads: int, u=None, bounds=None, cols=None
+    model: ModelSpec, stream: SeededStream, n_draws: int, n_threads: int,
+    u=None, bounds=None, cols=None, wins=False,
 ):
     """The one run_chunked kernel that draws leaf noise, and what each
     draw keeps of it: (store, hits, best, counts), None where not asked.
 
-    Per chunk it draws the factor rows of _factor_rows, then the leaf
-    Gumbels in row blocks of leaves in column order. Each block eps
-    (leaves x draws), Lambda_leaf * eps'_j plus the leaf's parent-nest
-    row, is folded as it comes:
+    Per chunk (of _chunk_size draws) it draws the factor rows of
+    _factor_rows, then the leaf Gumbels in row blocks of leaves in column
+    order. Each block eps (leaves x draws), Lambda_leaf * eps'_j plus the
+    leaf's parent-nest row, is folded as it comes:
     - row i of store takes noise column cols[i], for a sorted distinct
       intp array cols;
     - hits[k] stays True while eps <= bounds[k] (bound vectors x leaves x 1);
-    - best takes max_j (u_j + eps_j) for the utility column u, and counts
-      how often each column won (ties to the earliest, as argmax does).
+    - best takes max_j (u_j + eps_j) for the utility column u and, with
+      wins, counts how often each column won (ties to the earliest, as
+      argmax does).
     Everything per draw is allocated before any draw is made.
     """
     if n_draws < 0:
@@ -139,8 +159,8 @@ def _fold(
         m = stop - start
         acc = rows(sub, m)
         hit = None if hits is None else hits[:, start:stop]
-        if best is not None:
-            top, won = best[start:stop], np.zeros(m, dtype=np.intp)
+        top = None if best is None else best[start:stop]
+        won = np.zeros(m, dtype=np.intp) if wins else None
         for b in _blocks(len(coeffs), m):
             eps = gumbel_sample(sub, size=coeffs[b].size * m).reshape(-1, m)
             eps *= coeffs[b]
@@ -150,22 +170,22 @@ def _fold(
                 store[lo:hi, start:stop] = eps[cols[lo:hi] - b.start]
             if hits is not None:
                 hit &= np.all(eps <= bounds[:, b], axis=1)
-            if best is not None:
+            if top is not None:
                 eps += u[b]
-                if len(eps) == 1:  # one-row blocks (few leaves at full chunks)
-                    block_top, col = eps[0], b.start
-                else:
-                    block_top, col = eps.max(axis=0), eps.argmax(axis=0) + b.start
-                better = block_top > top  # strict, so the earliest column keeps a tie
+                one_row = len(eps) == 1  # few leaves at full chunks
+                block_top = eps[0] if one_row else eps.max(axis=0)
+                if won is not None:
+                    col = b.start if one_row else eps.argmax(axis=0) + b.start
+                    # Strict, so the earliest column keeps a tie. Columns only
+                    # grow from block to block, so a draw's winner is the
+                    # largest column that beat its running best.
+                    np.maximum(won, (block_top > top) * col, out=won)
                 np.maximum(top, block_top, out=top)
-                # Columns only grow from block to block, so a draw's winner is
-                # the largest column that beat its running best.
-                np.maximum(won, better * col, out=won)
                 del eps, block_top  # block_top may view eps: free both before the next draw
-        return None if best is None else np.bincount(won, minlength=len(coeffs))
+        return None if won is None else np.bincount(won, minlength=len(coeffs))
 
-    counts = run_chunked(stream, n_draws, kernel, n_threads=n_threads)
-    return store, hits, best, None if best is None else sum(counts, np.zeros(len(coeffs), dtype=np.intp))
+    counts = run_chunked(stream, n_draws, kernel, n_threads=n_threads, chunk_size=_chunk_size(tree))
+    return store, hits, best, sum(counts, np.zeros(len(coeffs), dtype=np.intp)) if wins else None
 
 
 def sample_epsilon(
@@ -196,7 +216,7 @@ def mc_choice_probs(
     (they occur with probability zero under the continuous noise). Only
     each draw's best total is kept, and each chunk's win counts.
     """
-    counts = _fold(model, stream, n_draws, n_threads, u=_leaf_column(model, model.utilities))[3]
+    counts = _fold(model, stream, n_draws, n_threads, u=_leaf_column(model, model.utilities), wins=True)[3]
     return {
         leaf: binomial_estimate(int(counts[i]), n_draws)
         for i, leaf in enumerate(model.tree.leaves)
@@ -268,7 +288,8 @@ def mixed_logit_probs(
     any draw count; standard errors are the per-leaf sample std over
     draws / sqrt(n_draws). Within a chunk the nest factors are drawn as in
     sample_epsilon, then the Z'_j in leaf order, skipped where
-    Lambda_j = mu (P(1) is the unit mass). Where a Lambda so small
+    Lambda_j = mu (P(1) is the unit mass), each log Z'_j as its eta over
+    mu/Lambda_j. Where a Lambda so small
     that the scores overflow leaves an estimate undefined, it raises
     DomainError naming mu.
     """
@@ -300,13 +321,15 @@ def mixed_logit_probs(
             scores = np.take(rows(sub, m), parent_rows, axis=0, out=probs[:, start:stop], mode="clip")
             scores /= mu
             for b in _blocks(len(ratios), m):
-                scores[equalized[b]] += _kanter_log(sub.rng, ratios[b], m)
+                eta = _kanter_log(sub.rng, ratios[b], m)
+                eta /= ratios[b, None]
+                scores[equalized[b]] += eta
             scores += scaled_u
             scores -= scores.max(axis=0)
             np.exp(scores, out=scores)
             scores /= scores.sum(axis=0)
 
-    run_chunked(stream, n_draws, kernel, n_threads=n_threads)
+    run_chunked(stream, n_draws, kernel, n_threads=n_threads, chunk_size=_chunk_size(tree))
     estimates = {leaf: mean_with_error(probs[i]) for i, leaf in enumerate(tree.leaves)}
     if any(math.isnan(est.value) for est in estimates.values()):
         raise DomainError(f"mixed logit scores overflow at the model's smallest cumulative Lambda {mu!r}")

@@ -1,10 +1,11 @@
 """Reproducible random streams.
 
 Every stochastic routine in the package draws from a SeededStream, which is
-just a seed and its child indices mapped onto a counter-based Philox
-generator. Two streams with the same key always replay the same draw
-sequence, and child streams derived for chunked generation depend only on
-their chunk index, never on how many worker threads consume them.
+just a seed and its child indices mapped, through a SeedSequence spawn
+key, onto a PCG64DXSM generator. Two streams with the same key always
+replay the same draw sequence, and child streams derived for chunked
+generation depend only on their chunk index, never on how many worker
+threads consume them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class SeededStream:
     def rng(self) -> np.random.Generator:
         key = (0, *self._subkey)  # dropping the fixed leading 0 would change every draw
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=key)
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.PCG64DXSM(ss))
 
     def child(self, index: int) -> "SeededStream":
         """Independent substream; same (seed, lineage, index) always yields

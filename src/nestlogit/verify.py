@@ -177,7 +177,7 @@ def run_checks(
     ]
     bounds = np.stack([_leaf_column(model, a) for a in grid])
     utilities = _leaf_column(model, model.utilities)
-    store, hits, _, counts = _fold(model, stream.child(1), n_draws, n_threads, utilities, bounds, cols)
+    store, hits, _, counts = _fold(model, stream.child(1), n_draws, n_threads, utilities, bounds, cols, wins=True)
 
     pair_gap = 0.0
     for big_lam, i, j in pairs:

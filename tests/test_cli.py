@@ -448,24 +448,34 @@ def test_pretty_reports_with_lists(depth3_path):
     assert [line for line in proc.stdout.splitlines() if line.startswith("    - ")] == [f"    - {d}" for d in draws]
 
 
-@pytest.mark.parametrize("args, field", [
-    # a subnormal lambda makes the pair's Kanter draw inf, the correlation NaN
-    (("frechet-corr", "--alpha", "3", "--lambda", "1e-320", "--mc", "100"), "results.mc_estimate is nan"),
-    (("stable", "sample", "--lambda", "1e-300", "--draws", "3"), "results.draws[0] is inf"),
-])
 @pytest.mark.parametrize("pretty", [(), ("--pretty",)])
-def test_nonfinite_report_exits_one(args, field, pretty):
-    proc = run_cli(*args, *pretty)
+def test_nonfinite_report_exits_one(pretty):
+    # log Z = eta / lambda passes float range at lambda = 1e-300: the second draw is inf
+    proc = run_cli("stable", "sample", "--lambda", "1e-300", "--draws", "3", *pretty)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert f"error: {field}" in proc.stderr and "Traceback" not in proc.stderr
+    assert "error: results.draws[1] is inf" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_stable_sample_overflow_prints_only_its_error():
     # the Kanter draw overflows to +inf without a numpy RuntimeWarning
     proc = run_cli("stable", "sample", "--lambda", "1e-300", "--draws", "3", "--threads", "2")
     assert proc.returncode == 1
-    assert proc.stderr == "error: results.draws[0] is inf; a report holds finite numbers only\n"
+    assert proc.stderr == "error: results.draws[1] is inf; a report holds finite numbers only\n"
+
+
+@pytest.mark.parametrize("pretty", [(), ("--pretty",)])
+def test_frechet_corr_at_subnormal_lambda(pretty):
+    # The pair's factor is drawn as eta = lambda * log Z, finite at any lambda,
+    # so both noise columns are the same eta and correlate exactly: no NaN and
+    # no numpy RuntimeWarning.
+    proc = run_cli("frechet-corr", "--alpha", "3", "--lambda", "1e-320", "--mc", "100", *pretty)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    if pretty:
+        assert "  mc_estimate: 1.0" in proc.stdout.splitlines()
+    else:
+        assert json.loads(proc.stdout)["results"]["mc_estimate"] == 1.0
 
 
 @pytest.mark.parametrize("at, message", [

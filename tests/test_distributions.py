@@ -8,6 +8,7 @@ serve as the reference side of the KS checks.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -59,15 +60,23 @@ def test_stable_sample_levy_half():
 
 
 def kanter_one_row(rng, lam, n):
-    """Kanter's log Z for one lambda, written with ordinary temporaries."""
-    u = np.clip(rng.uniform(0.0, math.pi, n), 1e-12, math.pi - 1e-12)
-    e = np.maximum(rng.standard_exponential(n), np.finfo(float).tiny)
-    log_a = (
-        np.log(np.sin((1.0 - lam) * u))
-        + (lam / (1.0 - lam)) * np.log(np.sin(lam * u))
-        - (1.0 / (1.0 - lam)) * np.log(np.sin(u))
-    )
-    return ((1.0 - lam) / lam) * (log_a - np.log(e))
+    """Kanter's eta = lam * log Z for one lambda, written with ordinary
+    temporaries: each log sin x as log 2 - log(t + 1/t), t = tan(x/2),
+    with the three log 2 left out, since their weights sum to 0. The
+    larger weight's half-angle is replaced by its supplement's where that
+    is smaller."""
+    tiny = np.finfo(float).tiny
+    half = np.clip(rng.uniform(0.0, math.pi, n), 1e-12, math.pi - 1e-12) * 0.5
+    e = np.maximum(rng.standard_exponential(n), tiny)
+    lo, hi = min(lam, 1.0 - lam), max(lam, 1.0 - lam)
+    small = np.maximum(lo * half, tiny)
+    big = np.minimum(hi * half, math.pi / 2 - half + 6.123233995736766e-17 + small)
+
+    def log_tan_sum(x):
+        t = np.tan(x)
+        return np.log(t + 1.0 / t)
+
+    return log_tan_sum(half) - (hi * log_tan_sum(big) + (1.0 - lam) * np.log(e) + lo * log_tan_sum(small))
 
 
 @pytest.mark.parametrize("m", [1, 5, 1000])
@@ -78,7 +87,49 @@ def test_kanter_block_equals_one_row_calls(m):
     block = _kanter_log(SeededStream(9).rng, lams, m)
     rng = SeededStream(9).rng
     assert np.array_equal(block, [kanter_one_row(rng, lam, m) for lam in lams])
-    assert np.array_equal(stable_log_sample(SeededStream(9), 0.01, size=m), block[0])
+    assert np.array_equal(stable_log_sample(SeededStream(9), 0.01, size=m), block[0] / 0.01)
+
+
+class FixedDraws:
+    """A generator stand-in: every random() and standard_exponential()
+    call fills its out array from the same fixed values."""
+
+    def __init__(self, uniforms, exponentials):
+        self.uniforms, self.exponentials = uniforms, exponentials
+
+    def random(self, out):
+        out[:] = self.uniforms
+
+    def standard_exponential(self, out):
+        out[:] = self.exponentials
+
+
+def kanter_eta_mp(lam, u, e):
+    """(1 - lam) * (log a(u) - log e) at 50 digits, a as in _kanter_log,
+    for the float angle u and exponential e."""
+    with mpmath.workdps(50):
+        lam, u, c = mpmath.mpf(lam), mpmath.mpf(u), 1 - mpmath.mpf(lam)
+        log_sin = lambda x: mpmath.log(mpmath.sin(x))
+        log_a = log_sin(c * u) + lam / c * log_sin(lam * u) - log_sin(u) / c
+        return c * (log_a - mpmath.log(mpmath.mpf(e)))
+
+
+# Uniforms from both ends of (0, 1), where U or pi - U is tiny (2^-40 is
+# clipped to the angle 1e-12), and exponentials from tiny to large.
+ORACLE_UNIFORMS = [2**-40, 1e-9, 1e-4, 0.01, 0.1, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 0.9, 0.99, 0.999, 1 - 2**-20, 1 - 2**-40]
+ORACLE_EXPONENTIALS = [1e-8, 0.01, 0.3, 1.0, 2.5, 7.0, 30.0]
+
+
+@pytest.mark.parametrize("lam", [1e-8, 0.01, 0.3, 0.5, 0.9, 0.999])
+def test_kanter_against_mpmath(lam):
+    # Every (uniform, exponential) pair, held to 3e-14 absolute against
+    # the formula evaluated at the float angle the kernel uses.
+    v = np.tile(ORACLE_UNIFORMS, len(ORACLE_EXPONENTIALS))
+    e = np.repeat(ORACLE_EXPONENTIALS, len(ORACLE_UNIFORMS))
+    eta = _kanter_log(FixedDraws(v, e), [lam], len(v))[0]
+    angles = np.clip(v * math.pi, 1e-12, math.pi - 1e-12)
+    errors = [abs(float(kanter_eta_mp(lam, u, x) - mpmath.mpf(y))) for u, x, y in zip(angles, e, eta)]
+    assert max(errors) < 3e-14, (max(errors), v[np.argmax(errors)], e[np.argmax(errors)])
 
 
 def test_stable_sample_degenerate_at_one():

@@ -47,6 +47,7 @@ from nestlogit.montecarlo import (
     run_chunked,
 )
 from reference_tree import walk
+from test_distributions import kanter_one_row
 
 KS_1PCT = 1.63
 
@@ -89,8 +90,9 @@ def path_sum_reference(model, stream, n_draws):
     ref = walk(tree)
     factor_nests = [n for n in tree.nests if tree.lam[n] < 1.0]
     out = np.empty((n_draws, len(tree.leaves)))
-    for i, start in enumerate(range(0, n_draws, CHUNK_SIZE)):
-        stop = min(start + CHUNK_SIZE, n_draws)
+    chunk = simulate._chunk_size(tree)
+    for i, start in enumerate(range(0, n_draws, chunk)):
+        stop = min(start + chunk, n_draws)
         sub = stream.child(i)
         log_z = {n: stable_log_sample(sub, tree.lam[n], size=stop - start) for n in factor_nests}
         for col, leaf in enumerate(tree.leaves):
@@ -139,12 +141,13 @@ def test_sample_matches_path_sum_deep_chain():
 
 def replay_factor_rows(tree, sub, m):
     """Per nest, the prefix sum of Lambda_t * log Z_t down its root path,
-    drawn one stable_log_sample call per factor nest in preorder."""
+    each term Lambda_parent * eta_t for eta_t = lambda_t * log Z_t drawn by
+    one kanter_one_row call per factor nest in preorder."""
     ref = walk(tree)
     acc = {n: np.zeros(m) for n in tree.nests}
     for n in tree.nests:
         if tree.lam[n] < 1.0:
-            acc[n] = ref.big_lambda[n] * stable_log_sample(sub, tree.lam[n], size=m)
+            acc[n] = ref.big_lambda[ref.parent[n]] * kanter_one_row(sub.rng, tree.lam[n], m)
     for n in tree.nests[1:]:
         acc[n] = acc[n] + acc[ref.parent[n]]
     return acc
@@ -158,8 +161,9 @@ def row_replay(model, stream, n_draws):
     tree = model.tree
     ref = walk(tree)
     out = np.empty((n_draws, len(tree.leaves)))
-    for i, start in enumerate(range(0, n_draws, CHUNK_SIZE)):
-        stop = min(start + CHUNK_SIZE, n_draws)
+    chunk = simulate._chunk_size(tree)
+    for i, start in enumerate(range(0, n_draws, chunk)):
+        stop = min(start + chunk, n_draws)
         sub = stream.child(i)
         acc = replay_factor_rows(tree, sub, stop - start)
         for col, leaf in enumerate(tree.leaves):
@@ -167,11 +171,22 @@ def row_replay(model, stream, n_draws):
     return out
 
 
+def test_chunk_size_from_the_tree(depth3_model):
+    # 2**16 draws while nests x 2**16 floats fit 2**22, else the largest
+    # power of two that fits: 64 nests still take 2**16, 65 take 2**15.
+    wide = random_model(np.random.default_rng(0), max_nodes=2000).tree
+    trees = [depth3_model.tree, chain_tree(63, 0.999), chain_tree(64, 0.999), wide, chain_tree(2999, 0.999)]
+    assert [len(tree.nests) for tree in trees] == [3, 64, 65, 388, 3000]
+    assert [simulate._chunk_size(tree) for tree in trees] == [CHUNK_SIZE, CHUNK_SIZE, CHUNK_SIZE // 2, 8192, 1024]
+
+
 # (model, draws, threads): factor and leaf blocks that split (a 600-nest
-# chain at 256 draws holds 256 rows per block), a wide tree (1,314 leaves
-# under 388 nests), and full chunks.
+# chain at 256 draws holds 256 rows per block), the same chain over two
+# of its 4,096-draw chunks, a wide tree (1,314 leaves under 388 nests),
+# and full chunks.
 ROW_REPLAY_CASES = {
     "chain600": (lambda: chain_model(600), 256, 1),
+    "chain600-two-chunks": (lambda: chain_model(600), 4096 + 50, 2),
     "wide": (lambda: random_model(np.random.default_rng(0), max_nodes=2000), 5000, 1),
     "depth3-two-chunks": (None, CHUNK_SIZE + 50, 2),
     **{f"random{seed}": (lambda seed=seed: random_model(np.random.default_rng(seed), max_nodes=400), 300, 1)
@@ -196,8 +211,9 @@ def mixed_row_replay(model, stream, n_draws):
     ref = walk(tree)
     mu = min(ref.big_lambda[leaf] for leaf in tree.leaves)
     probs = np.empty((len(tree.leaves), n_draws))
-    for i, start in enumerate(range(0, n_draws, CHUNK_SIZE)):
-        m = min(start + CHUNK_SIZE, n_draws) - start
+    chunk = simulate._chunk_size(tree)
+    for i, start in enumerate(range(0, n_draws, chunk)):
+        m = min(start + chunk, n_draws) - start
         sub = stream.child(i)
         acc = replay_factor_rows(tree, sub, m)
         scores = np.array([acc[ref.parent[leaf]] for leaf in tree.leaves]) / mu
@@ -247,6 +263,22 @@ def test_marginals_are_standard_gumbel(depth3_model, single_layer_model):
     assert batch.leaf_order[0] == "leaf0"
     d, _ = stats.kstest(batch.draws[:, 0], gumbel_cdf)
     assert d < KS_1PCT / math.sqrt(100_000)
+
+
+@pytest.mark.parametrize("lam_a, lam_b", [(1e-155, 1e-155), (1e-300, 0.5), (0.5, 1e-300), (1e-310, 0.5)])
+def test_tiny_lambda_draws_are_finite_gumbel(lam_a, lam_b):
+    # depth3's nests a and b at tiny lambda: each factor is drawn as
+    # eta = lambda * log Z, with no (1 - lambda)/lambda to overflow at a
+    # subnormal lambda (1e-310). Both nests at 1e-300 cannot be built, as
+    # Lambda_b = 1e-600 underflows to 0. Underflow is no error here: at
+    # (1e-155, 1e-155) Lambda_b = 1e-310 is subnormal itself, and so are
+    # its products with the leaf Gumbels.
+    tree = build("root", {"root": ("a", "leaf3"), "a": ("b", "leaf2"), "b": ("leaf0", "leaf1")}, {"a": lam_a, "b": lam_b})
+    n = 20_000
+    with np.errstate(all="raise", under="ignore"):
+        draws = sample_epsilon(make_model(tree, dict.fromkeys(tree.leaves, 0.0)), SeededStream(3), n).draws
+    assert np.isfinite(draws).all()
+    assert np.all(np.abs(draws.mean(axis=0) - EULER_GAMMA) < 4.0 * math.pi / math.sqrt(6.0 * n))
 
 
 @pytest.mark.parametrize(
@@ -416,8 +448,9 @@ def mixed_logit_reference(model, stream, n_draws):
     ref = walk(tree)
     mu = min(ref.big_lambda[leaf] for leaf in tree.leaves)
     rows = []
-    for i, start in enumerate(range(0, n_draws, CHUNK_SIZE)):
-        m = min(start + CHUNK_SIZE, n_draws) - start
+    chunk = simulate._chunk_size(tree)
+    for i, start in enumerate(range(0, n_draws, chunk)):
+        m = min(start + chunk, n_draws) - start
         sub = stream.child(i)
         log_z = {n: stable_log_sample(sub, tree.lam[n], size=m) for n in tree.nests if tree.lam[n] < 1.0}
         scores = np.empty((m, len(tree.leaves)))
@@ -541,7 +574,7 @@ def test_estimators_own_the_draw_floors():
     assert run_chunked(SeededStream(0), -1, lambda *chunk: chunk) == []
     # with no draws _fold counts zero wins per leaf, which the estimator refuses
     tree = build("r", {"r": ("a", "b")}, {})
-    counts = simulate._fold(make_model(tree, {"a": 0.0, "b": 0.0}), SeededStream(0), 0, 1, u=np.zeros((2, 1)))[3]
+    counts = simulate._fold(make_model(tree, {"a": 0.0, "b": 0.0}), SeededStream(0), 0, 1, u=np.zeros((2, 1)), wins=True)[3]
     assert counts.tolist() == [0, 0]
 
 

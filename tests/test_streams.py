@@ -39,11 +39,11 @@ def test_stream_index_and_children_are_distinct():
         base.child(3).child(5).rng.standard_normal(8),
         SeededStream(7).child(3).child(5).rng.standard_normal(8),
     )
-    # the Philox key is a fixed 0 followed by the child indices
+    # the PCG64DXSM spawn key is a fixed 0 followed by the child indices
     key = np.random.SeedSequence(entropy=7, spawn_key=(0, 3, 5))
     assert_array_equal(
         base.child(3).child(5).rng.standard_normal(8),
-        np.random.Generator(np.random.Philox(key)).standard_normal(8),
+        np.random.Generator(np.random.PCG64DXSM(key)).standard_normal(8),
     )
 
 
