@@ -10,7 +10,8 @@ probabilities.
 
 from pathlib import Path
 
-from nestlogit import backward_utils, cdf, choice_probs, emax, load_model, with_utilities
+from nestlogit import backward_utils, cdf, choice_probs, emax, load_model
+from nestlogit.verify import finite_difference_gradient, gradient_tolerance
 
 model = load_model(Path(__file__).parent / "models" / "depth3.json")
 
@@ -24,15 +25,14 @@ for node in model.tree.nests + model.tree.leaves:
 print()
 print("emax:", emax(model))
 
-# Choice probabilities against a finite-difference gradient of the Emax.
-probs = choice_probs(model)
-step = 1e-6
+# Choice probabilities against complex-step derivatives of the Emax,
+# within the rounding bound worked out from the model.
+probs, grad = choice_probs(model), finite_difference_gradient(model)
 print()
 print("leaf    P(choice)          d emax / d U")
 for leaf in model.tree.leaves:
-    up = emax(with_utilities(model, {leaf: step}))
-    down = emax(with_utilities(model, {leaf: -step}))
-    print(f"{leaf:6s}  {probs[leaf]:.12f}     {(up - down) / (2 * step):.12f}")
+    print(f"{leaf:6s}  {probs[leaf]:.15f}  {grad[leaf]:.15f}")
+print("tolerance:", gradient_tolerance(model))
 
 # The joint noise CDF at the origin: with all bounds zero this is
 # exp(-exp(-a_root)) for the backward pass run on the negated bounds.

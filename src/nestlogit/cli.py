@@ -372,20 +372,20 @@ def _cmd_stable(args) -> dict:
 
 
 def _cmd_grad_check(args) -> dict:
-    # main exits 2 when "passed" is False. verify, imported here, holds the defaults.
-    from .verify import FD_STEP, FD_TOL, finite_difference_gradient
+    # main exits 2 when "passed" is False.
+    from .verify import finite_difference_gradient, gradient_tolerance
 
-    args.step = FD_STEP if args.step is None else args.step
-    args.tol = FD_TOL if args.tol is None else args.tol
     model = _load(args)
     analytic = choice_probs(model)
-    numeric = finite_difference_gradient(model, args.step)
+    numeric = finite_difference_gradient(model)
     worst = max(abs(analytic[leaf] - numeric[leaf]) for leaf in model.tree.leaves)
+    tolerance = gradient_tolerance(model)
     return {
         "analytic": analytic,
         "finite_difference": numeric,
         "max_abs_diff": worst,
-        "passed": worst <= args.tol,
+        "tolerance": tolerance,
+        "passed": worst <= tolerance,
     }
 
 
@@ -493,9 +493,7 @@ def _build_parser() -> _Parser:
     common(q, model=False, stochastic=True, draws_default=1_000_000)
     q.set_defaults(func=_cmd_stable)
 
-    p = sub.add_parser("grad-check", help="choice probabilities against finite differences of the inclusive value (exit 2 on mismatch)")
-    p.add_argument("--step", type=_real(lambda v: v != 0.0, "other than 0"), help="central-difference step")
-    p.add_argument("--tol", type=_NONNEGATIVE, help="max allowed |analytic - finite difference|")
+    p = sub.add_parser("grad-check", help="choice probabilities against complex-step derivatives of the inclusive value (exit 2 past the model's rounding bound)")
     common(p)
     p.set_defaults(func=_cmd_grad_check)
 

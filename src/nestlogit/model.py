@@ -83,22 +83,14 @@ def with_utilities(model: ModelSpec, overrides: Mapping[str, float]) -> ModelSpe
     return ModelSpec(tree=model.tree, utilities=merged)
 
 
-def log_sum_exp(values: list[float], big_lam: float) -> float:
-    """big_lam * log sum exp(v / big_lam) over values, shifted by their max:
-    a nest's inclusive value from its children's, in child order. The one
-    implementation, shared by _backward and verify's re-walk; the
-    re-walk repeats the last line on cached terms, so the two change
-    together."""
-    top = max(values)
-    return top + big_lam * math.log(sum(math.exp((v - top) / big_lam) for v in values))
-
-
 def _backward(model: ModelSpec) -> list[float]:
     # u by slot: the utility at a leaf, the log-sum-exp of the children at a nest
     tree, kids, scale = model.tree, model.tree.kids, model.tree.scale
     v = [0.0] * len(kids) + [model.utilities[leaf] for leaf in tree.leaves]
     for i in reversed(range(len(kids))):  # every child nest before its parent
-        v[i] = log_sum_exp([v[k] for k in kids[i]], scale[i])
+        values, big_lam = [v[k] for k in kids[i]], scale[i]
+        top = max(values)  # the shift that keeps every exp at or below 1
+        v[i] = top + big_lam * math.log(sum(math.exp((x - top) / big_lam) for x in values))
     return v
 
 

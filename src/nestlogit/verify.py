@@ -2,7 +2,8 @@
 
 run_checks() runs the whole battery on one model and reports one
 CheckResult per check. Deterministic identities (probability simplex,
-hierarchy consistency, the Emax gradient) are held to tight tolerances;
+hierarchy consistency, the Emax gradient by complex steps) are held to
+tight tolerances, the gradient to gradient_tolerance's rounding bound;
 Monte Carlo comparisons are scored in standard-error units with a 3-sigma
 budget that is not corrected for how many statistics a max |z| takes: on
 the correct 1,314-leaf random_model(default_rng(0), max_nodes=2000),
@@ -11,27 +12,31 @@ item 8). The Monte Carlo checks all read one stream of noise, folded
 by simulate._fold in one pass: per draw it keeps the best total, a hit
 flag per bound vector and only the noise columns the correlation pairs
 read, never the draws x leaves matrix, plus the win counts per chunk.
-Its pairs, like the finite differences' parent table, come from tree.kids.
+Its pairs, like the complex steps' parent table, come from tree.kids.
 
 The module imports numpy only inside run_checks, so that grad-check,
-which needs only finite_difference_gradient, starts without it.
+which needs only finite_difference_gradient and gradient_tolerance,
+starts without it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .model import ModelSpec, _backward, _finite_values, _log_forward, cdf, forward_probs, log_sum_exp
+from .model import ModelSpec, _backward, _log_forward, cdf, forward_probs
 
 if TYPE_CHECKING:
     from .streams import SeededStream
+    from .tree import Arborescence
 
-__all__ = ["CheckResult", "finite_difference_gradient", "run_checks"]
+__all__ = ["CheckResult", "finite_difference_gradient", "gradient_tolerance", "run_checks"]
 
-FD_STEP, FD_TOL = 1e-5, 1e-6  # central-difference step and gap; grad-check's defaults too
+_THETA = 2.0 ** -50  # the imaginary step; 2**-35 to 2**-100 give the same digits above 1e-250
 
 
 @dataclass(frozen=True)
@@ -52,57 +57,61 @@ class CheckResult:
     detail: str = ""
 
 
-def finite_difference_gradient(model: ModelSpec, step: float) -> dict[str, float]:
-    """Central differences of the root Emax in each leaf utility, the
-    numerical counterpart of emax_gradient.
+def finite_difference_gradient(model: ModelSpec) -> dict[str, float]:
+    """Complex-step derivatives of the root Emax in each leaf utility, the
+    numerical counterpart of emax_gradient (Squire and Trapp 1998).
 
-    After one backward pass, each quotient re-evaluates only the nests on
-    the leaf's root path, reusing their other children's inclusive values:
-    O(depth x siblings) per quotient, not O(nodes). Each nest's max and
-    terms exp((u_k - top)/Lambda) are computed once; where the walked
-    child's new value leaves log_sum_exp's max in place, only its own term
-    is recomputed and the same list is summed, else the nest goes through
-    log_sum_exp. Either way every quotient is bit for bit the one a
-    rebuilt model at base +- step would give. A step that u +- step
-    rounds away raises DomainError, naming the leaf.
+    A nest's value is u_n = top + Lambda_n * log sum_k exp(x_k), with
+    x_k = (u_k - top)/Lambda_n, so du_n/du_i is the derivative of the
+    log-sum in x_i: Im log(sum - exp(x_i) + exp(x_i + i*theta)) / theta,
+    with nothing to cancel. Its truncation error, theta**2/3 relative, is
+    far below rounding at theta = 2**-50: there is no step to choose. One
+    climb per leaf carries theta times the product of these up the root
+    path on each nest's cached x and sum: O(depth) per leaf after one
+    backward pass. Kept in each nest's own units, the tangent never meets
+    Lambda, so a subnormal Lambda cannot underflow it.
     """
-    return _differences(model, _backward(model), step)
+    return _complex_steps(model.tree, _backward(model))
 
 
-def _differences(model: ModelSpec, v: list[float], step: float) -> dict[str, float]:
+def _complex_steps(tree: Arborescence, v: list[float]) -> dict[str, float]:
     # finite_difference_gradient from u by slot, which run_checks shares.
-    # Per slot below the root: its parent's slot, its place among the
-    # parent's children, and the parent's max, how many children hold it,
-    # the children's values, the terms log_sum_exp sums over them, and Lambda.
-    tree, above = model.tree, {}
+    # Per slot below the root: its parent's slot, its x there, and the sum
+    # of the parent's other terms.
+    above = {}
     for nest, (kids, big_lam) in enumerate(zip(tree.kids, tree.scale)):
-        values = [v[k] for k in kids]
-        top = max(values)
-        shared = (top, values.count(top), values, [math.exp((x - top) / big_lam) for x in values], big_lam)
-        above.update((kid, (nest, i, *shared)) for i, kid in enumerate(kids))
+        top = max(v[k] for k in kids)
+        logs = [(v[k] - top) / big_lam for k in kids]
+        terms = list(map(math.exp, logs))
+        total = sum(terms)
+        above.update((kid, (nest, x, total - term)) for kid, x, term in zip(kids, logs, terms))
     grad = {}
     for slot, leaf in enumerate(tree.leaves, len(tree.kids)):
-        ends = []
-        for value in (v[slot] + step, v[slot] - step):
-            node, value = slot, _finite_values({leaf: value}, "utility")[leaf]
-            if value == v[slot]:
-                raise DomainError(f"step {step!r} is lost in the utility {v[slot]!r} of leaf {leaf!r}")
-            while node:  # the root is slot 0
-                node, i, top, n_top, values, terms, big_lam = above[node]
-                # Both branches edit the parent's lists in place and restore
-                # them. max() keeps top when value equals it, or when value is
-                # below it and a sibling still holds it.
-                if value == top or (value < top and n_top > (values[i] == top)):
-                    old, terms[i] = terms[i], math.exp((value - top) / big_lam)
-                    value = top + big_lam * math.log(sum(terms))
-                    terms[i] = old
-                else:
-                    old, values[i] = values[i], value
-                    value = log_sum_exp(values, big_lam)
-                    values[i] = old
-            ends.append(value)
-        grad[leaf] = (ends[0] - ends[1]) / (2.0 * step)
+        node, theta = slot, _THETA
+        while node:  # the root is slot 0
+            node, x, rest = above[node]
+            theta = cmath.log(rest + cmath.exp(complex(x, theta))).imag
+        grad[leaf] = theta / _THETA
     return grad
+
+
+def gradient_tolerance(model: ModelSpec) -> float:
+    """The largest gap between finite_difference_gradient and choice_probs
+    that rounding explains, capped at 1: eps * (height + 1) * max over
+    nests n of (|u_n| + Lambda_n + tiny)/Lambda_n, for the double epsilon
+    eps and the smallest normal double tiny. Each level of either side
+    rounds (u_k - u_n)/Lambda_n by eps*|u|/Lambda_n, or by eps*tiny/Lambda_n
+    where u is subnormal. 1.7e-15 on the depth-3 demo, 1.3e-15 on the
+    single-layer one.
+    """
+    return _tolerance(model.tree, _backward(model))
+
+
+def _tolerance(tree: Arborescence, v: list[float]) -> float:
+    # gradient_tolerance from u by slot, which run_checks shares.
+    tiny = sys.float_info.min
+    worst = max((abs(u) + big_lam + tiny) / big_lam for u, big_lam in zip(v[:len(tree.kids)], tree.scale))
+    return min(sys.float_info.epsilon * (max(tree.depth) + 1) * worst, 1.0)
 
 
 # Older name, still looked up by bench/spans.py.
@@ -154,9 +163,9 @@ def run_checks(
     worst = max(abs(sum(pi[kid] for kid in tree.children[nest]) - pi[nest]) for nest in tree.nests)
     results.append(_within("hierarchy-consistency", worst, 1e-12))
 
-    fd = _differences(model, v, FD_STEP)
+    fd = _complex_steps(tree, v)
     gap = max(abs(leaf_probs[leaf] - fd[leaf]) for leaf in tree.leaves)
-    results.append(_within("emax-gradient-is-choice-probability", gap, FD_TOL))
+    results.append(_within("emax-gradient-is-choice-probability", gap, _tolerance(tree, v)))
 
     # --- Monte Carlo comparisons on one stream of noise ----------------
     # One pair per nest with two or more children: the first leaves under

@@ -25,8 +25,7 @@ from nestlogit import cli
 EDGE = ("0", "-1", "-800", "nan", "inf", "1e308", "1e-300", "1000000000000000", "abc")
 VALID = {
     "draws": "64", "mc": "64", "seed": "7", "threads": "2", "lam": "0.5", "x": "1",
-    "kappa": "0.25", "tol": "1e-6", "t": "1", "alpha": "8", "step": "1e-5", "node": "a",
-    "out": "noise.csv",
+    "kappa": "0.25", "t": "1", "alpha": "8", "node": "a", "out": "noise.csv",
 }
 # Drawn on every command that takes it: the defaults draw up to a million.
 ALWAYS = {"draws"}

@@ -6,9 +6,7 @@ version and the machine match the file's tag, every digest must match
 exactly. Elsewhere numpy may draw other Generator streams and the C
 library may round its exp or log differently in the last bit, so the
 analytic commands are held to their exit codes and to their numbers within
-1e-12 relative, and the drawing commands to thread equality alone. The
-finite differences of grad-check divide a last-bit change by the step, so
-they are held to 1e-9 absolute there.
+1e-12 relative, and the drawing commands to thread equality alone.
 
 An intended change of output regenerates the file with
 `python tests/make_fingerprints.py`.
@@ -45,6 +43,4 @@ def test_fingerprint(battery_dir, command):
         assert got["exit"] == want["exit"], command
         assert [path for path, _ in got["numbers"]] == [path for path, _ in want["numbers"]], command
         for (path, value), (_, recorded) in zip(got["numbers"], want["numbers"]):
-            finite_difference = path.startswith("results.finite_difference") or path == "results.max_abs_diff"
-            tolerance = {"rel_tol": 0.0, "abs_tol": 1e-9} if finite_difference else {"rel_tol": 1e-12}
-            assert math.isclose(value, recorded, **tolerance), f"{command}: {path} is {value!r}, recorded {recorded!r}"
+            assert math.isclose(value, recorded, rel_tol=1e-12), f"{command}: {path} is {value!r}, recorded {recorded!r}"

@@ -1,6 +1,7 @@
 """The consistency battery of verify.run_checks."""
 
-import re
+import cmath
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -8,13 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nestlogit.cli as cli
 import nestlogit.model as model_module
 import nestlogit.simulate as simulate
 import nestlogit.verify as verify
 from nestlogit import (
     DomainError,
     SeededStream,
-    UtilityError,
     build,
     cdf,
     choice_probs,
@@ -22,6 +23,7 @@ from nestlogit import (
     make_model,
     mc_choice_probs,
     random_model,
+    random_single_layer_model,
     run_checks,
     sample_epsilon,
     save_model,
@@ -205,15 +207,17 @@ def test_needs_four_draws(depth3_model):
             run_checks(depth3_model, SeededStream(0), n_draws=n)
 
 
-def _rebuild_gradient(model, step):
-    # The full-rebuild oracle of acceptance c06: a new model and a whole
-    # backward pass per quotient.
-    grad = {}
-    for leaf in model.tree.leaves:
-        up = with_utilities(model, {leaf: model.utilities[leaf] + step})
-        down = with_utilities(model, {leaf: model.utilities[leaf] - step})
-        grad[leaf] = (emax(up) - emax(down)) / (2 * step)
-    return grad
+def _complex_rebuild(model, leaf):
+    # The literal complex step: Im u_root(U_leaf + ih) / h through a whole
+    # complex backward pass, with h small against every Lambda of the tree.
+    tree = model.tree
+    h = min(tree.scale) * 2.0 ** -30
+    v = [0j] * len(tree.kids) + [complex(model.utilities[x], h if x == leaf else 0.0) for x in tree.leaves]
+    for i in reversed(range(len(tree.kids))):
+        values, big_lam = [v[k] for k in tree.kids[i]], tree.scale[i]
+        top = max(z.real for z in values)
+        v[i] = top + big_lam * cmath.log(sum(cmath.exp((z - top) / big_lam) for z in values))
+    return v[0].imag / h
 
 
 def _chain(n_nests):
@@ -224,7 +228,7 @@ def _chain(n_nests):
     return make_model(tree, {leaf: 0.01 * i for i, leaf in enumerate(tree.leaves)})
 
 
-def test_finite_differences_match_the_full_rebuild_bit_for_bit(depth3_model, single_layer_model):
+def _stress_models(depth3_model, single_layer_model):
     plain = make_model(build("r", {"r": ("a", "b", "c")}, {}), {"a": 0.3, "b": -1.0, "c": 2.0})
     rng = np.random.default_rng(909)
     models = [depth3_model, single_layer_model, plain, _chain(400)]
@@ -233,9 +237,44 @@ def test_finite_differences_match_the_full_rebuild_bit_for_bit(depth3_model, sin
     # utilities (3u rounded).
     models += [with_utilities(m, {leaf: 0.0 for leaf in m.tree.leaves}) for m in models[:6]]
     models += [with_utilities(m, {leaf: float(round(3 * v)) for leaf, v in m.utilities.items()}) for m in models[4:12]]
-    for model in models:
-        for step in (1e-5, 0.25):
-            assert verify.finite_difference_gradient(model, step) == _rebuild_gradient(model, step)
+    return models
+
+
+def test_complex_steps_match_a_complex_rebuild(depth3_model, single_layer_model):
+    # Within 2 (height + 1) ulps: the climb and the rebuild round the same
+    # terms in a different order, and the rebuild scales its step by Lambda
+    # and back at every level. 1e-300 covers leaves whose rebuilt step
+    # becomes subnormal on the way up. The worst case here is 0.5 of it.
+    eps = sys.float_info.epsilon
+    for model in _stress_models(depth3_model, single_layer_model):
+        grad, height = verify.finite_difference_gradient(model), max(model.tree.depth)
+        for leaf in model.tree.leaves:
+            assert abs(grad[leaf] - _complex_rebuild(model, leaf)) <= 2 * (height + 1) * eps * grad[leaf] + 1e-300
+
+
+@pytest.mark.parametrize("theta", [2.0 ** -35, 2.0 ** -100])
+def test_the_imaginary_step_changes_no_digit(depth3_model, single_layer_model, monkeypatch, theta):
+    # The truncation error is theta**2/3 relative. Only gradients below
+    # 1e-250 may move, where theta times the gradient nears the subnormals.
+    models = _stress_models(depth3_model, single_layer_model)
+    grads = [verify.finite_difference_gradient(model) for model in models]
+    monkeypatch.setattr(verify, "_THETA", theta)
+    for model, want in zip(models, grads):
+        got = verify.finite_difference_gradient(model)
+        assert all(got[leaf] == g or max(g, abs(got[leaf] - g)) < 1e-250 for leaf, g in want.items())
+
+
+def test_gaps_stay_below_half_the_tolerance():
+    # 200 random trees of each kind, also with every utility shifted to
+    # +-1e11, where the tolerance is loose because choice_probs rounds
+    # (u_k - u_n)/Lambda_n.
+    for seed in range(200):
+        for model in (random_model(np.random.default_rng(seed), 60), random_single_layer_model(np.random.default_rng(seed))):
+            for shift in (0.0, 1e11, -1e11):
+                model = with_utilities(model, {leaf: u + shift for leaf, u in model.utilities.items()})
+                probs, grad = choice_probs(model), verify.finite_difference_gradient(model)
+                gap = max(abs(probs[leaf] - grad[leaf]) for leaf in model.tree.leaves)
+                assert gap <= 0.5 * verify.gradient_tolerance(model), (seed, shift)
 
 
 def count_backward_passes(monkeypatch):
@@ -258,7 +297,7 @@ def test_finite_differences_run_one_backward_pass(monkeypatch):
     # fails here, not only by time.
     calls = count_backward_passes(monkeypatch)
     model = random_model(np.random.default_rng(3), max_nodes=200)
-    verify.finite_difference_gradient(model, 1e-5)
+    verify.finite_difference_gradient(model)
     assert calls == [model]
 
 
@@ -272,7 +311,8 @@ def test_each_analytic_entry_runs_one_backward_pass(depth3_model, monkeypatch):
         lambda: emax(depth3_model),
         lambda: emax(depth3_model, "b"),
         lambda: log_odds(depth3_model, "leaf1"),
-        lambda: verify.finite_difference_gradient(depth3_model, 1e-5),
+        lambda: verify.finite_difference_gradient(depth3_model),
+        lambda: verify.gradient_tolerance(depth3_model),
     ):
         calls.clear()
         run()
@@ -287,40 +327,57 @@ def test_each_analytic_entry_runs_one_backward_pass(depth3_model, monkeypatch):
     assert all(m.tree is depth3_model.tree for m in calls)
 
 
-def test_a_step_lost_in_the_utility_is_refused(tmp_path):
-    # 1e308 + 1e-5 rounds back to 1e308: the quotient read 0.0 and
-    # grad-check exited 2, blaming a correct model.
-    tree = build("root", {"root": ("a", "b")}, {})
-    model = make_model(tree, {"a": 1e308, "b": 0.0})
-    message = "step 1e-05 is lost in the utility 1e+308 of leaf 'a'"
-    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        verify.finite_difference_gradient(model, 1e-5)
-    path = tmp_path / "huge.json"
-    save_model(model, path)
-    for command in ("grad-check", "verify"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "nestlogit", command, str(path)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr == f"error: {message}\n"
+def _depth3_at(depth3_model, lam):
+    tree = depth3_model.tree
+    return make_model(build(tree.root, tree.children, {"a": lam, "b": lam}), depth3_model.utilities)
 
 
-def test_non_finite_perturbed_utility_is_rejected(tmp_path):
-    tree = build("root", {"root": ("a", "b")}, {})
-    model = make_model(tree, {"a": 1e308, "b": 0.0})
-    with pytest.raises(UtilityError, match=r"^non-finite utility for \['a'\]$"):
-        verify.finite_difference_gradient(model, 1e308)
-    path = tmp_path / "huge.json"
+# Central differences at a step of 1e-5 exited 2 on the first four (gaps
+# 2.7e-4, 0.108, 0.125 and 0.526) and on the two subnormal Lambda_b = 1e-310
+# and 1e-320 (0.125 each), and 1 on the other two ("step is lost in the
+# utility").
+GRADIENT_CASES = {
+    "lambda=1e-3": lambda m: _depth3_at(m, 1e-3),
+    "lambda=1e-6": lambda m: _depth3_at(m, 1e-6),
+    "lambda=1e-12": lambda m: _depth3_at(m, 1e-12),
+    "leaf0=1e11": lambda m: with_utilities(m, {"leaf0": 1e11}),
+    "leaf0=1e300": lambda m: with_utilities(m, {"leaf0": 1e300}),
+    "two-leaves-1e308-0": lambda m: make_model(build("root", {"root": ("a", "b")}, {}), {"a": 1e308, "b": 0.0}),
+    "lambda=1e-155": lambda m: _depth3_at(m, 1e-155),
+    "lambda=1e-160": lambda m: _depth3_at(m, 1e-160),
+}
+
+
+@pytest.mark.parametrize("case", list(GRADIENT_CASES))
+def test_extreme_models_pass_the_gradient_check(case, depth3_model, tmp_path, capsys):
+    model = GRADIENT_CASES[case](depth3_model)
+    path = tmp_path / "model.json"
     save_model(model, path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "nestlogit", "grad-check", str(path), "--step", "1e308"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr == "error: non-finite utility for ['a']\n"
+    assert cli.main(["grad-check", str(path)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["passed"] and results["tolerance"] == verify.gradient_tolerance(model)
+    checks = run_checks(model, SeededStream(0), n_draws=64)[:3]
+    assert checks[2].name == "emax-gradient-is-choice-probability"
+    # At lambda 1e-160, u_b = Lambda_b log 2 is subnormal and choice_probs
+    # rounds it: the simplex and the hierarchy fail, rightly, by 8.7e-6.
+    assert all(c.passed for c in (checks[2:] if case == "lambda=1e-160" else checks)), checks
+
+
+def test_a_one_part_in_a_billion_forward_defect_is_caught(depth3_model, monkeypatch, capsys, tmp_path):
+    # leaf0's log probability off by 1e-9 moves its probability by 1.8e-10:
+    # within the central differences' 1e-6, far past the rounding bound.
+    real = model_module._log_forward
+
+    def off(tree, v):
+        log_pi = real(tree, v)
+        log_pi[len(tree.kids)] += 1e-9
+        return log_pi
+
+    path = tmp_path / "depth3.json"
+    save_model(depth3_model, path)
+    monkeypatch.setattr(model_module, "_log_forward", off)
+    assert cli.main(["grad-check", str(path)]) == 2
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["passed"] is False and 1e-10 < results["max_abs_diff"] < 1e-6
+    check = {c.name: c for c in run_checks(depth3_model, SeededStream(0), n_draws=64)}["emax-gradient-is-choice-probability"]
+    assert not check.passed and 1e-10 < check.observed < 1e-6
