@@ -15,6 +15,13 @@ per leaf, so `cdf` on an n-leaf tree takes n flags; a leaf named twice
 exits 1. The parser gives argparse's results, but parses those repeats in
 time linear in their number, where argparse alone is quadratic.
 
+Nothing is kept from one call of main to the next, so each call pays only
+for what its command needs. It builds the subparser of the command its
+first argument names and no other; help, --version and any usage error
+go to the full parser, so their output lists every command. The report
+is encoded by json's C encoder, one call per container of scalars (see
+_dumps), and reads byte for byte as json.dumps(indent=2) would write it.
+
 Each command imports the samplers it draws with when it runs, so
 `validate`, `emax`, `cdf`, analytic `probs`, `grad-check`,
 `stable density`, `stable moment` and `frechet-corr` without `--mc`
@@ -27,7 +34,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .errors import DomainError, NestLogitError
@@ -137,13 +143,14 @@ def _real(ok, requirement: str):
 
 _NONNEGATIVE = _real(lambda v: v >= 0.0, ">= 0")
 _POSITIVE = _real(lambda v: v > 0.0, "> 0")
+_CONTAINERS = (dict, list, tuple)
 
 
 def _emit(report: dict, pretty: bool) -> None:
     """Print the report, in either format only if every number in it is
     finite: strict JSON has no NaN or Infinity."""
     try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        text = _dumps(report, "\n")
     except ValueError:
         where, value = _first_nonfinite(report, "")
         raise DomainError(f"{where} is {value}; a report holds finite numbers only") from None
@@ -152,6 +159,25 @@ def _emit(report: dict, pretty: bool) -> None:
             print(line)
     else:
         print(text)
+
+
+def _dumps(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False), byte for
+    byte, where every dict key is a string; pad is the line break and indent
+    that close obj. Any indent sends CPython 3.10-3.12 to its pure-Python
+    encoder, so each scalar or container of scalars is one C-encoder call
+    with the line break in its item separator, and only the levels that
+    hold containers are joined here."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and any(isinstance(value, _CONTAINERS) for value in obj.values()):
+        return "{" + inner + ("," + inner).join(
+            f"{json.dumps(key)}: {_dumps(obj[key], inner)}" for key in sorted(obj)) + pad + "}"
+    if isinstance(obj, (list, tuple)) and any(isinstance(value, _CONTAINERS) for value in obj):
+        return "[" + inner + ("," + inner).join(_dumps(value, inner) for value in obj) + pad + "]"
+    text = json.dumps(obj, sort_keys=True, allow_nan=False, separators=("," + inner, ": "))
+    if isinstance(obj, _CONTAINERS) and obj:
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    return text
 
 
 def _first_nonfinite(obj, where: str):
@@ -403,7 +429,7 @@ def _cmd_verify(args) -> dict:
     model = _load(args)
     stream = SeededStream(args.seed)
     checks = run_checks(model, stream, n_draws=args.draws, n_threads=args.threads)
-    return {"checks": [asdict(c) for c in checks], "all_passed": all(c.passed for c in checks)}
+    return {"checks": [c._asdict() for c in checks], "all_passed": all(c.passed for c in checks)}
 
 
 def _cmd_frechet_corr(args) -> dict:
@@ -426,10 +452,27 @@ def _cmd_frechet_corr(args) -> dict:
 # parser
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="nestlogit", description=__doc__.splitlines()[0])
+class _Silent(_Parser):
+    """A parser that prints nothing: help, --version and usage errors still
+    end in SystemExit, after which main parses again with the full parser."""
+
+    def _print_message(self, message, file=None):
+        pass
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The full parser or, given a command name, a silent one holding that
+    command's subparser alone."""
+    parser = (_Parser if command is None else _Silent)(prog="nestlogit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, func, help):
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
     def common(p, model=True, stochastic=False, draws_default=100_000, draws_min=1):
         if model:
@@ -446,87 +489,85 @@ def _build_parser() -> _Parser:
             p.add_argument("--threads", type=_integer(1), default=1, help="worker threads; never changes output")
         p.add_argument("--pretty", action="store_true", help="human-readable text instead of JSON")
 
-    p = sub.add_parser("validate", help="parse and validate a model file, print its metrics")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
+    if p := add("validate", _cmd_validate, "parse and validate a model file, print its metrics"):
+        common(p)
 
-    p = sub.add_parser("probs", help="leaf choice probabilities")
-    p.add_argument("--method", choices=("analytic", "mc", "mixed"), default="analytic")
-    common(p, stochastic=True)
-    p.set_defaults(func=_cmd_probs)
+    if p := add("probs", _cmd_probs, "leaf choice probabilities"):
+        p.add_argument("--method", choices=("analytic", "mc", "mixed"), default="analytic")
+        common(p, stochastic=True)
 
-    p = sub.add_parser("emax", help="inclusive value (expected maximum net of the Euler constant)")
-    which = p.add_mutually_exclusive_group()
-    which.add_argument("--node", help="nest whose subtree to evaluate (default: root)")
-    which.add_argument("--all", action="store_true", help="print every node's inclusive value")
-    common(p)
-    p.set_defaults(func=_cmd_emax)
+    if p := add("emax", _cmd_emax, "inclusive value (expected maximum net of the Euler constant)"):
+        which = p.add_mutually_exclusive_group()
+        which.add_argument("--node", help="nest whose subtree to evaluate (default: root)")
+        which.add_argument("--all", action="store_true", help="print every node's inclusive value")
+        common(p)
 
-    p = sub.add_parser("sample", help="draw noise vectors and write them to CSV")
-    p.add_argument("--out", required=True, help="output CSV path (header = leaf ids)")
-    common(p, stochastic=True, draws_default=1000, draws_min=0)
-    p.set_defaults(func=_cmd_sample)
+    if p := add("sample", _cmd_sample, "draw noise vectors and write them to CSV"):
+        p.add_argument("--out", required=True, help="output CSV path (header = leaf ids)")
+        common(p, stochastic=True, draws_default=1000, draws_min=0)
 
-    p = sub.add_parser("stable", help="positive stable distribution utilities")
-    stable_sub = p.add_subparsers(dest="stable_command", required=True)
+    if p := add("stable", _cmd_stable, "positive stable distribution utilities"):
+        stable_sub = p.add_subparsers(dest="stable_command", required=True)
 
-    q = stable_sub.add_parser("sample", help="draw from P(lambda)")
-    q.add_argument("--lambda", dest="lam", type=float, required=True)
-    common(q, model=False, stochastic=True, draws_default=10, draws_min=0)
-    q.set_defaults(func=_cmd_stable)
+        q = stable_sub.add_parser("sample", help="draw from P(lambda)")
+        q.add_argument("--lambda", dest="lam", type=float, required=True)
+        common(q, model=False, stochastic=True, draws_default=10, draws_min=0)
 
-    q = stable_sub.add_parser("density", help="density by Kanter's integral; closed form included at lambda = 1/2")
-    q.add_argument("--lambda", dest="lam", type=float, required=True)
-    q.add_argument("--x", type=_POSITIVE, required=True)
-    common(q, model=False)
-    q.set_defaults(func=_cmd_stable)
+        q = stable_sub.add_parser("density", help="density by Kanter's integral; closed form included at lambda = 1/2")
+        q.add_argument("--lambda", dest="lam", type=float, required=True)
+        q.add_argument("--x", type=_POSITIVE, required=True)
+        common(q, model=False)
 
-    q = stable_sub.add_parser("moment", help="fractional moment E[Z^kappa], 0 < kappa < lambda")
-    q.add_argument("--lambda", dest="lam", type=float, required=True)
-    q.add_argument("--kappa", type=float, required=True)
-    common(q, model=False)
-    q.set_defaults(func=_cmd_stable)
+        q = stable_sub.add_parser("moment", help="fractional moment E[Z^kappa], 0 < kappa < lambda")
+        q.add_argument("--lambda", dest="lam", type=float, required=True)
+        q.add_argument("--kappa", type=float, required=True)
+        common(q, model=False)
 
-    q = stable_sub.add_parser("laplace", help="Monte Carlo Laplace transform against exp(-t^lambda)")
-    q.add_argument("--lambda", dest="lam", type=float, required=True)
-    q.add_argument("--t", type=_NONNEGATIVE, required=True)
-    common(q, model=False, stochastic=True, draws_default=1_000_000)
-    q.set_defaults(func=_cmd_stable)
+        q = stable_sub.add_parser("laplace", help="Monte Carlo Laplace transform against exp(-t^lambda)")
+        q.add_argument("--lambda", dest="lam", type=float, required=True)
+        q.add_argument("--t", type=_NONNEGATIVE, required=True)
+        common(q, model=False, stochastic=True, draws_default=1_000_000)
 
-    p = sub.add_parser("grad-check", help="choice probabilities against complex-step derivatives of the inclusive value (exit 2 past the model's rounding bound)")
-    common(p)
-    p.set_defaults(func=_cmd_grad_check)
+    if p := add("grad-check", _cmd_grad_check, "choice probabilities against complex-step derivatives of the inclusive value (exit 2 past the model's rounding bound)"):
+        common(p)
 
-    p = sub.add_parser("cdf", help="joint noise CDF at a leaf bound vector")
-    p.add_argument(
-        "--at",
-        action="append",
-        required=True,
-        metavar="LEAF=VALUE",
-        help="bound for one leaf; repeat to cover every leaf",
-    )
-    common(p)
-    p.set_defaults(func=_cmd_cdf)
+    if p := add("cdf", _cmd_cdf, "joint noise CDF at a leaf bound vector"):
+        p.add_argument(
+            "--at",
+            action="append",
+            required=True,
+            metavar="LEAF=VALUE",
+            help="bound for one leaf; repeat to cover every leaf",
+        )
+        common(p)
 
-    p = sub.add_parser("verify", help="run analytic/simulation consistency checks (exit 2 on failure)")
-    common(p, stochastic=True, draws_default=50_000, draws_min=4)
-    p.set_defaults(func=_cmd_verify)
+    if p := add("verify", _cmd_verify, "run analytic/simulation consistency checks (exit 2 on failure)"):
+        common(p, stochastic=True, draws_default=50_000, draws_min=4)
 
-    p = sub.add_parser("frechet-corr", help="Gumbel-coupled Frechet correlation, closed form and optional MC")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--mc", type=_integer(4), metavar="DRAWS", help="also estimate by simulation")
-    p.add_argument("--seed", type=_integer(0, 2**64), default=0)
-    p.add_argument("--threads", type=_integer(1), default=1)
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_frechet_corr)
+    if p := add("frechet-corr", _cmd_frechet_corr, "Gumbel-coupled Frechet correlation, closed form and optional MC"):
+        p.add_argument("--alpha", type=float, required=True)
+        p.add_argument("--lambda", dest="lam", type=float, required=True)
+        p.add_argument("--mc", type=_integer(4), metavar="DRAWS", help="also estimate by simulation")
+        p.add_argument("--seed", type=_integer(0, 2**64), default=0)
+        p.add_argument("--threads", type=_integer(1), default=1)
+        p.add_argument("--pretty", action="store_true")
 
     return parser
 
 
+def _parse(argv: list):
+    # Building one subparser costs a fraction of building all nine. Only a
+    # parse that prints or exits (help, --version, a usage error, a first
+    # argument that names no command) needs the full parser, whose usage
+    # lines list every command.
+    try:
+        return _build_parser(argv[0] if argv else "").parse_args(argv)
+    except SystemExit:
+        return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         results = args.func(args)
         _emit(_report(args, results), args.pretty)

@@ -21,8 +21,8 @@ has one check, _leaf_values, whose errors name the keys at fault.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from collections import namedtuple
+from collections.abc import Mapping
 
 from .errors import RootHasNoParentError, UtilityError
 from .tree import Arborescence, require_nest, require_two_level, to_float
@@ -42,12 +42,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """A nest tree and a finite utility for every leaf."""
+class ModelSpec(namedtuple("ModelSpec", "tree utilities")):
+    """A nest tree (an Arborescence) and a finite utility for every leaf
+    (a mapping of leaf id to float); an immutable named tuple."""
 
-    tree: Arborescence
-    utilities: Mapping[str, float]
+    __slots__ = ()
 
 
 def _finite_values(values: Mapping[str, float], what: str) -> dict[str, float]:
@@ -86,7 +85,7 @@ def with_utilities(model: ModelSpec, overrides: Mapping[str, float]) -> ModelSpe
 def _backward(model: ModelSpec) -> list[float]:
     # u by slot: the utility at a leaf, the log-sum-exp of the children at a nest
     tree, kids, scale = model.tree, model.tree.kids, model.tree.scale
-    v = [0.0] * len(kids) + [model.utilities[leaf] for leaf in tree.leaves]
+    v = [0.0] * len(kids) + list(map(model.utilities.__getitem__, tree.leaves))
     for i in reversed(range(len(kids))):  # every child nest before its parent
         values, big_lam = [v[k] for k in kids[i]], scale[i]
         top = max(values)  # the shift that keeps every exp at or below 1
@@ -108,8 +107,8 @@ def backward_utils(model: ModelSpec) -> dict[str, float]:
 def _log_forward(tree: Arborescence, v: list[float]) -> list[float]:
     # log pi by slot from u by slot: 0 at the root, plus each child's (u_z - u_n)/Lambda_n
     log_pi = [0.0] * len(v)
-    for i, kids in enumerate(tree.kids):  # slot order: every parent before its children
-        big_lam, u_n, base = tree.scale[i], v[i], log_pi[i]
+    for i, (kids, big_lam) in enumerate(zip(tree.kids, tree.scale)):  # slot order: every parent before its children
+        u_n, base = v[i], log_pi[i]
         for k in kids:
             log_pi[k] = base + (v[k] - u_n) / big_lam
     return log_pi

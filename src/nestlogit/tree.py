@@ -24,8 +24,8 @@ interpreter recursion limit.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
 from .errors import (
     CycleError,
@@ -45,8 +45,7 @@ from .errors import (
 __all__ = ["Arborescence", "build", "from_nested", "lca", "descendant_leaves"]
 
 
-@dataclass(frozen=True)
-class Arborescence:
+class Arborescence(namedtuple("Arborescence", "root children lam nests leaves slot kids up scale depth")):
     """Validated nest tree.
 
     root, children and lam are the description build() was given:
@@ -59,20 +58,11 @@ class Arborescence:
     s (-1 for the root, else below s), scale[s] its Lambda, the product of
     lambda over the nests on its root path (a leaf inherits its parent's
     value), and depth[s] its number of edges from the root, so the
-    tree's height is max(depth). Instances are immutable after build()
-    and safe to share across threads.
+    tree's height is max(depth). Instances are immutable named tuples,
+    compared field by field, and safe to share across threads.
     """
 
-    root: str
-    children: Mapping[str, tuple[str, ...]]
-    lam: Mapping[str, float]
-    nests: tuple[str, ...]
-    leaves: tuple[str, ...]
-    slot: Mapping[str, int]
-    kids: tuple[tuple[int, ...], ...]
-    up: tuple[int, ...]
-    scale: tuple[float, ...]
-    depth: tuple[int, ...]
+    __slots__ = ()
 
     def is_nest(self, node: str) -> bool:
         return node in self.children
@@ -125,7 +115,7 @@ def build(
     nest tree.
     """
     root = str(root)
-    children = {str(nest): tuple(str(k) for k in kids) for nest, kids in children.items()}
+    children = {str(nest): tuple(map(str, kids)) for nest, kids in children.items()}
     lam = {str(k): to_float(v) for k, v in lam.items()}
 
     if not root or "" in children or "" in lam or any("" in kids for kids in children.values()):
@@ -160,9 +150,9 @@ def build(
             leaves.append(node)
 
     ids = nests + leaves
-    slot = {node: s for s, node in enumerate(ids)}
-    unreachable = (children.keys() | lam.keys() | parent.keys()).difference(slot)
-    if unreachable:
+    slot = dict(zip(ids, range(len(ids))))
+    if not children.keys() <= slot.keys() or not parent.keys() <= slot.keys() or not lam.keys() <= slot.keys():
+        unreachable = (children.keys() | lam.keys() | parent.keys()).difference(slot)
         probe = min(unreachable)  # deterministic pick for the message
         seen = set()
         node = probe
@@ -210,19 +200,14 @@ _NEST_KEYS = {"id", "lambda", "children"}
 _LEAF_KEYS = {"id", "utility"}
 
 
-def _fail(where: str, message: str) -> ModelFileError:
-    return ModelFileError(f"{where}: {message}")
-
-
-def _number(node: Mapping, key: str, where: str) -> float:
-    """node[key] as a float, converted once; JSON numbers only."""
-    value = node[key]
+def _number(value, key: str, fault) -> float:
+    """value as a float, converted once; JSON numbers only."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise _fail(where, f'"{key}" must be a number')
+        raise fault(f'"{key}" must be a number')
     try:
         return float(value)
     except OverflowError:  # an integer literal past float range
-        raise _fail(where, f'"{key}" does not fit in a float') from None
+        raise fault(f'"{key}" does not fit in a float') from None
 
 
 def from_nested(doc: Mapping) -> tuple[Arborescence, dict[str, float]]:
@@ -234,61 +219,75 @@ def from_nested(doc: Mapping) -> tuple[Arborescence, dict[str, float]]:
     nodes. In document order it converts each number once and raises at
     the first fault: a ModelFileError naming the JSON path (for instance
     root.children[1].lambda) for a schema fault, DuplicateIdError for a
-    repeated id. build() then applies the structural rules. Returns the
-    tree and the leaf utility map.
+    repeated id. The path is built only when a fault is raised, from the
+    child lists read so far, and plain dict, str and float nodes skip the
+    general checks they would pass. build() then applies the structural
+    rules. Returns the tree and the leaf utility map.
     """
     children: dict[str, list[str]] = {}
+    up: dict[str, str | None] = {}  # nest -> its parent nest, for the path of a fault
     lam: dict[str, float] = {}
     utilities: dict[str, float] = {}
-    stack: list[tuple[object, str, str | None]] = [(doc, "root", None)]
+
+    def fault(message: str, field: str = "") -> ModelFileError:
+        # The node being read is the next child of parent.
+        steps, node, at = [], None, parent
+        while at is not None:
+            steps.append(len(children[at]) if node is None else children[at].index(node))
+            node, at = at, up[at]
+        path = "".join(f".children[{i}]" for i in reversed(steps))
+        return ModelFileError(f"root{path}{field}: {message}")
+
+    stack: list[tuple[object, str | None]] = [(doc, None)]
     while stack:
-        node, where, parent = stack.pop()
-        if not isinstance(node, Mapping):
-            raise _fail(where, f"expected an object, got {type(node).__name__}")
-        keys = set(node)
-        if "children" in keys and "utility" in keys:
-            raise _fail(where, "a node cannot carry both children and a utility")
-        if "children" in keys:
+        node, parent = stack.pop()
+        if type(node) is not dict and not isinstance(node, Mapping):
+            raise fault(f"expected an object, got {type(node).__name__}")
+        if "children" in node:
+            if "utility" in node:
+                raise fault("a node cannot carry both children and a utility")
             expected = _NEST_KEYS
-        elif "utility" in keys:
+        elif "utility" in node:
             expected = _LEAF_KEYS
         else:
-            raise _fail(where, 'node needs either "children" (nest) or "utility" (leaf)')
-        unknown = keys - expected
-        if unknown:
-            raise _fail(where, f"unexpected key {sorted(unknown)[0]!r}")
-        missing = expected - keys
-        if missing:
-            raise _fail(where, f"missing key {sorted(missing)[0]!r}")
+            raise fault('node needs either "children" (nest) or "utility" (leaf)')
+        if node.keys() != expected:
+            keys = set(node)
+            if unknown := keys - expected:
+                raise fault(f"unexpected key {sorted(unknown)[0]!r}")
+            raise fault(f"missing key {sorted(expected - keys)[0]!r}")
         node_id = node["id"]
         if not isinstance(node_id, str) or not node_id:
-            raise _fail(where, '"id" must be a non-empty string')
-        try:
-            node_id.encode("utf-8")
-        except UnicodeEncodeError:  # a lone surrogate escape, which no output can write
-            raise _fail(f"{where}.id", f"{node_id!r} holds a lone surrogate, not Unicode text") from None
+            raise fault('"id" must be a non-empty string')
+        if not node_id.isascii():
+            try:
+                node_id.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate escape, which no output can write
+                raise fault(f"{node_id!r} holds a lone surrogate, not Unicode text", ".id") from None
         if node_id in children or node_id in utilities:
             raise DuplicateIdError(f"node id {node_id!r} appears more than once")
-        if parent is not None:
-            children[parent].append(node_id)
-        if "children" in keys:
-            lam[node_id] = _number(node, "lambda", where)
+        if expected is _NEST_KEYS:
+            value = node["lambda"]
+            lam[node_id] = value if type(value) is float else _number(value, "lambda", fault)
             kids = node["children"]
             if not isinstance(kids, list):
-                raise _fail(where, '"children" must be a list')
+                raise fault('"children" must be a list')
             if not kids:
-                raise _fail(where, '"children" must not be empty')
-            children[node_id] = []  # filled as each child is visited
-            stack.extend((kids[i], f"{where}.children[{i}]", node_id) for i in reversed(range(len(kids))))
+                raise fault('"children" must not be empty')
+            children[node_id] = []  # filled as each child is read
+            up[node_id] = parent
+            stack += [(kid, node_id) for kid in reversed(kids)]
         else:
-            utilities[node_id] = _number(node, "utility", where)
-            if not math.isfinite(utilities[node_id]):
-                raise _fail(where, '"utility" must be finite')
-        if parent is None:
-            if node_id in utilities:
-                raise _fail(where, "the root must be a nest, not a leaf")
-            if lam[node_id] != 1.0:
-                raise _fail(f"{where}.lambda", f"root lambda must be 1.0, got {node['lambda']!r}")
+            value = node["utility"]
+            value = utilities[node_id] = value if type(value) is float else _number(value, "utility", fault)
+            if not math.isfinite(value):
+                raise fault('"utility" must be finite')
+        if parent is not None:
+            children[parent].append(node_id)
+        elif node_id in utilities:
+            raise fault("the root must be a nest, not a leaf")
+        elif lam[node_id] != 1.0:
+            raise fault(f"root lambda must be 1.0, got {node['lambda']!r}", ".lambda")
     return build(doc["id"], children, lam), utilities
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
@@ -39,22 +39,16 @@ __all__ = ["CheckResult", "finite_difference_gradient", "gradient_tolerance", "r
 _THETA = 2.0 ** -50  # the imaginary step; 2**-35 to 2**-100 give the same digits above 1e-250
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one consistency check.
+class CheckResult(namedtuple("CheckResult", "name passed observed expected tolerance detail", defaults=("",))):
+    """Outcome of one consistency check, an immutable named tuple.
 
     observed is the check's headline statistic (a deviation or a maximum
     z-score), expected its ideal value, and tolerance the pass threshold;
     passed is observed <= tolerance plus any side conditions noted in
-    detail.
+    detail (a string, empty by default).
     """
 
-    name: str
-    passed: bool
-    observed: float
-    expected: float
-    tolerance: float
-    detail: str = ""
+    __slots__ = ()
 
 
 def finite_difference_gradient(model: ModelSpec) -> dict[str, float]:

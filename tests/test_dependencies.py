@@ -6,6 +6,7 @@ first use, and the commands that draw nothing never import it."""
 import ast
 import importlib
 import inspect
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,25 @@ print(rc, "numpy" in sys.modules)
 ], ids=lambda argv: " ".join(argv[:2]).replace(DEPTH3, "depth3"))
 def test_analytic_commands_never_import_numpy(argv):
     assert fresh(RUN_MAIN, *argv).split() == ["0", "False"]
+
+
+LEAN_MAIN = RUN_MAIN.replace('"numpy" in sys.modules', '*sorted({"dataclasses", "inspect"} & set(sys.modules))')
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", DEPTH3],
+    ["probs", DEPTH3],
+    ["emax", DEPTH3],
+    ["cdf", DEPTH3, "--at", "leaf0=1", "--at", "leaf1=1", "--at", "leaf2=1", "--at", "leaf3=1"],
+    ["grad-check", DEPTH3],
+], ids=lambda argv: argv[0])
+def test_analytic_commands_start_without_dataclasses(argv):
+    # Under -S, so that nothing site-packages loads at start-up counts:
+    # dataclasses pulls in inspect, ast, dis and tokenize.
+    proc = subprocess.run([sys.executable, "-S", "-c", LEAN_MAIN, *argv], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_drawing_commands_import_numpy():

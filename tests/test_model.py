@@ -5,7 +5,6 @@ the two reference trees: u_b = 0.25 ln 2, u_a = 0.5 ln(1 + sqrt(2)),
 single-layer shares built from nest weights sqrt(2) and 1.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -415,8 +414,12 @@ def test_numbers_past_float_range_name_the_leaf():
         cdf(model, {"a": 10**400, "b": 0})
 
 
-def test_model_is_tree_plus_utilities():
-    assert [f.name for f in dataclasses.fields(ModelSpec)] == ["tree", "utilities"]
+def test_model_is_tree_plus_utilities(depth3_model):
+    assert ModelSpec._fields == ("tree", "utilities")
+    assert depth3_model == make_model(depth3_model.tree, dict(depth3_model.utilities))
+    assert depth3_model != with_utilities(depth3_model, {"leaf0": 1.0})
+    with pytest.raises(AttributeError):
+        depth3_model.utilities = {}
 
 
 # --- the id-keyed walks, kept as the bit-for-bit oracle of the slot passes ---

@@ -1,6 +1,6 @@
 """Arborescence construction, validation, the slots build() stores, and LCA."""
 
-import dataclasses
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from nestlogit import (
     EmptyNestError,
     InvalidModelError,
     LambdaRangeError,
+    ModelFileError,
     NotANestError,
     OrphanNodeError,
     RootLambdaError,
@@ -53,9 +54,15 @@ def by_id(tree, values):
 
 
 def test_fields_are_the_description_and_its_slots():
-    assert [field.name for field in dataclasses.fields(Arborescence)] == [
+    assert Arborescence._fields == (
         "root", "children", "lam", "nests", "leaves", "slot", "kids", "up", "scale", "depth",
-    ]
+    )
+    tree = depth3()
+    assert tree == depth3() and tree != build("root", DEPTH3_CHILDREN, {"a": 0.5, "b": 0.25})
+    with pytest.raises(AttributeError):
+        tree.root = "a"
+    with pytest.raises(AttributeError):
+        tree.extra = 1
 
 
 def test_metrics_depth3():
@@ -200,6 +207,135 @@ def test_from_nested():
     assert tree.nests == ("root", "n")
     assert tree.leaves == ("x", "y", "z")
     assert utilities == {"x": 1.5, "y": -2.0, "z": 0.25}
+
+
+# A tree four nests deep: n3 is root.children[1].children[1].children[0].
+def nested_doc():
+    return {"id": "root", "lambda": 1.0, "children": [
+        {"id": "a", "utility": 0.0},
+        {"id": "n1", "lambda": 0.5, "children": [
+            {"id": "b", "utility": 1.0},
+            {"id": "n2", "lambda": 0.5, "children": [
+                {"id": "n3", "lambda": 0.8, "children": [
+                    {"id": "c", "utility": -1.0},
+                    {"id": "d", "utility": 2.0},
+                ]},
+                {"id": "e", "utility": 0.5},
+            ]},
+        ]},
+    ]}
+
+
+def node_at(doc, *path):
+    for i in path:
+        doc = doc["children"][i]
+    return doc
+
+
+N3 = (1, 1, 0)  # the nest n3
+D = (1, 1, 0, 1)  # the leaf d under it
+
+
+def replace_at(path, value):
+    return lambda doc: node_at(doc, *path[:-1])["children"].__setitem__(path[-1], value)
+
+
+def edit_at(path, **fields):
+    return lambda doc: node_at(doc, *path).update(fields)
+
+
+def drop_at(path, key):
+    return lambda doc: node_at(doc, *path).pop(key)
+
+
+N3_PATH = "root.children[1].children[1].children[0]"
+D_PATH = N3_PATH + ".children[1]"
+
+# Every schema fault from_nested raises, with its exact message and path.
+FAULTS = [
+    (replace_at(N3, [1]), ModelFileError, f"{N3_PATH}: expected an object, got list"),
+    (replace_at(D, "d"), ModelFileError, f"{D_PATH}: expected an object, got str"),
+    (replace_at(D, None), ModelFileError, f"{D_PATH}: expected an object, got NoneType"),
+    (drop_at(N3, "lambda"), ModelFileError, f"{N3_PATH}: missing key 'lambda'"),
+    (drop_at(N3, "id"), ModelFileError, f"{N3_PATH}: missing key 'id'"),
+    (drop_at(D, "id"), ModelFileError, f"{D_PATH}: missing key 'id'"),
+    (edit_at(N3, weight=2, extra=1), ModelFileError, f"{N3_PATH}: unexpected key 'extra'"),
+    (edit_at(D, lam=0.5), ModelFileError, f"{D_PATH}: unexpected key 'lam'"),
+    (edit_at(D, children=[]), ModelFileError, f"{D_PATH}: a node cannot carry both children and a utility"),
+    (drop_at(D, "utility"), ModelFileError, f'{D_PATH}: node needs either "children" (nest) or "utility" (leaf)'),
+    (edit_at(N3, **{"lambda": True}), ModelFileError, f'{N3_PATH}: "lambda" must be a number'),
+    (edit_at(N3, **{"lambda": "0.5"}), ModelFileError, f'{N3_PATH}: "lambda" must be a number'),
+    (edit_at(N3, **{"lambda": 10**400}), ModelFileError, f'{N3_PATH}: "lambda" does not fit in a float'),
+    (edit_at(D, utility=False), ModelFileError, f'{D_PATH}: "utility" must be a number'),
+    (edit_at(D, utility=-10**400), ModelFileError, f'{D_PATH}: "utility" does not fit in a float'),
+    (edit_at(D, utility=float("nan")), ModelFileError, f'{D_PATH}: "utility" must be finite'),
+    (edit_at(D, utility=float("-inf")), ModelFileError, f'{D_PATH}: "utility" must be finite'),
+    (edit_at(N3, children={"id": "c"}), ModelFileError, f'{N3_PATH}: "children" must be a list'),
+    (edit_at(N3, children=("c",)), ModelFileError, f'{N3_PATH}: "children" must be a list'),
+    (edit_at(N3, children=[]), ModelFileError, f'{N3_PATH}: "children" must not be empty'),
+    (edit_at(N3, id=""), ModelFileError, f'{N3_PATH}: "id" must be a non-empty string'),
+    (edit_at(D, id=4), ModelFileError, f'{D_PATH}: "id" must be a non-empty string'),
+    (edit_at(D, id="d\ud800"), ModelFileError, f"{D_PATH}.id: 'd\\ud800' holds a lone surrogate, not Unicode text"),
+    (edit_at(N3, id="\udfffé"), ModelFileError, f"{N3_PATH}.id: '\\udfffé' holds a lone surrogate, not Unicode text"),
+    (edit_at(D, id="b"), DuplicateIdError, "node id 'b' appears more than once"),
+    (edit_at(N3, id="n1"), DuplicateIdError, "node id 'n1' appears more than once"),
+    (edit_at((), **{"lambda": 0.5}), ModelFileError, "root.lambda: root lambda must be 1.0, got 0.5"),
+    (edit_at((), **{"lambda": 2}), ModelFileError, "root.lambda: root lambda must be 1.0, got 2"),
+    (lambda doc: doc.clear() or doc.update(id="r", utility=0.0), ModelFileError, "root: the root must be a nest, not a leaf"),
+    (lambda doc: doc.clear(), ModelFileError, 'root: node needs either "children" (nest) or "utility" (leaf)'),
+    # The first fault in document order wins: a nest before its children,
+    # earlier siblings before later ones.
+    (lambda doc: edit_at(N3, **{"lambda": "x"})(doc) or edit_at((1, 0), id="")(doc),
+     ModelFileError, 'root.children[1].children[0]: "id" must be a non-empty string'),
+    (edit_at(N3, children=[{"id": "c", "utility": 0.0}, {"id": "c", "utility": "x"}]),
+     DuplicateIdError, "node id 'c' appears more than once"),
+    (lambda doc: edit_at((1, 1, 1), utility=None)(doc) or edit_at(D, id="a")(doc),
+     DuplicateIdError, "node id 'a' appears more than once"),
+    (lambda doc: edit_at((), **{"lambda": 0.5})(doc) or edit_at(D, id=1)(doc),
+     ModelFileError, "root.lambda: root lambda must be 1.0, got 0.5"),
+]
+
+
+@pytest.mark.parametrize("mutate, exc, message", FAULTS)
+def test_from_nested_fault_table(mutate, exc, message):
+    doc = nested_doc()
+    mutate(doc)
+    with pytest.raises(exc) as info:
+        from_nested(doc)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def test_from_nested_reads_any_mapping_and_converts_numbers_once():
+    doc = nested_doc()
+    node_at(doc, *N3)["children"][1] = MappingProxyType({"id": "d", "utility": 2})
+    node_at(doc, 1)["lambda"] = 1  # an int lambda
+    tree, utilities = from_nested(MappingProxyType(doc))
+    plain = nested_doc()
+    node_at(plain, 1)["lambda"] = 1.0
+    assert (tree, utilities) == from_nested(plain)
+    assert tree.nests == ("root", "n1", "n2", "n3")
+    assert tree.leaves == ("a", "b", "c", "d", "e")
+    assert tree.lam["n1"] == 1.0 and type(tree.lam["n1"]) is float
+    assert utilities == {"a": 0.0, "b": 1.0, "c": -1.0, "d": 2.0, "e": 0.5}
+    assert all(type(value) is float for value in utilities.values())
+
+
+def test_from_nested_reads_a_400_nest_chain():
+    doc = leaf = {"id": "n0", "lambda": 1.0, "children": []}
+    for i in range(1, 400):
+        nest = {"id": f"n{i}", "lambda": 0.99, "children": []}
+        leaf["children"] += [nest, {"id": f"x{i}", "utility": float(i % 3)}]
+        leaf = nest
+    leaf["children"].append({"id": "end", "utility": 0.0})
+    tree, utilities = from_nested(doc)
+    assert len(tree.nests) == 400 and len(utilities) == 400 and max(tree.depth) == 400
+    leaf["children"].append({"id": "n7", "utility": 0.0})
+    with pytest.raises(DuplicateIdError, match="'n7'"):
+        from_nested(doc)
+    leaf["children"][-1] = {"id": "late"}
+    with pytest.raises(ModelFileError, match=r"^root(\.children\[0\]){399}\.children\[1\]: node needs either"):
+        from_nested(doc)
 
 
 def root_path(ref, node):
