@@ -29,13 +29,13 @@ form loads without them.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .distributions import _check_lambda
 from .errors import DomainError
 from .model import make_model
 from .tree import build
 
+TYPE_CHECKING = False  # type checkers read it as True
 if TYPE_CHECKING:
     import numpy as np
 

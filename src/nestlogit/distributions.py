@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import DomainError
 
+TYPE_CHECKING = False  # type checkers read it as True
 if TYPE_CHECKING:
     import numpy as np
 

@@ -9,7 +9,8 @@ This module owns the JSON text: decoding, the top-level "root" key and
 writing. tree.from_nested, the one walk over the nodes, owns the node
 schema and reports each violation with the JSON path of the offending
 node (for instance root.children[1].lambda) so files can be fixed
-without guesswork; tree.build owns the structural rules. model_to_doc
+without guesswork; tree.build owns the structural rules. A model takes
+from_nested's utilities as they stand, checked once. model_to_doc
 assembles the document from the compiled tree without recursion: the
 leaves first, then the nests in reverse preorder. The JSON reader and
 writer recurse once per level, so a document nested deeper
@@ -24,7 +25,7 @@ import json
 from collections.abc import Mapping
 
 from .errors import ModelFileError
-from .model import ModelSpec, make_model
+from .model import ModelSpec
 from .tree import from_nested
 
 __all__ = ["load_model", "loads_model", "save_model", "model_to_doc"]
@@ -49,8 +50,7 @@ def loads_model(text: str) -> ModelSpec:
         raise ModelFileError(f"$: unexpected top-level key {sorted(unknown)[0]!r}")
     if "root" not in doc:
         raise ModelFileError('$: missing top-level key "root"')
-    tree, utilities = from_nested(doc["root"])
-    return make_model(tree, utilities)
+    return ModelSpec(*from_nested(doc["root"]))
 
 
 def load_model(path) -> ModelSpec:

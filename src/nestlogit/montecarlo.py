@@ -4,7 +4,9 @@ chunked driver for parallel draw generation.
 Chunks have a size fixed by the caller (CHUNK_SIZE unless the simulator
 sizes them by the tree), each chunk gets its own substream keyed by the
 chunk index, and results are assembled in chunk order, so output is
-bit-identical whether one thread or many produced it.
+bit-identical whether one thread or many produced it; only a threaded
+run imports the thread pool. An estimate is an EstimateWithError named
+tuple, which refuses a negative standard error.
 
 The estimators own the draw floors of the routines built on them: below
 one draw for a frequency, two for a mean (one draw has no spread to
@@ -14,8 +16,7 @@ DomainError. run_chunked makes no chunks for a count below one.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -27,17 +28,15 @@ __all__ = ["EstimateWithError", "mean_with_error", "binomial_estimate",
 CHUNK_SIZE = 1 << 16
 
 
-@dataclass(frozen=True)
-class EstimateWithError:
+class EstimateWithError(namedtuple("EstimateWithError", "value std_error n_draws")):
     """Monte Carlo estimate with its standard error and draw count."""
 
-    value: float
-    std_error: float
-    n_draws: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.std_error < 0:
+    def __new__(cls, value: float, std_error: float, n_draws: int):
+        if std_error < 0:
             raise ValueError("std_error must be nonnegative")
+        return super().__new__(cls, value, std_error, n_draws)
 
 
 def mean_with_error(samples: np.ndarray) -> EstimateWithError:
@@ -82,6 +81,8 @@ def run_chunked(stream, n_draws, kernel, n_threads=1, chunk_size=CHUNK_SIZE):
 
     tasks = list(enumerate(bounds))
     if n_threads > 1 and len(tasks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             return list(pool.map(one, tasks))
     return [one(t) for t in tasks]

@@ -24,12 +24,13 @@ in the same stream order.
 _factor_rows is the one sampler of these rows, and _fold the one chunk
 kernel that adds the leaf Gumbels: it folds the noise one leaf block at
 a time into what each draw keeps (noise columns, hit flags, the best
-total) plus each chunk's win counts. sample_epsilon keeps every column
-in one leaves x draws store and returns its transpose; mc_choice_probs
-and mc_emax keep the best total per draw, mc_cdf a hit flag and
-mc_correlation two columns, and verify.run_checks all of them at once.
-_fold refuses a negative draw count before it allocates; the floors
-below which an estimate is undefined belong to montecarlo's estimators.
+total, with each chunk's win counts). sample_epsilon keeps every column
+in one leaves x draws store and returns its transpose as a SampleBatch
+named tuple; mc_choice_probs reads the win counts, mc_emax the best
+total per draw, mc_cdf a hit flag and mc_correlation two columns, and
+verify.run_checks all of them at once. _fold refuses a negative draw
+count before it allocates; the floors below which an estimate is
+undefined belong to montecarlo's estimators.
 mixed_logit_probs splits the leaf Gumbels once more into exact
 softmaxes. Generation is chunked by montecarlo.run_chunked with one
 substream per chunk, so results are bit-identical no matter how many
@@ -42,7 +43,7 @@ holds at most 32 MiB of factor rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -71,13 +72,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SampleBatch:
+class SampleBatch(namedtuple("SampleBatch", "draws leaf_order")):
     """Noise draws, one row per draw and one column per leaf of leaf_order
     (the tree's leaf preorder): the transpose of a leaves x draws store."""
 
-    draws: np.ndarray
-    leaf_order: tuple[str, ...]
+    __slots__ = ()
 
 
 # A chunk's factor rows hold at most this many floats (32 MiB) per thread.
@@ -129,7 +128,7 @@ def _leaf_column(model: ModelSpec, values) -> np.ndarray:
 
 def _fold(
     model: ModelSpec, stream: SeededStream, n_draws: int, n_threads: int,
-    u=None, bounds=None, cols=None, wins=False,
+    u=None, bounds=None, cols=None,
 ):
     """The one run_chunked kernel that draws leaf noise, and what each
     draw keeps of it: (store, hits, best, counts), None where not asked.
@@ -141,9 +140,9 @@ def _fold(
     - row i of store takes noise column cols[i], for a sorted distinct
       intp array cols;
     - hits[k] stays True while eps <= bounds[k] (bound vectors x leaves x 1);
-    - best takes max_j (u_j + eps_j) for the utility column u and, with
-      wins, counts how often each column won (ties to the earliest, as
-      argmax does).
+    - best takes max_j (u_j + eps_j) for the utility column u, and counts
+      how often each column won (ties to the earliest, as argmax does);
+      counting reads the running best but never writes it.
     Everything per draw is allocated before any draw is made.
     """
     if n_draws < 0:
@@ -160,7 +159,7 @@ def _fold(
         acc = rows(sub, m)
         hit = None if hits is None else hits[:, start:stop]
         top = None if best is None else best[start:stop]
-        won = np.zeros(m, dtype=np.intp) if wins else None
+        won = None if top is None else np.zeros(m, dtype=np.intp)
         for b in _blocks(len(coeffs), m):
             eps = gumbel_sample(sub, size=coeffs[b].size * m).reshape(-1, m)
             eps *= coeffs[b]
@@ -174,18 +173,17 @@ def _fold(
                 eps += u[b]
                 one_row = len(eps) == 1  # few leaves at full chunks
                 block_top = eps[0] if one_row else eps.max(axis=0)
-                if won is not None:
-                    col = b.start if one_row else eps.argmax(axis=0) + b.start
-                    # Strict, so the earliest column keeps a tie. Columns only
-                    # grow from block to block, so a draw's winner is the
-                    # largest column that beat its running best.
-                    np.maximum(won, (block_top > top) * col, out=won)
+                col = b.start if one_row else eps.argmax(axis=0) + b.start
+                # Strict, so the earliest column keeps a tie. Columns only
+                # grow from block to block, so a draw's winner is the
+                # largest column that beat its running best.
+                np.maximum(won, (block_top > top) * col, out=won)
                 np.maximum(top, block_top, out=top)
                 del eps, block_top  # block_top may view eps: free both before the next draw
         return None if won is None else np.bincount(won, minlength=len(coeffs))
 
     counts = run_chunked(stream, n_draws, kernel, n_threads=n_threads, chunk_size=_chunk_size(tree))
-    return store, hits, best, sum(counts, np.zeros(len(coeffs), dtype=np.intp)) if wins else None
+    return store, hits, best, None if u is None else sum(counts, np.zeros(len(coeffs), dtype=np.intp))
 
 
 def sample_epsilon(
@@ -216,7 +214,7 @@ def mc_choice_probs(
     (they occur with probability zero under the continuous noise). Only
     each draw's best total is kept, and each chunk's win counts.
     """
-    counts = _fold(model, stream, n_draws, n_threads, u=_leaf_column(model, model.utilities), wins=True)[3]
+    counts = _fold(model, stream, n_draws, n_threads, u=_leaf_column(model, model.utilities))[3]
     return {
         leaf: binomial_estimate(int(counts[i]), n_draws)
         for i, leaf in enumerate(model.tree.leaves)

@@ -25,11 +25,11 @@ import cmath
 import math
 import sys
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .model import ModelSpec, _backward, _log_forward, cdf, forward_probs
 
+TYPE_CHECKING = False  # type checkers read it as True
 if TYPE_CHECKING:
     from .streams import SeededStream
     from .tree import Arborescence
@@ -180,7 +180,7 @@ def run_checks(
     ]
     bounds = np.stack([_leaf_column(model, a) for a in grid])
     utilities = _leaf_column(model, model.utilities)
-    store, hits, _, counts = _fold(model, stream.child(1), n_draws, n_threads, utilities, bounds, cols, wins=True)
+    store, hits, _, counts = _fold(model, stream.child(1), n_draws, n_threads, utilities, bounds, cols)
 
     pair_gap = 0.0
     for big_lam, i, j in pairs:

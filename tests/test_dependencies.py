@@ -56,6 +56,14 @@ def test_no_module_imports_scipy():
     assert offenders == []
 
 
+def test_no_module_imports_dataclasses_or_typing():
+    # The value types are named tuples, and a type-only import hides
+    # behind a module-level TYPE_CHECKING = False.
+    modules = sorted(PACKAGE.glob("*.py"))
+    offenders = [m.name for m in modules if {"dataclasses", "typing"} & imported_roots(m)]
+    assert offenders == []
+
+
 def fresh(code: str, *argv: str) -> str:
     """stdout of `code` run by a new interpreter with sys.argv[1:] = argv."""
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120)
@@ -90,7 +98,7 @@ def test_analytic_commands_never_import_numpy(argv):
     assert fresh(RUN_MAIN, *argv).split() == ["0", "False"]
 
 
-LEAN_MAIN = RUN_MAIN.replace('"numpy" in sys.modules', '*sorted({"dataclasses", "inspect"} & set(sys.modules))')
+LEAN_MAIN = RUN_MAIN.replace('"numpy" in sys.modules', '*sorted({"dataclasses", "inspect", "typing"} & set(sys.modules))')
 
 
 @pytest.mark.parametrize("argv", [
@@ -99,10 +107,14 @@ LEAN_MAIN = RUN_MAIN.replace('"numpy" in sys.modules', '*sorted({"dataclasses", 
     ["emax", DEPTH3],
     ["cdf", DEPTH3, "--at", "leaf0=1", "--at", "leaf1=1", "--at", "leaf2=1", "--at", "leaf3=1"],
     ["grad-check", DEPTH3],
-], ids=lambda argv: argv[0])
+    ["stable", "density", "--lambda", "0.5", "--x", "1"],
+    ["stable", "moment", "--lambda", "0.5", "--kappa", "0.25"],
+    ["frechet-corr", "--alpha", "8", "--lambda", "0.5"],
+], ids=lambda argv: " ".join(argv[:2]).replace(DEPTH3, "depth3"))
 def test_analytic_commands_start_without_dataclasses(argv):
     # Under -S, so that nothing site-packages loads at start-up counts:
-    # dataclasses pulls in inspect, ast, dis and tokenize.
+    # dataclasses pulls in inspect, ast, dis and tokenize, and typing alone
+    # costs several milliseconds.
     proc = subprocess.run([sys.executable, "-S", "-c", LEAN_MAIN, *argv], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert proc.returncode == 0, proc.stderr
@@ -111,6 +123,23 @@ def test_analytic_commands_start_without_dataclasses(argv):
 
 def test_drawing_commands_import_numpy():
     assert fresh(RUN_MAIN, "probs", DEPTH3, "--method", "mc", "--draws", "10").split() == ["0", "True"]
+
+
+DRAWING_MAIN = RUN_MAIN.replace('"numpy" in sys.modules', '*sorted({"dataclasses", "concurrent.futures"} & set(sys.modules))')
+
+
+@pytest.mark.parametrize("argv", [
+    ["probs", DEPTH3, "--method", "mc", "--draws", "100"],
+    ["probs", DEPTH3, "--method", "mixed", "--draws", "100"],
+    ["sample", DEPTH3, "--draws", "10", "--out", os.devnull],
+    ["verify", DEPTH3, "--draws", "1000"],
+    ["stable", "sample", "--lambda", "0.5", "--draws", "10"],
+    ["stable", "laplace", "--lambda", "0.5", "--t", "1", "--draws", "10"],
+    ["frechet-corr", "--alpha", "3", "--lambda", "0.5", "--mc", "100"],
+], ids=lambda argv: " ".join(argv[:4]).replace(DEPTH3, "depth3"))
+def test_drawing_commands_start_without_dataclasses_or_a_thread_pool(argv):
+    # At the default --threads 1 no thread pool is made, so none is imported.
+    assert fresh(DRAWING_MAIN, *argv).split() == ["0"]
 
 
 def test_public_names():

@@ -4,12 +4,16 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import nestlogit.model
 from nestlogit import (
     DuplicateIdError,
     LambdaRangeError,
@@ -21,9 +25,12 @@ from nestlogit import (
     loads_model,
     make_model,
     model_to_doc,
+    random_model,
     save_model,
 )
 from nestlogit.cli import main
+from nestlogit.tree import from_nested
+from test_tree import FAULTS, nested_doc
 
 GOOD = {
     "root": {
@@ -45,6 +52,32 @@ def test_loads_model():
     assert model.tree.leaves == ("1", "2", "3")
     assert model.tree.lam["A"] == 0.5
     assert model.utilities["2"] == -1.0
+
+
+def test_loading_checks_each_utility_once(tmp_path, monkeypatch):
+    # from_nested converts each utility once and refuses a missing or
+    # non-finite one, so loading never runs make_model's checks again.
+    wide = tmp_path / "wide.json"
+    save_model(random_model(np.random.default_rng(0), max_nodes=2000), wide)
+    paths = [Path(__file__).resolve().parents[1] / "demos" / "models" / "depth3.json", wide]
+    checked = [make_model(*from_nested(json.loads(path.read_text())["root"])) for path in paths]
+
+    def refuse(*args):
+        raise AssertionError("a loaded model's utilities were checked twice")
+
+    monkeypatch.setattr(nestlogit.model, "_finite_values", refuse)
+    for path, want in zip(paths, checked):
+        model = load_model(path)
+        assert model == want and list(model.utilities) == list(want.utilities)
+        assert all(type(value) is float for value in model.utilities.values())
+
+
+@pytest.mark.parametrize("mutate, exc, message", [row for row in FAULTS if "utility" in row[2]])
+def test_loading_keeps_each_bad_utility_message(mutate, exc, message):
+    doc = nested_doc()
+    mutate(doc)
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        loads_model(json.dumps({"root": doc}))
 
 
 def test_round_trip(tmp_path):

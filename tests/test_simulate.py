@@ -6,7 +6,6 @@ the headline comparisons at 10^6 draws.
 """
 
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -54,7 +53,7 @@ KS_1PCT = 1.63
 
 def test_sample_batch_layout(depth3_model):
     batch = sample_epsilon(depth3_model, SeededStream(21), 500)
-    assert [f.name for f in fields(SampleBatch)] == ["draws", "leaf_order"]
+    assert list(SampleBatch._fields) == ["draws", "leaf_order"]
     assert batch.draws.shape == (500, 4)
     assert batch.draws.T.flags.c_contiguous  # a leaf-major store: each column contiguous
     assert batch.leaf_order == depth3_model.tree.leaves
@@ -572,9 +571,9 @@ def test_estimators_own_the_draw_floors():
     assert mean_with_error(np.ones(2)).std_error == 0.0
     assert correlation_with_error(np.arange(4.0), np.arange(4.0)).n_draws == 4
     assert run_chunked(SeededStream(0), -1, lambda *chunk: chunk) == []
-    # with no draws _fold counts zero wins per leaf, which the estimator refuses
+    # given utilities but no draws, _fold counts zero wins per leaf, which the estimator refuses
     tree = build("r", {"r": ("a", "b")}, {})
-    counts = simulate._fold(make_model(tree, {"a": 0.0, "b": 0.0}), SeededStream(0), 0, 1, u=np.zeros((2, 1)), wins=True)[3]
+    counts = simulate._fold(make_model(tree, {"a": 0.0, "b": 0.0}), SeededStream(0), 0, 1, u=np.zeros((2, 1)))[3]
     assert counts.tolist() == [0, 0]
 
 

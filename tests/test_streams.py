@@ -10,7 +10,7 @@ from nestlogit.montecarlo import CHUNK_SIZE, binomial_estimate, mean_with_error,
 
 def fresh(stream):
     """A copy of stream rewound to the start of its sequence."""
-    return SeededStream(stream.seed, stream._subkey)
+    return SeededStream(stream.seed, stream.subkey)
 
 
 def test_same_seed_same_draws():
