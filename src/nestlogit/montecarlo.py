@@ -6,7 +6,7 @@ sizes them by the tree), each chunk gets its own substream keyed by the
 chunk index, and results are assembled in chunk order, so output is
 bit-identical whether one thread or many produced it; only a threaded
 run imports the thread pool. An estimate is an EstimateWithError named
-tuple, which refuses a negative standard error.
+tuple, which refuses a negative standard error, also through _replace.
 
 The estimators own the draw floors of the routines built on them: below
 one draw for a frequency, two for a mean (one draw has no spread to
@@ -37,6 +37,10 @@ class EstimateWithError(namedtuple("EstimateWithError", "value std_error n_draws
         if std_error < 0:
             raise ValueError("std_error must be nonnegative")
         return super().__new__(cls, value, std_error, n_draws)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace goes through _make: keep the check
+        return cls(*iterable)
 
 
 def mean_with_error(samples: np.ndarray) -> EstimateWithError:

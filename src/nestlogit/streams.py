@@ -34,6 +34,10 @@ class SeededStream(namedtuple("SeededStream", "seed subkey")):
             raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
         return super().__new__(cls, seed, subkey)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace goes through _make: keep the check
+        return cls(*iterable)
+
     @cached_property
     def rng(self) -> np.random.Generator:
         key = (0, *self.subkey)  # dropping the fixed leading 0 would change every draw

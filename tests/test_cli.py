@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import nestlogit.cli as cli
@@ -262,6 +263,107 @@ def test_write_csv_matches_savetxt(width):
         written = io.StringIO()
         cli._write_csv(written, leaf_order, draws)
         assert written.getvalue() == expected.getvalue()
+
+
+def percent_rows(values, width: int) -> str:
+    """The rows _write_csv writes for values: "%.17g" % x per float."""
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in values.reshape(-1, width).tolist())
+
+
+def written_rows(values, width: int) -> str:
+    """The rows _write_csv writes for values, without the header."""
+    written = io.StringIO()
+    cli._write_csv(written, [f"leaf{i}" for i in range(width)], values.reshape(-1, width))
+    header, _, rows = written.getvalue().partition("\n")
+    assert header == ",".join(f"leaf{i}" for i in range(width))
+    return rows
+
+
+def assert_percent_g(values, width: int = 4) -> None:
+    """_write_csv as % on values and their negatives, naming the first row
+    that differs."""
+    values = np.concatenate([values, -values])
+    values = np.resize(values, -(-values.size // width) * width)
+    expected, got = percent_rows(values, width).split("\n"), written_rows(values, width).split("\n")
+    first = next((i for i, (e, g) in enumerate(zip(expected, got)) if e != g), None)
+    assert first is None, f"row {first}: {got[first]!r} != {expected[first]!r}"
+    assert len(got) == len(expected)
+
+
+def test_write_csv_is_percent_g_on_random_bit_patterns():
+    # A million 64-bit patterns: every exponent, subnormals, inf and nans.
+    bits = np.random.default_rng(29).integers(0, 2**64, size=500_000, dtype=np.uint64)
+    assert_percent_g(bits.view(np.float64))
+
+
+def test_write_csv_is_percent_g_next_to_powers_of_ten():
+    # Where log10 may be one off. The kernel printed 1e-248 for
+    # 9.9999999999999998e-249 while its 17-digit mantissa rounded up to
+    # exactly 1e16 from below.
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    with np.errstate(over="ignore"):  # 1e308 * 5 is inf
+        values = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                  powers * 0.5, powers * 5, powers * 9.999999999999999, [9.9999999999999998e-249]]
+    assert_percent_g(np.concatenate(values), width=3)
+
+
+def test_write_csv_is_percent_g_at_ties():
+    # k 2^-j with k odd lies half way between two 17-digit decimals where
+    # j = 17 - E: 1000000000000000.25 prints as ...0.2, rounded to even.
+    rng = np.random.default_rng(7)
+    values = [[1000000000000000.25, 0.5, 2.0**-18 * 26215]]
+    for exponent in range(-8, 16):
+        j = 17 - exponent
+        low, high = math.ceil(10.0**exponent * 2.0**j), min(int(10.0**(exponent + 1) * 2.0**j), 2**53)
+        if low < high:
+            values.append((rng.integers(low, high, size=2_000) | 1) * 2.0**-j)
+    for j in range(80):  # dyadic fractions of every length
+        values.append(rng.integers(1, 2**53, size=200) * 2.0**-j)
+    # m 2^s in [10^E, 10^(E + 1)) with m 2^s / 10^j within 1/(2 5^j) of a
+    # tie, j = E - 16: m 2^(s - j) = (5^j +- 1) / 2 modulo 5^j.
+    for j in range(14, 23):
+        n, exponent = 5**j, 16 + j
+        for s in range(int(exponent * math.log2(10)) - 53, int((exponent + 1) * math.log2(10)) - 51):
+            inverse = pow(2**(s - j) % n, -1, n)
+            for target in ((n - 1) // 2, (n + 1) // 2):
+                m = target * inverse % n
+                m += -(-(2**52 - m) // n) * n  # the first one with 53 bits
+                values.append([math.ldexp(m + i * n, s) for i in range(3)
+                               if m + i * n < 2**53 and 10**exponent <= (m + i * n) * 2**s < 10**(exponent + 1)])
+    assert_percent_g(np.concatenate(values))
+
+
+def test_write_csv_is_percent_g_on_integers():
+    rng = np.random.default_rng(8)
+    values = [np.arange(100_000.0), rng.integers(0, 10**17, size=50_000).astype(float),
+              10.0 ** np.arange(18) - 1, 10.0 ** np.arange(18) + 1]
+    assert_percent_g(np.concatenate(values), width=1)
+
+
+def test_write_csv_is_percent_g_on_special_values():
+    subnormals = np.array([5e-324, 1e-320, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308])
+    values = np.concatenate([[0.0, np.inf, np.nan, 1e-250, 1e250, 1.0000000000000001e-250, 9.9999999999999998e249],
+                             subnormals, [1.7976931348623157e308]])
+    assert_percent_g(values, width=1)
+    assert written_rows(np.array([-0.0, 0.0, -np.inf, np.inf, np.nan]), 5) == "-0,0,-inf,inf,nan\n"
+
+
+@pytest.mark.parametrize("width", [1, 3, 4, 1314])
+def test_write_csv_block_edges(width):
+    # One write per block of about 8,192 floats: rows across its edges.
+    rng = np.random.default_rng(width)
+    per_block = max(1, 8192 // width)
+    for n_rows in (per_block - 1, per_block, per_block + 1):
+        values = rng.gumbel(size=n_rows * width) * 3
+        values[::7] *= 1e-6
+        assert written_rows(values, width) == percent_rows(values, width)
+
+
+@settings(deadline=None, max_examples=300)
+@given(values=st.lists(st.floats(), min_size=1, max_size=40), width=st.sampled_from([1, 2, 5]))
+def test_write_csv_is_percent_g_on_any_floats(values, width):
+    values = np.array(values * width)
+    assert written_rows(values, width) == percent_rows(values, width)
 
 
 def test_sample_wide_tree_is_thread_count_free(tmp_path):

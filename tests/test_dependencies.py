@@ -142,6 +142,23 @@ def test_drawing_commands_start_without_dataclasses_or_a_thread_pool(argv):
     assert fresh(DRAWING_MAIN, *argv).split() == ["0"]
 
 
+SAMPLE_MAIN = """
+import contextlib, io, sys
+import nestlogit.cli as cli
+print(cli._csv_tables.cache_info().currsize, "numpy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(rc, cli._csv_tables.cache_info().currsize, *sorted({"decimal", "fractions"} & set(sys.modules)))
+"""
+
+
+def test_sample_builds_its_tables_on_first_use(tmp_path):
+    # The CSV writer's digit groups and powers of ten cost nothing at import,
+    # and are worked out in integers, without fractions or decimal.
+    lines = fresh(SAMPLE_MAIN, "sample", DEPTH3, "--draws", "10", "--out", str(tmp_path / "noise.csv")).splitlines()
+    assert lines == ["0 False", "0 1"]
+
+
 def test_public_names():
     assert nestlogit.__all__ == PUBLIC
     listed = fresh("import nestlogit; print(*dir(nestlogit))").split()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from nestlogit import EstimateWithError, SeededStream
+from nestlogit import DomainError, EstimateWithError, SeededStream
 from nestlogit.montecarlo import CHUNK_SIZE, binomial_estimate, mean_with_error, run_chunked
 
 
@@ -76,6 +76,24 @@ def test_binomial_estimate():
 def test_estimate_rejects_negative_error():
     with pytest.raises(ValueError):
         EstimateWithError(1.0, -0.1, 10)
+
+
+def test_replace_and_make_keep_the_checks():
+    # The named tuples' own _make skipped __new__, and _replace with it.
+    estimate = EstimateWithError(1.0, 0.1, 3)
+    assert estimate._replace(std_error=0.2) == EstimateWithError(1.0, 0.2, 3)
+    assert type(estimate._replace(value=2.0)) is EstimateWithError
+    with pytest.raises(ValueError, match="^std_error must be nonnegative$"):
+        estimate._replace(std_error=-1)
+    with pytest.raises(ValueError, match="^std_error must be nonnegative$"):
+        EstimateWithError._make([1.0, -1.0, 3])
+    stream = SeededStream(1, (2,))
+    assert stream._replace(seed=3) == SeededStream(3, (2,))
+    assert_array_equal(stream._replace(subkey=(5,)).rng.random(4), SeededStream(1, (5,)).rng.random(4))
+    with pytest.raises(DomainError, match=r"^seed must be an integer in \[0, 2\*\*64\), got -1$"):
+        stream._replace(seed=-1)
+    with pytest.raises(DomainError, match="got 18446744073709551616"):
+        SeededStream._make([2**64, ()])
 
 
 def test_run_chunked_counts_and_order():
