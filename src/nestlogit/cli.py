@@ -530,20 +530,9 @@ def _cmd_stable(args) -> dict:
 
 def _cmd_grad_check(args) -> dict:
     # main exits 2 when "passed" is False.
-    from .verify import finite_difference_gradient, gradient_tolerance
+    from .verify import gradient_check
 
-    model = _load(args)
-    analytic = choice_probs(model)
-    numeric = finite_difference_gradient(model)
-    worst = max(abs(analytic[leaf] - numeric[leaf]) for leaf in model.tree.leaves)
-    tolerance = gradient_tolerance(model)
-    return {
-        "analytic": analytic,
-        "finite_difference": numeric,
-        "max_abs_diff": worst,
-        "tolerance": tolerance,
-        "passed": worst <= tolerance,
-    }
+    return gradient_check(_load(args))
 
 
 def _cmd_cdf(args) -> dict:
@@ -617,7 +606,7 @@ def _build_parser(command: str | None = None) -> _Parser:
         if stochastic:
             p.add_argument("--draws", type=_integer(draws_min), default=draws_default, help="number of draws")
             p.add_argument("--seed", type=_integer(0, 2**64), default=0, help="random seed (echoed in the report)")
-            p.add_argument("--threads", type=_integer(1), default=1, help="worker threads; never changes output")
+            p.add_argument("--threads", type=_integer(1), default=1, help="worker threads, at most the usable CPUs and the chunk count; never changes output")
         p.add_argument("--pretty", action="store_true", help="human-readable text instead of JSON")
 
     if p := add("validate", _cmd_validate, "parse and validate a model file, print its metrics"):

@@ -82,15 +82,31 @@ def with_utilities(model: ModelSpec, overrides: Mapping[str, float]) -> ModelSpe
     return ModelSpec(tree=model.tree, utilities=merged)
 
 
-def _backward(model: ModelSpec) -> list[float]:
-    # u by slot: the utility at a leaf, the log-sum-exp of the children at a nest
-    tree, kids, scale = model.tree, model.tree.kids, model.tree.scale
-    v = [0.0] * len(kids) + list(map(model.utilities.__getitem__, tree.leaves))
-    for i in reversed(range(len(kids))):  # every child nest before its parent
-        values, big_lam = [v[k] for k in kids[i]], scale[i]
-        top = max(values)  # the shift that keeps every exp at or below 1
-        v[i] = top + big_lam * math.log(sum(math.exp((x - top) / big_lam) for x in values))
+def _backward(tree: Arborescence, leaf_values: list[float]) -> list[float]:
+    # u by slot from the leaf values by slot: the value at a leaf, the
+    # log-sum-exp of the children at a nest, shifted by their maximum. A
+    # two-child nest skips max's and sum's calls: its top term is exp(0.0),
+    # exactly 1.0, and a two-term sum is one rounding on every Python, so
+    # it gives the general branch's bits. The general branch keeps sum,
+    # which is compensated from Python 3.12 on, where a += loop is not.
+    kids, scale, exp, log = tree.kids, tree.scale, math.exp, math.log
+    v = [0.0] * len(kids) + leaf_values
+    for i in range(len(kids) - 1, -1, -1):  # every child nest before its parent
+        ks, big_lam = kids[i], scale[i]
+        if len(ks) == 2:
+            a, b = v[ks[0]], v[ks[1]]
+            if a < b:  # the top is the first maximum, as max takes it
+                a, b = b, a
+            v[i] = a + big_lam * log(1.0 + exp((b - a) / big_lam))
+        else:  # a one-child nest too: top + Lambda * 0.0 makes a -0.0 utility 0.0
+            top = max(map(v.__getitem__, ks))
+            v[i] = top + big_lam * log(sum([exp((v[k] - top) / big_lam) for k in ks]))
     return v
+
+
+def _by_slot(model: ModelSpec) -> list[float]:
+    # the model's leaf utilities in slot order, as _backward takes them
+    return list(map(model.utilities.__getitem__, model.tree.leaves))
 
 
 def backward_utils(model: ModelSpec) -> dict[str, float]:
@@ -99,16 +115,17 @@ def backward_utils(model: ModelSpec) -> dict[str, float]:
     Leaves carry their utility; each nest aggregates its children through
     the Lambda-scaled log-sum-exp. The recursion is shift-invariant: a
     constant added to every leaf utility adds the same constant to every
-    u_n. A single-child nest passes its child's value through unchanged.
+    u_n. A single-child nest passes its child's value through, plus 0.0.
     """
-    return {**model.utilities, **dict(zip(model.tree.nests, _backward(model)))}
+    return {**model.utilities, **dict(zip(model.tree.nests, _backward(model.tree, _by_slot(model))))}
 
 
 def _log_forward(tree: Arborescence, v: list[float]) -> list[float]:
     # log pi by slot from u by slot: 0 at the root, plus each child's (u_z - u_n)/Lambda_n
+    # Nests in slot order, every parent before its children: zip reads
+    # log_pi[i] when it reaches nest i, after its parent has written it.
     log_pi = [0.0] * len(v)
-    for i, (kids, big_lam) in enumerate(zip(tree.kids, tree.scale)):  # slot order: every parent before its children
-        u_n, base = v[i], log_pi[i]
+    for u_n, base, kids, big_lam in zip(v, log_pi, tree.kids, tree.scale):
         for k in kids:
             log_pi[k] = base + (v[k] - u_n) / big_lam
     return log_pi
@@ -127,10 +144,14 @@ def forward_probs(model: ModelSpec, u: Mapping[str, float]) -> dict[str, float]:
     return dict(zip(ids, map(math.exp, _log_forward(model.tree, [u[node] for node in ids]))))
 
 
+def _leaf_probs(tree: Arborescence, v: list[float]) -> dict[str, float]:
+    # choice probabilities from u by slot
+    return dict(zip(tree.leaves, map(math.exp, _log_forward(tree, v)[len(tree.kids):])))
+
+
 def choice_probs(model: ModelSpec) -> dict[str, float]:
     """Leaf choice probabilities (backward pass then forward pass)."""
-    tree = model.tree
-    return dict(zip(tree.leaves, map(math.exp, _log_forward(tree, _backward(model))[len(tree.kids):])))
+    return _leaf_probs(model.tree, _backward(model.tree, _by_slot(model)))
 
 
 def choice_probs_single_layer(model: ModelSpec) -> dict[str, float]:
@@ -174,8 +195,8 @@ def cdf(model: ModelSpec, bounds: Mapping[str, float]) -> float:
     is exact, so this is bit for bit the recursion written out in a_n.
     """
     tree = model.tree
-    negated = {leaf: -value for leaf, value in _leaf_values(tree, bounds, "bound").items()}
-    u_root = _backward(ModelSpec(tree=tree, utilities=negated))[0]
+    checked = _leaf_values(tree, bounds, "bound")
+    u_root = _backward(tree, [-checked[leaf] for leaf in tree.leaves])[0]
     try:
         return math.exp(-math.exp(u_root))
     except OverflowError:  # exp(u_root) past float range: exp(-inf) = 0
@@ -192,7 +213,7 @@ def emax(model: ModelSpec, at: str | None = None) -> float:
     """
     target = model.tree.root if at is None else at
     require_nest(model.tree, target)
-    return _backward(model)[model.tree.slot[target]]
+    return _backward(model.tree, _by_slot(model))[model.tree.slot[target]]
 
 
 def emax_gradient(model: ModelSpec) -> dict[str, float]:
@@ -214,5 +235,5 @@ def log_odds(model: ModelSpec, z: str) -> float:
     if z == tree.root:
         raise RootHasNoParentError("the root has no parent nest")
     slot = tree.slot[z]
-    parent, v = tree.up[slot], _backward(model)
+    parent, v = tree.up[slot], _backward(tree, _by_slot(model))
     return (v[slot] - v[parent]) / tree.scale[parent]

@@ -4,9 +4,12 @@ chunked driver for parallel draw generation.
 Chunks have a size fixed by the caller (CHUNK_SIZE unless the simulator
 sizes them by the tree), each chunk gets its own substream keyed by the
 chunk index, and results are assembled in chunk order, so output is
-bit-identical whether one thread or many produced it; only a threaded
-run imports the thread pool. An estimate is an EstimateWithError named
-tuple, which refuses a negative standard error, also through _replace.
+bit-identical whether one thread or many produced it. A run starts at
+most min(n_threads, chunks, usable CPUs) workers: each running chunk
+holds its own draws, and a thread past the CPU count only adds memory.
+Only a run with more than one worker imports the thread pool. An
+estimate is an EstimateWithError named tuple, which refuses a negative
+standard error, also through _replace.
 
 The estimators own the draw floors of the routines built on them: below
 one draw for a frequency, two for a mean (one draw has no spread to
@@ -16,6 +19,7 @@ DomainError. run_chunked makes no chunks for a count below one.
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 
 import numpy as np
@@ -70,12 +74,20 @@ def correlation_with_error(a: np.ndarray, b: np.ndarray) -> EstimateWithError:
     return EstimateWithError(r, err, n)
 
 
+def _usable_cpus() -> int:
+    # the CPUs this process may run on, where the platform says, else all of them
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_chunked(stream, n_draws, kernel, n_threads=1, chunk_size=CHUNK_SIZE):
     """Evaluate ``kernel(substream, start, stop)`` over fixed-size chunks.
 
     Returns the list of kernel results in chunk order. The chunk layout
     depends only on n_draws and chunk_size; n_threads affects scheduling
-    only, never the draws themselves.
+    only, never the draws themselves. It is capped by the chunk count and
+    the CPUs this process may run on.
     """
     bounds = [(k, min(k + chunk_size, n_draws)) for k in range(0, n_draws, chunk_size)]
 
@@ -84,9 +96,10 @@ def run_chunked(stream, n_draws, kernel, n_threads=1, chunk_size=CHUNK_SIZE):
         return kernel(stream.child(i), start, stop)
 
     tasks = list(enumerate(bounds))
-    if n_threads > 1 and len(tasks) > 1:
+    workers = min(n_threads, len(tasks), _usable_cpus())
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, tasks))
     return [one(t) for t in tasks]

@@ -15,8 +15,9 @@ read, never the draws x leaves matrix, plus the win counts per chunk.
 Its pairs, like the complex steps' parent table, come from tree.kids.
 
 The module imports numpy only inside run_checks, so that grad-check,
-which needs only finite_difference_gradient and gradient_tolerance,
-starts without it.
+which needs only gradient_check, starts without it. gradient_check, like
+run_checks, runs one backward pass and shares its slot list with the
+forward pass, the complex steps and the tolerance.
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ import sys
 from collections import namedtuple
 
 from .errors import DomainError
-from .model import ModelSpec, _backward, _log_forward, cdf, forward_probs
+from .model import ModelSpec, _backward, _by_slot, _leaf_probs, _log_forward, cdf, forward_probs
 
 TYPE_CHECKING = False  # type checkers read it as True
 if TYPE_CHECKING:
     from .streams import SeededStream
     from .tree import Arborescence
 
-__all__ = ["CheckResult", "finite_difference_gradient", "gradient_tolerance", "run_checks"]
+__all__ = ["CheckResult", "finite_difference_gradient", "gradient_tolerance", "gradient_check", "run_checks"]
 
 _THETA = 2.0 ** -50  # the imaginary step; 2**-35 to 2**-100 give the same digits above 1e-250
 
@@ -65,26 +66,38 @@ def finite_difference_gradient(model: ModelSpec) -> dict[str, float]:
     backward pass. Kept in each nest's own units, the tangent never meets
     Lambda, so a subnormal Lambda cannot underflow it.
     """
-    return _complex_steps(model.tree, _backward(model))
+    return _complex_steps(model.tree, _backward(model.tree, _by_slot(model)))
 
 
 def _complex_steps(tree: Arborescence, v: list[float]) -> dict[str, float]:
     # finite_difference_gradient from u by slot, which run_checks shares.
-    # Per slot below the root: its parent's slot, its x there, and the sum
-    # of the parent's other terms.
-    above = {}
+    # above[s], for each slot s below the root: its parent's slot, its x
+    # there, and the sum of the parent's other terms. A two-child nest
+    # skips max's, sum's and zip's calls with the same bits, as in
+    # model._backward.
+    exp, above = math.exp, [None] * len(v)
     for nest, (kids, big_lam) in enumerate(zip(tree.kids, tree.scale)):
-        top = max(v[k] for k in kids)
-        logs = [(v[k] - top) / big_lam for k in kids]
-        terms = list(map(math.exp, logs))
-        total = sum(terms)
-        above.update((kid, (nest, x, total - term)) for kid, x, term in zip(kids, logs, terms))
-    grad = {}
+        if len(kids) == 2:
+            k, j = kids
+            a, b = v[k], v[j]
+            top = a if a >= b else b
+            x, y = (a - top) / big_lam, (b - top) / big_lam
+            ex, ey = exp(x), exp(y)
+            total = ex + ey
+            above[k], above[j] = (nest, x, total - ex), (nest, y, total - ey)
+        else:
+            top = max(map(v.__getitem__, kids))
+            logs = [(v[k] - top) / big_lam for k in kids]
+            terms = list(map(exp, logs))
+            total = sum(terms)
+            for kid, x, term in zip(kids, logs, terms):
+                above[kid] = (nest, x, total - term)
+    grad, clog, cexp = {}, cmath.log, cmath.exp
     for slot, leaf in enumerate(tree.leaves, len(tree.kids)):
         node, theta = slot, _THETA
         while node:  # the root is slot 0
             node, x, rest = above[node]
-            theta = cmath.log(rest + cmath.exp(complex(x, theta))).imag
+            theta = clog(rest + cexp(complex(x, theta))).imag
         grad[leaf] = theta / _THETA
     return grad
 
@@ -98,7 +111,7 @@ def gradient_tolerance(model: ModelSpec) -> float:
     where u is subnormal. 1.7e-15 on the depth-3 demo, 1.3e-15 on the
     single-layer one.
     """
-    return _tolerance(model.tree, _backward(model))
+    return _tolerance(model.tree, _backward(model.tree, _by_slot(model)))
 
 
 def _tolerance(tree: Arborescence, v: list[float]) -> float:
@@ -106,6 +119,24 @@ def _tolerance(tree: Arborescence, v: list[float]) -> float:
     tiny = sys.float_info.min
     worst = max((abs(u) + big_lam + tiny) / big_lam for u, big_lam in zip(v[:len(tree.kids)], tree.scale))
     return min(sys.float_info.epsilon * (max(tree.depth) + 1) * worst, 1.0)
+
+
+def gradient_check(model: ModelSpec) -> dict:
+    """choice_probs against finite_difference_gradient from one backward
+    pass: both by leaf, their largest gap, gradient_tolerance, and whether
+    the gap is within it. The report of the grad-check command."""
+    tree = model.tree
+    v = _backward(tree, _by_slot(model))
+    analytic, numeric = _leaf_probs(tree, v), _complex_steps(tree, v)
+    worst = max(abs(analytic[leaf] - numeric[leaf]) for leaf in tree.leaves)
+    tolerance = _tolerance(tree, v)
+    return {
+        "analytic": analytic,
+        "finite_difference": numeric,
+        "max_abs_diff": worst,
+        "tolerance": tolerance,
+        "passed": worst <= tolerance,
+    }
 
 
 # Older name, still looked up by bench/spans.py.
@@ -140,7 +171,7 @@ def run_checks(
     if n_draws < 4:
         raise DomainError("correlation needs at least 4 draws")
     results: list[CheckResult] = []
-    tree, v = model.tree, _backward(model)
+    tree, v = model.tree, _backward(model.tree, _by_slot(model))
     pi = forward_probs(model, dict(zip(tree.nests + tree.leaves, v)))
     leaf_probs = {leaf: pi[leaf] for leaf in tree.leaves}
 

@@ -5,6 +5,7 @@ the two reference trees: u_b = 0.25 ln 2, u_a = 0.5 ln(1 + sqrt(2)),
 single-layer shares built from nest weights sqrt(2) and 1.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import nestlogit.model
+import nestlogit.verify
 from nestlogit import (
     DomainError,
     ModelSpec,
@@ -445,6 +447,50 @@ def _reference_forward(model, u):
     return {node: math.exp(lp) for node, lp in log_pi.items()}
 
 
+def _reference_gradient(model, u):
+    # the complex steps of verify.finite_difference_gradient up an
+    # id-keyed table over tree.children and the walked Lambda
+    tree, big_lambda, step = model.tree, walk(model.tree).big_lambda, nestlogit.verify._THETA
+    above = {}
+    for node in tree.nests:
+        kids = tree.children[node]
+        top = max(u[kid] for kid in kids)
+        logs = [(u[kid] - top) / big_lambda[node] for kid in kids]
+        terms = [math.exp(x) for x in logs]
+        total = sum(terms)
+        above.update((kid, (node, x, total - term)) for kid, x, term in zip(kids, logs, terms))
+    grad = {}
+    for leaf in tree.leaves:
+        node, theta = leaf, step
+        while node != tree.root:
+            node, x, rest = above[node]
+            theta = cmath.log(rest + cmath.exp(complex(x, theta))).imag
+        grad[leaf] = theta / step
+    return grad
+
+
+def _bits(values):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return {key: value.hex() for key, value in values.items()}
+
+
+def _edge_model():
+    # Two-child nests with a < b, a == b and a > b; a -0.0 utility under
+    # a one-child nest; three terms 1, 1.1e-16, 1.1e-16, which Python
+    # 3.12's compensated sum adds to 1.0000000000000002 and a += loop to
+    # 1.0; and subnormal Lambdas over two and three children.
+    children = {
+        "r": ("lt", "eq", "gt", "one", "three", "sub2", "sub3"),
+        "lt": ("a", "b"), "eq": ("c", "d"), "gt": ("e", "f"), "one": ("g",),
+        "three": ("h", "i", "j"), "sub2": ("k", "l"), "sub3": ("m", "n", "o"),
+    }
+    lam = {"lt": 0.5, "eq": 0.5, "gt": 0.5, "one": 0.7, "three": 1.0, "sub2": 1e-310, "sub3": 4e-320}
+    small = math.log(1.1e-16)
+    utilities = {"a": 0.1, "b": 0.4, "c": 0.3, "d": 0.3, "e": 0.9, "f": -0.2, "g": -0.0,
+                 "h": 0.0, "i": small, "j": small, "k": 0.5, "l": 0.25, "m": 0.5, "n": 0.5, "o": 0.1}
+    return make_model(build("r", children, lam), utilities)
+
+
 def _reference_cdf(model, bounds):
     negated = make_model(model.tree, {leaf: -value for leaf, value in bounds.items()})
     try:
@@ -469,15 +515,17 @@ def test_passes_equal_the_id_keyed_walks_bit_for_bit(depth3_model, single_layer_
     # Ties for the nest maxima: every utility equal, and integer utilities.
     models += [with_utilities(m, {leaf: 0.0 for leaf in m.tree.leaves}) for m in models[:6]]
     models += [with_utilities(m, {leaf: float(round(3 * v)) for leaf, v in m.utilities.items()}) for m in models[4:12]]
+    models.append(_edge_model())
     for model in models:
         tree = model.tree
         u = _reference_backward(model)
         pi = _reference_forward(model, u)
-        assert backward_utils(model) == u
-        assert forward_probs(model, u) == pi
-        assert choice_probs(model) == {leaf: pi[leaf] for leaf in tree.leaves}
-        assert [emax(model, nest) for nest in tree.nests] == [u[nest] for nest in tree.nests]
+        assert _bits(backward_utils(model)) == _bits(u)
+        assert _bits(forward_probs(model, u)) == _bits(pi)
+        assert _bits(choice_probs(model)) == _bits({leaf: pi[leaf] for leaf in tree.leaves})
+        assert [emax(model, nest).hex() for nest in tree.nests] == [u[nest].hex() for nest in tree.nests]
+        assert _bits(nestlogit.verify.finite_difference_gradient(model)) == _bits(_reference_gradient(model, u))
         bounds = {leaf: 0.25 * (i % 5) - 0.5 for i, leaf in enumerate(tree.leaves)}
-        assert cdf(model, bounds) == _reference_cdf(model, bounds)
+        assert cdf(model, bounds).hex() == _reference_cdf(model, bounds).hex()
         deep = {**bounds, tree.leaves[0]: -800.0}
-        assert cdf(model, deep) == _reference_cdf(model, deep)
+        assert cdf(model, deep).hex() == _reference_cdf(model, deep).hex()

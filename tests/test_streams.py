@@ -1,5 +1,8 @@
 """Seeded stream derivation and the chunked Monte Carlo driver."""
 
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -110,3 +113,40 @@ def test_run_chunked_counts_and_order():
     run_chunked(SeededStream(5), n, kernel, n_threads=4)
     assert_array_equal(serial, out)  # thread count never changes the draws
     assert np.all(out != 0.0)
+
+
+@pytest.mark.parametrize("threads, cpus, chunks, workers", [
+    (64, 2, 5, 2),  # capped by the usable CPUs
+    (64, 8, 5, 5),  # by the chunk count
+    (3, 8, 5, 3),  # by --threads
+    (64, 1, 5, None),  # one usable CPU: no pool at all
+    (4, 4, 1, None),  # one chunk: no pool at all
+    (64, None, 5, 3),  # no sched_getaffinity: os.cpu_count() of 3
+])
+def test_run_chunked_caps_its_workers(monkeypatch, threads, cpus, chunks, workers):
+    # A stand-in pool records max_workers and runs every task inline, so
+    # no real thread starts.
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    out = run_chunked(SeededStream(5), 10 * chunks - 3, lambda sub, start, stop: (start, stop), threads, 10)
+    assert out == [(k, min(k + 10, 10 * chunks - 3)) for k in range(0, 10 * chunks - 3, 10)]
+    assert pools == ([] if workers is None else [workers])

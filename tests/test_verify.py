@@ -15,6 +15,7 @@ import nestlogit.simulate as simulate
 import nestlogit.verify as verify
 from nestlogit import (
     DomainError,
+    ModelSpec,
     SeededStream,
     build,
     cdf,
@@ -279,13 +280,14 @@ def test_gaps_stay_below_half_the_tolerance():
 
 def count_backward_passes(monkeypatch):
     # Counts the slot pass under both names it is bound to: the backward
-    # pass of every public function, backward_utils' included.
+    # pass of every public function, backward_utils' included. Each call
+    # is recorded as the model it evaluates: its tree and leaf values.
     calls = []
     real = model_module._backward
 
-    def counting(model):
-        calls.append(model)
-        return real(model)
+    def counting(tree, leaf_values):
+        calls.append(ModelSpec(tree, dict(zip(tree.leaves, leaf_values))))
+        return real(tree, leaf_values)
 
     monkeypatch.setattr(model_module, "_backward", counting)
     monkeypatch.setattr(verify, "_backward", counting)
@@ -323,8 +325,19 @@ def test_each_analytic_entry_runs_one_backward_pass(depth3_model, monkeypatch):
     # run_checks: one pass on the model, and one per joint-cdf bound vector
     calls.clear()
     run_checks(depth3_model, SeededStream(0), n_draws=64)
-    assert [m for m in calls if m is depth3_model] == [depth3_model]
+    assert calls[0] == depth3_model and len(calls) == 1 + 5
     assert all(m.tree is depth3_model.tree for m in calls)
+
+
+def test_grad_check_runs_one_backward_pass(depth3_model, monkeypatch, tmp_path, capsys):
+    # The analytic probabilities, the complex steps and the tolerance share
+    # one pass.
+    path = tmp_path / "depth3.json"
+    save_model(depth3_model, path)
+    calls = count_backward_passes(monkeypatch)
+    assert cli.main(["grad-check", str(path)]) == 0
+    assert calls == [depth3_model]
+    assert json.loads(capsys.readouterr().out)["results"]["passed"] is True
 
 
 def _depth3_at(depth3_model, lam):
