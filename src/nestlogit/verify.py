@@ -72,26 +72,15 @@ def finite_difference_gradient(model: ModelSpec) -> dict[str, float]:
 def _complex_steps(tree: Arborescence, v: list[float]) -> dict[str, float]:
     # finite_difference_gradient from u by slot, which run_checks shares.
     # above[s], for each slot s below the root: its parent's slot, its x
-    # there, and the sum of the parent's other terms. A two-child nest
-    # skips max's, sum's and zip's calls with the same bits, as in
-    # model._backward.
-    exp, above = math.exp, [None] * len(v)
+    # there, and the sum of the parent's other terms.
+    above = [None] * len(v)
     for nest, (kids, big_lam) in enumerate(zip(tree.kids, tree.scale)):
-        if len(kids) == 2:
-            k, j = kids
-            a, b = v[k], v[j]
-            top = a if a >= b else b
-            x, y = (a - top) / big_lam, (b - top) / big_lam
-            ex, ey = exp(x), exp(y)
-            total = ex + ey
-            above[k], above[j] = (nest, x, total - ex), (nest, y, total - ey)
-        else:
-            top = max(map(v.__getitem__, kids))
-            logs = [(v[k] - top) / big_lam for k in kids]
-            terms = list(map(exp, logs))
-            total = sum(terms)
-            for kid, x, term in zip(kids, logs, terms):
-                above[kid] = (nest, x, total - term)
+        top = max(map(v.__getitem__, kids))
+        logs = [(v[k] - top) / big_lam for k in kids]
+        terms = list(map(math.exp, logs))
+        total = sum(terms)
+        for kid, x, term in zip(kids, logs, terms):
+            above[kid] = (nest, x, total - term)
     grad, clog, cexp = {}, cmath.log, cmath.exp
     for slot, leaf in enumerate(tree.leaves, len(tree.kids)):
         node, theta = slot, _THETA
@@ -121,21 +110,26 @@ def _tolerance(tree: Arborescence, v: list[float]) -> float:
     return min(sys.float_info.epsilon * (max(tree.depth) + 1) * worst, 1.0)
 
 
+def _gradient_gap(tree: Arborescence, v: list[float]) -> tuple:
+    # From u by slot: choice_probs and finite_difference_gradient by leaf,
+    # their largest gap and gradient_tolerance. gradient_check and
+    # run_checks both compare the two through it.
+    analytic, numeric = _leaf_probs(tree, v), _complex_steps(tree, v)
+    gap = max(abs(analytic[leaf] - numeric[leaf]) for leaf in tree.leaves)
+    return analytic, numeric, gap, _tolerance(tree, v)
+
+
 def gradient_check(model: ModelSpec) -> dict:
     """choice_probs against finite_difference_gradient from one backward
     pass: both by leaf, their largest gap, gradient_tolerance, and whether
     the gap is within it. The report of the grad-check command."""
-    tree = model.tree
-    v = _backward(tree, _by_slot(model))
-    analytic, numeric = _leaf_probs(tree, v), _complex_steps(tree, v)
-    worst = max(abs(analytic[leaf] - numeric[leaf]) for leaf in tree.leaves)
-    tolerance = _tolerance(tree, v)
+    analytic, numeric, gap, tolerance = _gradient_gap(model.tree, _backward(model.tree, _by_slot(model)))
     return {
         "analytic": analytic,
         "finite_difference": numeric,
-        "max_abs_diff": worst,
+        "max_abs_diff": gap,
         "tolerance": tolerance,
-        "passed": worst <= tolerance,
+        "passed": gap <= tolerance,
     }
 
 
@@ -188,9 +182,8 @@ def run_checks(
     worst = max(abs(sum(pi[kid] for kid in tree.children[nest]) - pi[nest]) for nest in tree.nests)
     results.append(_within("hierarchy-consistency", worst, 1e-12))
 
-    fd = _complex_steps(tree, v)
-    gap = max(abs(leaf_probs[leaf] - fd[leaf]) for leaf in tree.leaves)
-    results.append(_within("emax-gradient-is-choice-probability", gap, _tolerance(tree, v)))
+    gap, tolerance = _gradient_gap(tree, v)[2:]
+    results.append(_within("emax-gradient-is-choice-probability", gap, tolerance))
 
     # --- Monte Carlo comparisons on one stream of noise ----------------
     # One pair per nest with two or more children: the first leaves under
