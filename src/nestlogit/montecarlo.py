@@ -19,6 +19,7 @@ DomainError. run_chunked makes no chunks for a count below one.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import namedtuple
 
@@ -61,7 +62,8 @@ def binomial_estimate(count: int, n_draws: int) -> EstimateWithError:
     if n_draws <= 0:
         raise DomainError("n_draws must be positive")
     p = count / n_draws
-    return EstimateWithError(p, float(np.sqrt(p * (1.0 - p) / n_draws)), n_draws)
+    # math.sqrt, like np.sqrt, rounds correctly, at a fraction of the cost per leaf
+    return EstimateWithError(p, math.sqrt(p * (1.0 - p) / n_draws), n_draws)
 
 
 def correlation_with_error(a: np.ndarray, b: np.ndarray) -> EstimateWithError:

@@ -13,9 +13,10 @@ They depend on the tree alone, so models that differ only in utilities
 share them.
 
 build() owns the structural rules (non-empty ids, lambda in (0, 1], a
-nonzero Lambda, no cycles, orphans or empty nests); from_nested() owns the
-schema of a model file's nested node document and reports each fault with
-its JSON path. The modelfile module only decodes and writes the JSON text.
+nonzero Lambda, no cycles, orphans or empty nests); from_nested() and
+from_flat() own the schemas of a model file's two node documents, the
+nested tree and the flat node list, and report each fault with its JSON
+path. The modelfile module only decodes and writes the JSON text.
 
 Traversals are iterative throughout; deep chains must not hit the
 interpreter recursion limit.
@@ -210,19 +211,40 @@ def _number(value, key: str, fault) -> float:
         raise fault(f'"{key}" does not fit in a float') from None
 
 
+def _key_fault(node: Mapping, expected: set, fault) -> ModelFileError:
+    """The fault of a node whose keys are not exactly the expected ones."""
+    keys = set(node)
+    if unknown := keys - expected:
+        return fault(f"unexpected key {sorted(unknown)[0]!r}")
+    return fault(f"missing key {sorted(expected - keys)[0]!r}")
+
+
+def _node_id(node_id, fault) -> str:
+    """node_id, once it is a non-empty string that any output can write."""
+    if not isinstance(node_id, str) or not node_id:
+        raise fault('"id" must be a non-empty string')
+    if not node_id.isascii():
+        try:
+            node_id.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate escape, which no output can write
+            raise fault(f"{node_id!r} holds a lone surrogate, not Unicode text", ".id") from None
+    return node_id
+
+
 def from_nested(doc: Mapping) -> tuple[Arborescence, dict[str, float]]:
     """Read a nested node document into an Arborescence plus utilities.
 
-    The document is the "root" object of a model file: a nest is a dict
-    with exactly "id", "lambda" and a non-empty "children" list, a leaf
-    one with exactly "id" and "utility". This is the one walk over the
-    nodes. In document order it converts each number once and raises at
-    the first fault: a ModelFileError naming the JSON path (for instance
-    root.children[1].lambda) for a schema fault, DuplicateIdError for a
-    repeated id. The path is built only when a fault is raised, from the
-    child lists read so far, and plain dict, str and float nodes skip the
-    general checks they would pass. build() then applies the structural
-    rules. Returns the tree and the leaf utility map.
+    The document is the "root" object of a nested model file: a nest is a
+    dict with exactly "id", "lambda" and a non-empty "children" list, a
+    leaf one with exactly "id" and "utility". (from_flat reads the flat
+    form with the same checks on ids and numbers.) This is the one walk
+    over the nodes. In document order it converts each number once and
+    raises at the first fault: a ModelFileError naming the JSON path (for
+    instance root.children[1].lambda) for a schema fault, DuplicateIdError
+    for a repeated id. The path is built only when a fault is raised, from
+    the child lists read so far, and plain dict, str and float nodes skip
+    the general checks they would pass. build() then applies the
+    structural rules. Returns the tree and the leaf utility map.
     """
     children: dict[str, list[str]] = {}
     up: dict[str, str | None] = {}  # nest -> its parent nest, for the path of a fault
@@ -252,18 +274,8 @@ def from_nested(doc: Mapping) -> tuple[Arborescence, dict[str, float]]:
         else:
             raise fault('node needs either "children" (nest) or "utility" (leaf)')
         if node.keys() != expected:
-            keys = set(node)
-            if unknown := keys - expected:
-                raise fault(f"unexpected key {sorted(unknown)[0]!r}")
-            raise fault(f"missing key {sorted(expected - keys)[0]!r}")
-        node_id = node["id"]
-        if not isinstance(node_id, str) or not node_id:
-            raise fault('"id" must be a non-empty string')
-        if not node_id.isascii():
-            try:
-                node_id.encode("utf-8")
-            except UnicodeEncodeError:  # a lone surrogate escape, which no output can write
-                raise fault(f"{node_id!r} holds a lone surrogate, not Unicode text", ".id") from None
+            raise _key_fault(node, expected, fault)
+        node_id = _node_id(node["id"], fault)
         if node_id in children or node_id in utilities:
             raise DuplicateIdError(f"node id {node_id!r} appears more than once")
         if expected is _NEST_KEYS:
@@ -289,6 +301,81 @@ def from_nested(doc: Mapping) -> tuple[Arborescence, dict[str, float]]:
         elif lam[node_id] != 1.0:
             raise fault(f"root lambda must be 1.0, got {node['lambda']!r}", ".lambda")
     return build(doc["id"], children, lam), utilities
+
+
+_FLAT_NEST_KEYS = {"id", "parent", "lambda"}
+_FLAT_LEAF_KEYS = {"id", "parent", "utility"}
+
+
+def from_flat(nodes: list) -> tuple[Arborescence, dict[str, float]]:
+    """Read the flat node list of a model file into an Arborescence plus
+    utilities.
+
+    The list is the "nodes" array of a model file: a nest is a dict with
+    exactly "id", "parent" and "lambda", a leaf one with exactly "id",
+    "parent" and "utility". The root comes first, with a null parent;
+    every other node names as its parent a nest listed before it, so one
+    pass in list order reads the tree, nothing recurses, and no list can
+    describe a cycle. A nest's children are the nodes that name it, in
+    list order. Faults raise as from_nested's do, at the first one in list
+    order, with the path nodes[i] or nodes[i].field: a ModelFileError for
+    a schema fault, DuplicateIdError for a repeated id. build() then
+    applies the structural rules, such as a nest that no node names.
+    """
+    children: dict[str, list[str]] = {}
+    lam: dict[str, float] = {}
+    utilities: dict[str, float] = {}
+    i = 0
+
+    def fault(message: str, field: str = "") -> ModelFileError:
+        return ModelFileError(f"nodes[{i}]{field}: {message}")
+
+    for i, node in enumerate(nodes):
+        if type(node) is not dict and not isinstance(node, Mapping):
+            raise fault(f"expected an object, got {type(node).__name__}")
+        if "lambda" in node:
+            if "utility" in node:
+                raise fault("a node cannot carry both a lambda and a utility")
+            expected = _FLAT_NEST_KEYS
+        elif "utility" in node:
+            expected = _FLAT_LEAF_KEYS
+        else:
+            raise fault('node needs either "lambda" (nest) or "utility" (leaf)')
+        if node.keys() != expected:
+            raise _key_fault(node, expected, fault)
+        node_id = _node_id(node["id"], fault)
+        if node_id in children or node_id in utilities:
+            raise DuplicateIdError(f"nodes[{i}].id: node id {node_id!r} appears more than once")
+        parent = node["parent"]
+        if type(parent) is str and parent in children:
+            children[parent].append(node_id)
+        elif parent is None:
+            if i:
+                raise fault("only the first node, the root, has a null parent", ".parent")
+        elif not isinstance(parent, str):
+            raise fault('"parent" must be a node id, or null for the root', ".parent")
+        elif parent in utilities:
+            raise fault(f"{parent!r} is a leaf, not a nest", ".parent")
+        else:
+            raise fault(f"{parent!r} is not a nest listed before this node", ".parent")
+        if expected is _FLAT_NEST_KEYS:
+            value = node["lambda"]
+            lam[node_id] = value if type(value) is float else _number(value, "lambda", fault)
+            children[node_id] = []  # filled as each child is read
+        else:
+            value = node["utility"]
+            value = utilities[node_id] = value if type(value) is float else _number(value, "utility", fault)
+            if not math.isfinite(value):
+                raise fault('"utility" must be finite')
+        if parent is not None:
+            continue
+        if node_id in utilities:
+            raise fault("the root must be a nest, not a leaf")
+        if lam[node_id] != 1.0:
+            raise fault(f"root lambda must be 1.0, got {node['lambda']!r}", ".lambda")
+    if not children:
+        raise ModelFileError("nodes: the list is empty, so there is no root")
+    return build(next(iter(children)), children, lam), utilities
 
 
 def lca(tree: Arborescence, a: str, b: str) -> str:

@@ -12,7 +12,9 @@ item 8). The Monte Carlo checks all read one stream of noise, folded
 by simulate._fold in one pass: per draw it keeps the best total, a hit
 flag per bound vector and only the noise columns the correlation pairs
 read, never the draws x leaves matrix, plus the win counts per chunk.
-Its pairs, like the complex steps' parent table, come from tree.kids.
+Its pairs come from tree.kids. The complex steps read tree.kids too,
+top-down in slot order: one step per node, so a 3,000-nest chain costs
+what its 6,003 nodes cost, not its leaves times its depth.
 
 The module imports numpy only inside run_checks, so that grad-check,
 which needs only gradient_check, starts without it. gradient_check, like
@@ -57,48 +59,49 @@ def finite_difference_gradient(model: ModelSpec) -> dict[str, float]:
     numerical counterpart of emax_gradient (Squire and Trapp 1998).
 
     A nest's value is u_n = top + Lambda_n * log sum_k exp(x_k), with
-    x_k = (u_k - top)/Lambda_n, so du_n/du_i is the derivative of the
-    log-sum in x_i: Im log(sum - exp(x_i) + exp(x_i + i*theta)) / theta,
+    x_k = (u_k - top)/Lambda_n, so du_n/du_k is the derivative of the
+    log-sum in x_k: g_k = Im log(sum - exp(x_k) + exp(x_k + i*theta)) / theta,
     with nothing to cancel. Its truncation error, theta**2/3 relative, is
-    far below rounding at theta = 2**-50: there is no step to choose. One
-    climb per leaf carries theta times the product of these up the root
-    path on each nest's cached x and sum: O(depth) per leaf after one
-    backward pass. Kept in each nest's own units, the tangent never meets
-    Lambda, so a subnormal Lambda cannot underflow it.
+    far below rounding at theta = 2**-50: there is no step to choose. By
+    the chain rule a leaf's derivative is the product of g over its root
+    path, multiplied down from the root in slot order, as the forward pass
+    adds its logs: one complex step per node after one backward pass,
+    O(nodes). Each step is fresh at its own nest and in that nest's units,
+    so neither a long path nor a subnormal Lambda can underflow it.
     """
     return _complex_steps(model.tree, _backward(model.tree, _by_slot(model)))
 
 
 def _complex_steps(tree: Arborescence, v: list[float]) -> dict[str, float]:
     # finite_difference_gradient from u by slot, which run_checks shares.
-    # above[s], for each slot s below the root: its parent's slot, its x
-    # there, and the sum of the parent's other terms.
-    above = [None] * len(v)
+    # Nests in slot order, every parent before its children, as in
+    # _log_forward: grad[nest] is final when its children read it.
+    grad, clog, cexp = [1.0] * len(v), cmath.log, cmath.exp
     for nest, (kids, big_lam) in enumerate(zip(tree.kids, tree.scale)):
         top = max(map(v.__getitem__, kids))
         logs = [(v[k] - top) / big_lam for k in kids]
         terms = list(map(math.exp, logs))
-        total = sum(terms)
+        total, base = sum(terms), grad[nest]
         for kid, x, term in zip(kids, logs, terms):
-            above[kid] = (nest, x, total - term)
-    grad, clog, cexp = {}, cmath.log, cmath.exp
-    for slot, leaf in enumerate(tree.leaves, len(tree.kids)):
-        node, theta = slot, _THETA
-        while node:  # the root is slot 0
-            node, x, rest = above[node]
-            theta = clog(rest + cexp(complex(x, theta))).imag
-        grad[leaf] = theta / _THETA
-    return grad
+            grad[kid] = base * (clog(total - term + cexp(complex(x, _THETA))).imag / _THETA)
+    return dict(zip(tree.leaves, grad[len(tree.kids):]))
 
 
 def gradient_tolerance(model: ModelSpec) -> float:
     """The largest gap between finite_difference_gradient and choice_probs
     that rounding explains, capped at 1: eps * (height + 1) * max over
     nests n of (|u_n| + Lambda_n + tiny)/Lambda_n, for the double epsilon
-    eps and the smallest normal double tiny. Each level of either side
-    rounds (u_k - u_n)/Lambda_n by eps*|u|/Lambda_n, or by eps*tiny/Lambda_n
-    where u is subnormal. 1.7e-15 on the depth-3 demo, 1.3e-15 on the
-    single-layer one.
+    eps and the smallest normal double tiny. A leaf at depth d <= height
+    has d levels on its root path, and either side works level by level:
+    choice_probs adds the d logs (u_k - u_n)/Lambda_n and exponentiates
+    the sum, finite_difference_gradient multiplies the d complex-step
+    factors. Each level rounds its (u_k - u_n)/Lambda_n by eps*|u|/Lambda_n,
+    or by eps*tiny/Lambda_n where u is subnormal, and its sum or product
+    and its log-sum by a few eps, which the Lambda_n/Lambda_n term covers.
+    The final exp, or the first factor's own step, is one level more:
+    height + 1 relative terms in all, and a probability is at most 1, so
+    the bound holds as an absolute gap. 1.7e-15 on the depth-3 demo,
+    1.3e-15 on the single-layer one.
     """
     return _tolerance(model.tree, _backward(model.tree, _by_slot(model)))
 

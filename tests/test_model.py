@@ -448,24 +448,28 @@ def _reference_forward(model, u):
 
 
 def _reference_gradient(model, u):
-    # the complex steps of verify.finite_difference_gradient up an
-    # id-keyed table over tree.children and the walked Lambda
-    tree, big_lambda, step = model.tree, walk(model.tree).big_lambda, nestlogit.verify._THETA
-    above = {}
+    # the complex steps of verify.finite_difference_gradient from an
+    # id-keyed table over tree.children and the walked Lambda: one factor
+    # per child at its parent, multiplied down each leaf's walked root path
+    tree, walked, step = model.tree, walk(model.tree), nestlogit.verify._THETA
+    factor = {}
     for node in tree.nests:
         kids = tree.children[node]
         top = max(u[kid] for kid in kids)
-        logs = [(u[kid] - top) / big_lambda[node] for kid in kids]
+        logs = [(u[kid] - top) / walked.big_lambda[node] for kid in kids]
         terms = [math.exp(x) for x in logs]
         total = sum(terms)
-        above.update((kid, (node, x, total - term)) for kid, x, term in zip(kids, logs, terms))
+        for kid, x, term in zip(kids, logs, terms):
+            factor[kid] = cmath.log(total - term + cmath.exp(complex(x, step))).imag / step
     grad = {}
     for leaf in tree.leaves:
-        node, theta = leaf, step
-        while node != tree.root:
-            node, x, rest = above[node]
-            theta = cmath.log(rest + cmath.exp(complex(x, theta))).imag
-        grad[leaf] = theta / step
+        path = [leaf]
+        while path[-1] in walked.parent:
+            path.append(walked.parent[path[-1]])
+        product = 1.0
+        for node in reversed(path[:-1]):  # from the root's child down
+            product *= factor[node]
+        grad[leaf] = product
     return grad
 
 

@@ -16,8 +16,10 @@ from numpy.testing import assert_allclose
 import nestlogit.model
 from nestlogit import (
     DuplicateIdError,
+    EmptyNestError,
     LambdaRangeError,
     ModelFileError,
+    ModelSpec,
     NestLogitError,
     build,
     choice_probs,
@@ -26,11 +28,14 @@ from nestlogit import (
     make_model,
     model_to_doc,
     random_model,
+    modelfile,
     save_model,
 )
 from nestlogit.cli import main
 from nestlogit.tree import from_nested
 from test_tree import FAULTS, nested_doc
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos" / "models"
 
 GOOD = {
     "root": {
@@ -206,17 +211,188 @@ def test_too_deep_to_read(deep_chain_text):
         loads_model(deep_chain_text)
 
 
-def test_too_deep_to_write_leaves_no_file(tmp_path):
-    # Deep enough for the C encoder too, which serializes with an indent
-    # from Python 3.13 on and has a higher limit than the Python one.
-    depth = 50_000
-    children = {f"n{i}": (f"n{i + 1}", f"x{i}") for i in range(depth - 1)}
-    children[f"n{depth - 1}"] = ("leaf", f"x{depth - 1}")
-    tree = build("n0", children, {f"n{i}": 0.9999 for i in range(1, depth)})
-    path = tmp_path / "deep.json"
-    with pytest.raises(ModelFileError, match="nests too deeply"):
-        save_model(make_model(tree, {leaf: 0.0 for leaf in tree.leaves}), path)
-    assert not path.exists()
+def _chain(height, utilities=None, leaf_first=False):
+    """A root plus height - 1 nests in a line, each holding the next nest
+    and one leaf (the leaf first if leaf_first), and two leaves at the
+    bottom: a tree of the given height."""
+    pairs = [(f"n{i + 1}", f"x{i}") for i in range(height - 1)] + [("end", f"x{height - 1}")]
+    children = {f"n{i}": pair[::-1] if leaf_first else pair for i, pair in enumerate(pairs)}
+    tree = build("n0", children, {f"n{i}": 0.999 for i in range(1, height)})
+    if utilities is None:
+        utilities = np.random.default_rng(height).normal(0.0, 10.0, len(tree.leaves)).tolist()
+    return make_model(tree, dict(zip(tree.leaves, utilities)))
+
+
+def _same_bits(a, b):
+    # Model equality compares floats by value, where -0.0 == 0.0.
+    assert a.tree == b.tree and list(a.tree.lam) == list(b.tree.lam)
+    assert list(a.utilities) == list(b.utilities)
+    assert [u.hex() for u in a.utilities.values()] == [u.hex() for u in b.utilities.values()]
+    assert [lam.hex() for lam in a.tree.lam.values()] == [lam.hex() for lam in b.tree.lam.values()]
+
+
+@pytest.mark.parametrize("height, form", [
+    (modelfile.FLAT_HEIGHT - 1, "root"),
+    (modelfile.FLAT_HEIGHT, "root"),
+    (modelfile.FLAT_HEIGHT + 1, "nodes"),
+    (3000, "nodes"),
+])
+def test_round_trips_either_side_of_the_flat_height(height, form, tmp_path):
+    model = _chain(height)
+    extremes = {"x0": -0.0, "x1": 5e-324, "x2": -1e300, "end": 0.1}
+    model = make_model(model.tree, {**model.utilities, **extremes})
+    path = tmp_path / "chain.json"
+    save_model(model, path)
+    assert list(json.loads(path.read_text())) == [form]
+    again = load_model(path)
+    _same_bits(again, model)
+    assert choice_probs(again) == choice_probs(model)
+
+
+def test_the_flat_form_writes_one_node_per_line_in_document_order(tmp_path):
+    # Document preorder, not slot order: each nest's leaf comes before the
+    # nest listed after it, so that the children reload in their order.
+    model = _chain(modelfile.FLAT_HEIGHT + 1, leaf_first=True)
+    path = tmp_path / "chain.json"
+    save_model(model, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == '{"nodes": [' and lines[-1] == "]}"
+    nodes = [json.loads(line.rstrip(",")) for line in lines[1:-1]]
+    assert nodes == json.loads(path.read_text())["nodes"]
+    assert nodes[:4] == [
+        {"id": "n0", "parent": None, "lambda": 1.0},
+        {"id": "x0", "parent": "n0", "utility": model.utilities["x0"]},
+        {"id": "n1", "parent": "n0", "lambda": 0.999},
+        {"id": "x1", "parent": "n1", "utility": model.utilities["x1"]},
+    ]
+    again = load_model(path)
+    assert again.tree.children["n0"] == ("x0", "n1")
+    _same_bits(again, model)
+
+
+def _reference_text(model):
+    # The nested writer as it stands for trees up to the flat height, from
+    # a recursive walk of the tree's own description.
+    tree = model.tree
+
+    def node(name):
+        if name in tree.children:
+            return {"id": name, "lambda": tree.lam[name], "children": [node(kid) for kid in tree.children[name]]}
+        return {"id": name, "utility": model.utilities[name]}
+
+    return json.dumps({"root": node(tree.root)}, indent=2) + "\n"
+
+
+def test_demos_and_the_wide_tree_save_as_before(tmp_path):
+    path = tmp_path / "m.json"
+    for demo in sorted(DEMOS.glob("*.json")):
+        save_model(load_model(demo), path)
+        assert path.read_bytes() == demo.read_bytes(), demo.name
+    wide = random_model(np.random.default_rng(0), max_nodes=2000)
+    assert max(wide.tree.depth) == 12
+    save_model(wide, path)
+    assert path.read_text() == _reference_text(wide)
+
+
+def test_the_cli_reads_the_flat_form(tmp_path):
+    path = tmp_path / "chain.json"
+    save_model(_chain(3000), path)
+    for command in ("validate", "grad-check"):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main([command, str(path)]) == 0
+    assert json.loads(out.getvalue())["results"]["passed"] is True
+
+
+@pytest.mark.parametrize("height", [3, 50_000])
+def test_a_failed_save_leaves_no_file(height, tmp_path):
+    # Serialized before the file is opened: a utility json cannot encode
+    # fails the save in either form, and no file is written or truncated.
+    # (50,000 nests: past every interpreter's JSON limit, so the nested
+    # form could not be written at all before the flat form.)
+    model = _chain(height, utilities=[0.0] * (height + 1))
+    broken = ModelSpec(model.tree, {**model.utilities, "end": 1j})
+    path, kept = tmp_path / "absent.json", tmp_path / "kept.json"
+    kept.write_text("before\n")
+    for target in (path, kept):
+        with pytest.raises(TypeError, match="complex"):
+            save_model(broken, target)
+    assert not path.exists() and kept.read_text() == "before\n"
+    save_model(model, path)
+    assert load_model(path) == model
+
+
+GOOD_FLAT = {"nodes": [
+    {"id": "root", "parent": None, "lambda": 1.0},
+    {"id": "a", "parent": "root", "utility": 0.0},
+    {"id": "n1", "parent": "root", "lambda": 0.5},
+    {"id": "b", "parent": "n1", "utility": 1.0},
+    {"id": "c", "parent": "n1", "utility": -1.0},
+]}
+
+
+def test_the_flat_form_loads_as_the_nested_one():
+    nested = {"root": {"id": "root", "lambda": 1.0, "children": [
+        {"id": "a", "utility": 0.0},
+        {"id": "n1", "lambda": 0.5, "children": [{"id": "b", "utility": 1.0}, {"id": "c", "utility": -1.0}]},
+    ]}}
+    assert loads_model(json.dumps(GOOD_FLAT)) == loads_model(json.dumps(nested))
+
+
+def _nodes(mutate):
+    doc = json.loads(json.dumps(GOOD_FLAT))  # deep copy
+    mutate(doc["nodes"])
+    return doc
+
+
+# Every fault of the flat form, with its exact message and path.
+FLAT_FAULTS = [
+    (lambda n: n[3].update(parent="zz"), ModelFileError, "nodes[3].parent: 'zz' is not a nest listed before this node"),
+    (lambda n: n.insert(1, n.pop(3)), ModelFileError, "nodes[1].parent: 'n1' is not a nest listed before this node"),
+    (lambda n: n[2].update(parent="n1"), ModelFileError, "nodes[2].parent: 'n1' is not a nest listed before this node"),
+    (lambda n: n[3].update(parent="a"), ModelFileError, "nodes[3].parent: 'a' is a leaf, not a nest"),
+    (lambda n: n[3].update(parent=1), ModelFileError, 'nodes[3].parent: "parent" must be a node id, or null for the root'),
+    (lambda n: n[3].update(parent=["n1"]), ModelFileError, 'nodes[3].parent: "parent" must be a node id, or null for the root'),
+    (lambda n: n[4].update(id="b"), DuplicateIdError, "nodes[4].id: node id 'b' appears more than once"),
+    (lambda n: n[2].update(id="root"), DuplicateIdError, "nodes[2].id: node id 'root' appears more than once"),
+    (lambda n: n.clear(), ModelFileError, "nodes: the list is empty, so there is no root"),
+    (lambda n: n.pop(0), ModelFileError, "nodes[0].parent: 'root' is not a nest listed before this node"),
+    (lambda n: n[2].update(parent=None), ModelFileError, "nodes[2].parent: only the first node, the root, has a null parent"),
+    (lambda n: n[0].update({"lambda": 0.5}), ModelFileError, "nodes[0].lambda: root lambda must be 1.0, got 0.5"),
+    (lambda n: n[0].update({"lambda": 2}), ModelFileError, "nodes[0].lambda: root lambda must be 1.0, got 2"),
+    (lambda n: n[0].pop("lambda") and n[0].update(utility=0.0), ModelFileError, "nodes[0]: the root must be a nest, not a leaf"),
+    (lambda n: n[2].update(utility=0.0), ModelFileError, "nodes[2]: a node cannot carry both a lambda and a utility"),
+    (lambda n: n[1].pop("utility"), ModelFileError, 'nodes[1]: node needs either "lambda" (nest) or "utility" (leaf)'),
+    (lambda n: n[1].pop("parent"), ModelFileError, "nodes[1]: missing key 'parent'"),
+    (lambda n: n[2].update(children=[]), ModelFileError, "nodes[2]: unexpected key 'children'"),
+    (lambda n: n.__setitem__(1, "a"), ModelFileError, "nodes[1]: expected an object, got str"),
+    (lambda n: n[2].update({"lambda": "0.5"}), ModelFileError, 'nodes[2]: "lambda" must be a number'),
+    (lambda n: n[4].update(utility=10**400), ModelFileError, 'nodes[4]: "utility" does not fit in a float'),
+    (lambda n: n[4].update(utility=float("inf")), ModelFileError, 'nodes[4]: "utility" must be finite'),
+    (lambda n: n[3].update(id=""), ModelFileError, 'nodes[3]: "id" must be a non-empty string'),
+    (lambda n: n[3].update(id="b\ud800"), ModelFileError, "nodes[3].id: 'b\\ud800' holds a lone surrogate, not Unicode text"),
+    # The structural rules are build()'s.
+    (lambda n: n.append({"id": "n2", "parent": "root", "lambda": 0.5}), EmptyNestError, "nest 'n2' has no children"),
+    (lambda n: n[2].update({"lambda": 1.5}), LambdaRangeError, "lambda for nest 'n1' is 1.5, not in (0, 1]"),
+]
+
+
+@pytest.mark.parametrize("mutate, exc, message", FLAT_FAULTS)
+def test_flat_fault_table(mutate, exc, message):
+    with pytest.raises(exc) as info:
+        loads_model(json.dumps(_nodes(mutate)))
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"nodes": {"id": "root"}}, "nodes: expected a list, got dict"),
+    ({"nodes": None}, "nodes: expected a list, got NoneType"),
+    ({**GOOD, **GOOD_FLAT}, '$: a document holds "root" or "nodes", not both'),
+])
+def test_flat_top_level_faults(doc, message):
+    with pytest.raises(ModelFileError) as info:
+        loads_model(json.dumps(doc))
+    assert str(info.value) == message
 
 
 def _slots(value, path=()):
@@ -267,3 +443,21 @@ def test_any_document_loads_or_fails_cleanly(edits):
             handle.write(text)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["validate", path]) in (0, 1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(_slots(GOOD_FLAT))), JSON_VALUES), max_size=3))
+def test_any_flat_document_loads_or_fails_cleanly(edits):
+    doc = json.loads(json.dumps(GOOD_FLAT))
+    for path, value in edits:
+        target = doc
+        try:
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit replaced this slot's container
+    try:
+        loads_model(json.dumps(doc))
+    except NestLogitError:
+        pass

@@ -76,6 +76,15 @@ def test_binomial_estimate():
     np.testing.assert_allclose(est.std_error, np.sqrt(0.25 * 0.75 / 100))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 999, 4096])
+def test_binomial_standard_error_keeps_numpys_bits(n):
+    # math.sqrt and np.sqrt both round correctly, so every count's
+    # standard error is numpy's to the bit.
+    for count in range(n + 1):
+        p = count / n
+        assert binomial_estimate(count, n) == (p, float(np.sqrt(p * (1.0 - p) / n)), n)
+
+
 def test_estimate_rejects_negative_error():
     with pytest.raises(ValueError):
         EstimateWithError(1.0, -0.1, 10)

@@ -242,9 +242,9 @@ def _stress_models(depth3_model, single_layer_model):
 
 
 def test_complex_steps_match_a_complex_rebuild(depth3_model, single_layer_model):
-    # Within 2 (height + 1) ulps: the climb and the rebuild round the same
-    # terms in a different order, and the rebuild scales its step by Lambda
-    # and back at every level. 1e-300 covers leaves whose rebuilt step
+    # Within 2 (height + 1) ulps: the product of per-nest steps and the
+    # rebuild round the same terms in a different order, and the rebuild
+    # scales its step by Lambda and back at every level. 1e-300 covers leaves whose rebuilt step
     # becomes subnormal on the way up. The worst case here is 0.5 of it.
     eps = sys.float_info.epsilon
     for model in _stress_models(depth3_model, single_layer_model):
@@ -265,17 +265,42 @@ def test_the_imaginary_step_changes_no_digit(depth3_model, single_layer_model, m
         assert all(got[leaf] == g or max(g, abs(got[leaf] - g)) < 1e-250 for leaf, g in want.items())
 
 
+def _chain3000(utilities):
+    # The benchmark's chain: a root plus 3,000 nests at lambda 0.999, each
+    # holding the next nest and one leaf, 3,002 leaves, height 3,001
+    children = {f"n{i}": (f"n{i + 1}", f"x{i}") for i in range(3000)}
+    children["n3000"] = ("end", "x3000")
+    tree = build("n0", children, {f"n{i}": 0.999 for i in range(1, 3001)})
+    return make_model(tree, dict(zip(tree.leaves, utilities)))
+
+
 def test_gaps_stay_below_half_the_tolerance():
-    # 200 random trees of each kind, also with every utility shifted to
-    # +-1e11, where the tolerance is loose because choice_probs rounds
-    # (u_k - u_n)/Lambda_n.
-    for seed in range(200):
-        for model in (random_model(np.random.default_rng(seed), 60), random_single_layer_model(np.random.default_rng(seed))):
-            for shift in (0.0, 1e11, -1e11):
-                model = with_utilities(model, {leaf: u + shift for leaf, u in model.utilities.items()})
-                probs, grad = choice_probs(model), verify.finite_difference_gradient(model)
-                gap = max(abs(probs[leaf] - grad[leaf]) for leaf in model.tree.leaves)
-                assert gap <= 0.5 * verify.gradient_tolerance(model), (seed, shift)
+    # 200 random trees of each kind and the 3,000-nest chain with zero and
+    # with random utilities, also with every utility shifted to +-1e11,
+    # where the tolerance is loose because choice_probs rounds
+    # (u_k - u_n)/Lambda_n. On the chain each leaf's derivative is a
+    # product of up to 3,001 factors.
+    models = [(seed, model) for seed in range(200) for model in (
+        random_model(np.random.default_rng(seed), 60), random_single_layer_model(np.random.default_rng(seed)))]
+    models += [("chain", _chain3000([0.0] * 3002)), ("chain", _chain3000(np.random.default_rng(5).normal(0, 3, 3002).tolist()))]
+    for seed, model in models:
+        for shift in (0.0, 1e11, -1e11):
+            model = with_utilities(model, {leaf: u + shift for leaf, u in model.utilities.items()})
+            probs, grad = choice_probs(model), verify.finite_difference_gradient(model)
+            gap = max(abs(probs[leaf] - grad[leaf]) for leaf in model.tree.leaves)
+            assert gap <= 0.5 * verify.gradient_tolerance(model), (seed, shift)
+
+
+def test_one_complex_step_per_node(monkeypatch):
+    # Top-down, one log per non-root slot: 6,002 on the 3,000-nest chain,
+    # where a climb from every leaf to the root took about 4.5 million.
+    calls = []
+    real = cmath.log
+    monkeypatch.setattr(cmath, "log", lambda z: calls.append(z) or real(z))
+    model = _chain3000([0.01 * (i % 7) for i in range(3002)])
+    grad = verify.finite_difference_gradient(model)
+    assert len(calls) == len(model.tree.up) - 1 == 6002
+    assert verify.gradient_check(model)["finite_difference"] == grad
 
 
 def count_backward_passes(monkeypatch):
