@@ -11,6 +11,7 @@ consume them.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from functools import cached_property
 
@@ -30,9 +31,10 @@ class SeededStream(namedtuple("SeededStream", "seed subkey")):
     """
 
     def __new__(cls, seed: int, subkey: tuple[int, ...] = ()):
-        if not 0 <= int(seed) < 2**64:
+        integer = hasattr(type(seed), "__index__") and not isinstance(seed, bool)  # int or numpy integer
+        if not (integer and 0 <= operator.index(seed) < 2**64):
             raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-        return super().__new__(cls, seed, subkey)
+        return super().__new__(cls, operator.index(seed), subkey)
 
     @classmethod
     def _make(cls, iterable):  # _replace goes through _make: keep the check

@@ -237,11 +237,11 @@ def from_nested(doc: Mapping) -> tuple[Arborescence, dict[str, float]]:
     The document is the "root" object of a nested model file: a nest is a
     dict with exactly "id", "lambda" and a non-empty "children" list, a
     leaf one with exactly "id" and "utility". (from_flat reads the flat
-    form with the same checks on ids and numbers.) This is the one walk
-    over the nodes. In document order it converts each number once and
-    raises at the first fault: a ModelFileError naming the JSON path (for
-    instance root.children[1].lambda) for a schema fault, DuplicateIdError
-    for a repeated id. The path is built only when a fault is raised, from
+    form with the same checks on ids and numbers.) One walk over the
+    nodes, in document order, converts each number once and raises at the
+    first fault: a ModelFileError naming the JSON path (for instance
+    root.children[1].lambda) for a schema fault, DuplicateIdError for a
+    repeated id. The path is built only when a fault is raised, from
     the child lists read so far, and plain dict, str and float nodes skip
     the general checks they would pass. build() then applies the
     structural rules. Returns the tree and the leaf utility map.

@@ -1,8 +1,10 @@
 """Gumbel-coupled Frechet pair: closed-form correlation and its simulator.
 
 The two pinned correlations were evaluated from the gamma-ratio formula
-in 50-digit arithmetic and rounded to double; the large-alpha grid is
-checked against the same formula in 60-digit mpmath arithmetic.
+in 50-digit arithmetic and rounded to double. The grids are checked
+against the same formula in 60-digit mpmath arithmetic: absolutely in the
+gamma form, and relatively in its loggamma/expm1 form, whose working
+precision grows with log10(alpha) so that 1 - s/alpha keeps its digits.
 """
 
 import math
@@ -25,6 +27,7 @@ from nestlogit import (
     sample_epsilon,
     stable_log_sample,
 )
+from nestlogit.copula import _LIMIT_ALPHA
 from nestlogit.montecarlo import CHUNK_SIZE, correlation_with_error
 
 CORR_3_HALF = 0.8128652223619095  # alpha=3, lambda=0.5
@@ -37,7 +40,8 @@ def test_frechet_corr_frozen():
 
 
 def test_frechet_corr_limits():
-    assert frechet_corr(3.0, 1.0) == 0.0
+    for alpha in (math.nextafter(2.0, 3.0), 3.0, 1e17, 1e300):
+        assert frechet_corr(alpha, 1.0) == 0.0
     assert frechet_corr(5.0, 1e-9) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -50,10 +54,45 @@ def _frechet_corr_mp(alpha, lam):
         return float((cross - first**2) / (second - first**2))
 
 
+def _frechet_corr_log_mp(alpha, lam):
+    # rho = expm1(f(lam) - f(1)) / expm1(f(0) - f(1)),
+    # f(s) = 2 log Gamma(1 - s/alpha) - log Gamma(1 - 2s/alpha).
+    with mpmath.workdps(60 + 2 * max(0, math.ceil(math.log10(alpha)))):
+        a, lam = mpmath.mpf(alpha), mpmath.mpf(lam)
+        f = lambda s: 2 * mpmath.loggamma(1 - s / a) - mpmath.loggamma(1 - 2 * s / a)
+        return float(mpmath.expm1(f(lam) - f(1)) / mpmath.expm1(f(0) - f(1)))
+
+
+RELATIVE_ALPHAS = [math.nextafter(2.0, 3.0), 2 + 1e-9, 2 + 1e-6, 2.001, 3.0, 6.0, 16.0, 1e3, 1e6, 1e15, 1e100]
+RELATIVE_LAMBDAS = [5e-324, 1e-300, 1e-12, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 1e-10, 1 - 1e-14, 1 - 2**-53]
+
+
+@pytest.mark.parametrize("alpha", RELATIVE_ALPHAS)
+def test_frechet_corr_relative_to_mpmath(alpha):
+    # From the edge of finite variance to the limit, and from a subnormal
+    # lambda to the last float below 1, where rho is about 4e-16.
+    for lam in RELATIVE_LAMBDAS:
+        exact = _frechet_corr_log_mp(alpha, lam)
+        assert abs(frechet_corr(alpha, lam) - exact) <= 1e-13 * exact, (alpha, lam)
+
+
+@pytest.mark.parametrize("lam", [5e-324, 0.5, 1 - 2**-53])
+def test_frechet_corr_limit_at_the_threshold(lam):
+    # At the threshold and past it frechet_corr returns (1 - lam)(1 + lam);
+    # the float below it still integrates, and the two meet to rounding.
+    limit = (1.0 - lam) * (1.0 + lam)
+    assert frechet_corr(_LIMIT_ALPHA, lam) == limit
+    assert frechet_corr(math.nextafter(_LIMIT_ALPHA, math.inf), lam) == limit
+    below = math.nextafter(_LIMIT_ALPHA, 0.0)
+    exact = _frechet_corr_log_mp(below, lam)
+    assert abs(frechet_corr(below, lam) - exact) <= 1e-13 * exact
+    assert abs(limit - exact) <= 1e-13 * exact
+
+
 @pytest.mark.parametrize("lam", [0.05, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9])
 def test_frechet_corr_against_mpmath(lam):
-    # Both sides of the switch to the cumulant series at alpha = 16, up to
-    # where the Gamma expression alone kept no correct digit.
+    # An absolute bound on the Gamma form, up to alpha = 1e15, where that
+    # form evaluated in doubles keeps no correct digit.
     alphas = [2.2, 3.0, 7.5, 15.9, 16.0, 16.1, 40.0, *np.geomspace(100.0, 1e15, 27)]
     for alpha in alphas:
         assert abs(frechet_corr(alpha, lam) - _frechet_corr_mp(alpha, lam)) < 1e-12, alpha
@@ -65,10 +104,11 @@ def test_frechet_corr_huge_alpha():
     assert frechet_corr(1e300, 0.5) == pytest.approx(0.75, abs=1e-15)
 
 
-def test_frechet_corr_decreasing_in_lambda():
-    grid = np.linspace(0.02, 1.0, 50)
-    values = [frechet_corr(5.0, lam) for lam in grid]
-    assert all(x >= y for x, y in zip(values, values[1:]))
+@pytest.mark.parametrize("alpha", [2 + 1e-9, 5.0, 1e6])
+def test_frechet_corr_decreasing_in_lambda(alpha):
+    grid = [*np.linspace(0.02, 0.999, 50), *(1 - 10.0**-k for k in range(4, 16)), 1.0]
+    values = [frechet_corr(alpha, lam) for lam in grid]
+    assert all(x > y for x, y in zip(values, values[1:]))
     assert values[0] - values[-1] > 0.9
 
 

@@ -57,10 +57,18 @@ def test_fresh_rewinds():
     assert_array_equal(first, again)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 1.0, True, False, "7", None, np.float64(3.0), np.True_])
 def test_seed_range_checked(seed):
-    with pytest.raises(ValueError):
+    # A bool, float or str would replay an integer seed's draws under a
+    # key that compares unequal to it.
+    with pytest.raises(DomainError, match=r"^seed must be an integer in \[0, 2\*\*64\), got "):
         SeededStream(seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int8(7)])
+def test_numpy_integer_seeds_accepted(seed):
+    assert SeededStream(seed) == SeededStream(7)
+    assert type(SeededStream(seed).seed) is int
 
 
 def test_mean_with_error():
