@@ -432,11 +432,21 @@ def _format_block(x, width: int) -> str:
     return field.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _csv_field(text: str) -> str:
+    """text as an RFC 4180 field: quoted, with each inner quote doubled,
+    when it holds a comma, a quote, CR or LF, else as it is. (The csv
+    module quotes CR only when its line terminator holds one.)"""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_csv(handle, leaf_order, draws) -> None:
-    """A header of leaf ids, then one line per row of draws with each float
-    as %.17g, byte for byte what np.savetxt(fmt="%.17g", delimiter=",")
-    writes, formatted in numpy and written a block of about 8,192 floats
-    at a time; larger blocks gain no speed and peak higher.
+    """A header of leaf ids, each an RFC 4180 field, then one line per row
+    of draws with each float as %.17g, byte for byte what
+    np.savetxt(fmt="%.17g", delimiter=",") writes, formatted in numpy and
+    written a block of about 8,192 floats at a time; larger blocks gain
+    no speed and peak higher.
 
     For |x| in [1e-250, 1e250] and E = floor(log10 |x|), the 17 digits
     are D = round(|x| 10^(16 - E)). With hi the rounded 10^(16 - E) and
@@ -450,7 +460,7 @@ def _write_csv(handle, leaf_order, draws) -> None:
     one off, which shows as D outside [1e16, 1e17) or as D = 1e16 with a
     negative remainder (the true value just below 1e16 has 17 digits of
     its own); and a remainder that near a tie."""
-    handle.write(",".join(leaf_order) + "\n")
+    handle.write(",".join(map(_csv_field, leaf_order)) + "\n")
     width = len(leaf_order)
     rows_per_block = max(1, 8192 // width)
     for start in range(0, len(draws), rows_per_block):

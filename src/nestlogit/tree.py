@@ -12,11 +12,12 @@ downstream (choice probabilities, noise simulation) reads those slots.
 They depend on the tree alone, so models that differ only in utilities
 share them.
 
-build() owns the structural rules (non-empty ids, lambda in (0, 1], a
-nonzero Lambda, no cycles, orphans or empty nests); from_nested() and
-from_flat() own the schemas of a model file's two node documents, the
-nested tree and the flat node list, and report each fault with its JSON
-path. The modelfile module only decodes and writes the JSON text.
+build() owns the structural rules (non-empty, writable ids, lambda in
+(0, 1], a nonzero Lambda, no cycles, orphans or empty nests);
+from_nested() and from_flat() own the schemas of a model file's two node
+documents, the nested tree and the flat node list, check each node with
+one shared routine and report each fault with its JSON path. The
+modelfile module only decodes and writes the JSON text.
 
 Traversals are iterative throughout; deep chains must not hit the
 interpreter recursion limit.
@@ -113,7 +114,8 @@ def build(
 
     Raises DuplicateIdError, CycleError, EmptyNestError, LambdaRangeError,
     RootLambdaError or OrphanNodeError when the description is not a valid
-    nest tree.
+    nest tree, and InvalidModelError for an empty id or one that is not
+    Unicode text (a lone surrogate), which no model file could hold.
     """
     root = str(root)
     children = {str(nest): tuple(map(str, kids)) for nest, kids in children.items()}
@@ -163,6 +165,9 @@ def build(
             seen.add(node)
             node = parent[node]
         raise OrphanNodeError(f"node {probe!r} is not reachable from root {root!r}")
+    if not _writable("".join(ids)):  # UTF-8 refuses every surrogate, so none spans two ids
+        bad = next(node for node in ids if not _writable(node))
+        raise InvalidModelError(f"node id {bad!r} holds a lone surrogate, not Unicode text")
 
     # Lambda placement and range. Nests need lambda in (0, 1]; leaves must
     # not carry one; the root is pinned at 1.
@@ -197,38 +202,64 @@ def build(
     )
 
 
-_NEST_KEYS = {"id", "lambda", "children"}
-_LEAF_KEYS = {"id", "utility"}
-
-
-def _number(value, key: str, fault) -> float:
-    """value as a float, converted once; JSON numbers only."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise fault(f'"{key}" must be a number')
+def _writable(text: str) -> bool:
+    """Whether text encodes as UTF-8. A JSON escape can decode to a lone
+    surrogate, which does not, and which no output can then write."""
     try:
-        return float(value)
-    except OverflowError:  # an integer literal past float range
-        raise fault(f'"{key}" does not fit in a float') from None
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
-def _key_fault(node: Mapping, expected: set, fault) -> ModelFileError:
-    """The fault of a node whose keys are not exactly the expected ones."""
-    keys = set(node)
-    if unknown := keys - expected:
-        return fault(f"unexpected key {sorted(unknown)[0]!r}")
-    return fault(f"missing key {sorted(expected - keys)[0]!r}")
-
-
-def _node_id(node_id, fault) -> str:
-    """node_id, once it is a non-empty string that any output can write."""
+def _read_node(node, form: tuple, lam: Mapping, utilities: Mapping, fault) -> tuple[str, bool, float]:
+    """(id, is_nest, value) of one node of either model-file form, its
+    lambda or utility converted once, or the first fault, built by
+    fault(message, field="", error=ModelFileError) with the node's path.
+    form is (marker, nest keys, leaf keys, wording): a nest holds the
+    marker and exactly the nest keys, a leaf "utility" and exactly the
+    leaf keys. lam and utilities hold the ids read so far."""
+    marker, nest_keys, leaf_keys, both = form
+    if type(node) is not dict and not isinstance(node, Mapping):
+        raise fault(f"expected an object, got {type(node).__name__}")
+    if marker in node:
+        if "utility" in node:
+            raise fault(f"a node cannot carry both {both} and a utility")
+        expected, key, is_nest = nest_keys, "lambda", True
+    elif "utility" in node:
+        expected, key, is_nest = leaf_keys, "utility", False
+    else:
+        raise fault(f'node needs either "{marker}" (nest) or "utility" (leaf)')
+    if node.keys() != expected:
+        keys = set(node)
+        if unknown := keys - expected:
+            raise fault(f"unexpected key {sorted(unknown)[0]!r}")
+        raise fault(f"missing key {sorted(expected - keys)[0]!r}")
+    node_id = node["id"]
     if not isinstance(node_id, str) or not node_id:
         raise fault('"id" must be a non-empty string')
-    if not node_id.isascii():
+    if not node_id.isascii() and not _writable(node_id):
+        raise fault(f"{node_id!r} holds a lone surrogate, not Unicode text", ".id")
+    if node_id in lam or node_id in utilities:
+        raise fault(f"node id {node_id!r} appears more than once", ".id", DuplicateIdError)
+    value = node[key]
+    if type(value) is not float:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise fault(f'"{key}" must be a number')
         try:
-            node_id.encode("utf-8")
-        except UnicodeEncodeError:  # a lone surrogate escape, which no output can write
-            raise fault(f"{node_id!r} holds a lone surrogate, not Unicode text", ".id") from None
-    return node_id
+            value = float(value)
+        except OverflowError:  # an integer literal past float range
+            raise fault(f'"{key}" does not fit in a float') from None
+    if not is_nest and not math.isfinite(value):
+        raise fault('"utility" must be finite')
+    return node_id, is_nest, value
+
+
+def _check_root(node: Mapping, is_nest: bool, value: float, fault) -> None:
+    if not is_nest:
+        raise fault("the root must be a nest, not a leaf")
+    if value != 1.0:
+        raise fault(f"root lambda must be 1.0, got {node['lambda']!r}", ".lambda")
 
 
 def from_nested(doc: Mapping) -> tuple[Arborescence, dict[str, float]]:
@@ -236,75 +267,49 @@ def from_nested(doc: Mapping) -> tuple[Arborescence, dict[str, float]]:
 
     The document is the "root" object of a nested model file: a nest is a
     dict with exactly "id", "lambda" and a non-empty "children" list, a
-    leaf one with exactly "id" and "utility". (from_flat reads the flat
-    form with the same checks on ids and numbers.) One walk over the
-    nodes, in document order, converts each number once and raises at the
-    first fault: a ModelFileError naming the JSON path (for instance
-    root.children[1].lambda) for a schema fault, DuplicateIdError for a
-    repeated id. The path is built only when a fault is raised, from
-    the child lists read so far, and plain dict, str and float nodes skip
-    the general checks they would pass. build() then applies the
+    leaf one with exactly "id" and "utility". One walk in document order
+    gives each node the check from_flat shares and raises at the first
+    fault with its JSON path (for instance root.children[1].lambda),
+    built only then from the child lists read so far: DuplicateIdError
+    for a repeated id, else ModelFileError. build() then applies the
     structural rules. Returns the tree and the leaf utility map.
     """
     children: dict[str, list[str]] = {}
     up: dict[str, str | None] = {}  # nest -> its parent nest, for the path of a fault
     lam: dict[str, float] = {}
     utilities: dict[str, float] = {}
+    form = ("children", {"id", "lambda", "children"}, {"id", "utility"}, "children")
 
-    def fault(message: str, field: str = "") -> ModelFileError:
+    def fault(message: str, field: str = "", error=ModelFileError) -> InvalidModelError:
         # The node being read is the next child of parent.
         steps, node, at = [], None, parent
         while at is not None:
             steps.append(len(children[at]) if node is None else children[at].index(node))
             node, at = at, up[at]
         path = "".join(f".children[{i}]" for i in reversed(steps))
-        return ModelFileError(f"root{path}{field}: {message}")
+        return error(f"root{path}{field}: {message}")
 
     stack: list[tuple[object, str | None]] = [(doc, None)]
     while stack:
         node, parent = stack.pop()
-        if type(node) is not dict and not isinstance(node, Mapping):
-            raise fault(f"expected an object, got {type(node).__name__}")
-        if "children" in node:
-            if "utility" in node:
-                raise fault("a node cannot carry both children and a utility")
-            expected = _NEST_KEYS
-        elif "utility" in node:
-            expected = _LEAF_KEYS
-        else:
-            raise fault('node needs either "children" (nest) or "utility" (leaf)')
-        if node.keys() != expected:
-            raise _key_fault(node, expected, fault)
-        node_id = _node_id(node["id"], fault)
-        if node_id in children or node_id in utilities:
-            raise DuplicateIdError(f"node id {node_id!r} appears more than once")
-        if expected is _NEST_KEYS:
-            value = node["lambda"]
-            lam[node_id] = value if type(value) is float else _number(value, "lambda", fault)
+        node_id, is_nest, value = _read_node(node, form, lam, utilities, fault)
+        if is_nest:
             kids = node["children"]
             if not isinstance(kids, list):
                 raise fault('"children" must be a list')
             if not kids:
                 raise fault('"children" must not be empty')
+            lam[node_id] = value
             children[node_id] = []  # filled as each child is read
             up[node_id] = parent
             stack += [(kid, node_id) for kid in reversed(kids)]
         else:
-            value = node["utility"]
-            value = utilities[node_id] = value if type(value) is float else _number(value, "utility", fault)
-            if not math.isfinite(value):
-                raise fault('"utility" must be finite')
+            utilities[node_id] = value
         if parent is not None:
             children[parent].append(node_id)
-        elif node_id in utilities:
-            raise fault("the root must be a nest, not a leaf")
-        elif lam[node_id] != 1.0:
-            raise fault(f"root lambda must be 1.0, got {node['lambda']!r}", ".lambda")
+        else:
+            _check_root(node, is_nest, value, fault)
     return build(doc["id"], children, lam), utilities
-
-
-_FLAT_NEST_KEYS = {"id", "parent", "lambda"}
-_FLAT_LEAF_KEYS = {"id", "parent", "utility"}
 
 
 def from_flat(nodes: list) -> tuple[Arborescence, dict[str, float]]:
@@ -317,62 +322,39 @@ def from_flat(nodes: list) -> tuple[Arborescence, dict[str, float]]:
     every other node names as its parent a nest listed before it, so one
     pass in list order reads the tree, nothing recurses, and no list can
     describe a cycle. A nest's children are the nodes that name it, in
-    list order. Faults raise as from_nested's do, at the first one in list
-    order, with the path nodes[i] or nodes[i].field: a ModelFileError for
-    a schema fault, DuplicateIdError for a repeated id. build() then
-    applies the structural rules, such as a nest that no node names.
+    list order. Each node gets from_nested's check, then its parent's, and
+    a fault raises as there, with the path nodes[i] or nodes[i].field.
+    build() then applies the structural rules.
     """
     children: dict[str, list[str]] = {}
     lam: dict[str, float] = {}
     utilities: dict[str, float] = {}
-    i = 0
+    form = ("lambda", {"id", "parent", "lambda"}, {"id", "parent", "utility"}, "a lambda")
 
-    def fault(message: str, field: str = "") -> ModelFileError:
-        return ModelFileError(f"nodes[{i}]{field}: {message}")
+    def fault(message: str, field: str = "", error=ModelFileError) -> InvalidModelError:
+        return error(f"nodes[{i}]{field}: {message}")
 
     for i, node in enumerate(nodes):
-        if type(node) is not dict and not isinstance(node, Mapping):
-            raise fault(f"expected an object, got {type(node).__name__}")
-        if "lambda" in node:
-            if "utility" in node:
-                raise fault("a node cannot carry both a lambda and a utility")
-            expected = _FLAT_NEST_KEYS
-        elif "utility" in node:
-            expected = _FLAT_LEAF_KEYS
-        else:
-            raise fault('node needs either "lambda" (nest) or "utility" (leaf)')
-        if node.keys() != expected:
-            raise _key_fault(node, expected, fault)
-        node_id = _node_id(node["id"], fault)
-        if node_id in children or node_id in utilities:
-            raise DuplicateIdError(f"nodes[{i}].id: node id {node_id!r} appears more than once")
+        node_id, is_nest, value = _read_node(node, form, lam, utilities, fault)
+        # Checked before the node is stored: a node naming itself is not listed yet.
         parent = node["parent"]
         if type(parent) is str and parent in children:
             children[parent].append(node_id)
         elif parent is None:
             if i:
                 raise fault("only the first node, the root, has a null parent", ".parent")
+            _check_root(node, is_nest, value, fault)
         elif not isinstance(parent, str):
             raise fault('"parent" must be a node id, or null for the root', ".parent")
         elif parent in utilities:
             raise fault(f"{parent!r} is a leaf, not a nest", ".parent")
         else:
             raise fault(f"{parent!r} is not a nest listed before this node", ".parent")
-        if expected is _FLAT_NEST_KEYS:
-            value = node["lambda"]
-            lam[node_id] = value if type(value) is float else _number(value, "lambda", fault)
+        if is_nest:
+            lam[node_id] = value
             children[node_id] = []  # filled as each child is read
         else:
-            value = node["utility"]
-            value = utilities[node_id] = value if type(value) is float else _number(value, "utility", fault)
-            if not math.isfinite(value):
-                raise fault('"utility" must be finite')
-        if parent is not None:
-            continue
-        if node_id in utilities:
-            raise fault("the root must be a nest, not a leaf")
-        if lam[node_id] != 1.0:
-            raise fault(f"root lambda must be 1.0, got {node['lambda']!r}", ".lambda")
+            utilities[node_id] = value
     if not children:
         raise ModelFileError("nodes: the list is empty, so there is no root")
     return build(next(iter(children)), children, lam), utilities

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through subprocess: reports, files, exit codes."""
 
+import csv
 import io
 import json
 import math
@@ -381,6 +382,20 @@ def test_sample_zero_draws_header_only(single_layer_path, tmp_path):
     out = tmp_path / "empty.csv"
     payload(run_cli("sample", single_layer_path, "--draws", "0", "--out", str(out)))
     assert out.read_text() == "1,2,3\n"
+
+
+def test_sample_header_reads_back_with_a_csv_reader(tmp_path):
+    # An id holding a comma, a quote, CR or LF is quoted as in RFC 4180.
+    ids = ["car, fast", 'say "hi"', "bus\nline", "tram\r", "plain"]
+    doc = {"root": {"id": "root", "lambda": 1.0, "children": [{"id": leaf, "utility": 0.0} for leaf in ids]}}
+    path, out = tmp_path / "m.json", tmp_path / "noise.csv"
+    path.write_text(json.dumps(doc))
+    payload(run_cli("sample", str(path), "--draws", "2", "--seed", "1", "--out", str(out)))
+    with open(out, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ids
+    assert [len(row) for row in rows] == [5, 5, 5]
+    assert out.read_bytes().startswith(b'"car, fast","say ""hi""","bus\nline","tram\r",plain\n')
 
 
 def test_sample_deterministic_files(single_layer_path, tmp_path):

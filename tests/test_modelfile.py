@@ -32,7 +32,7 @@ from nestlogit import (
     save_model,
 )
 from nestlogit.cli import main
-from nestlogit.tree import from_nested
+from nestlogit.tree import from_flat, from_nested
 from test_tree import FAULTS, nested_doc
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "models"
@@ -370,6 +370,10 @@ FLAT_FAULTS = [
     (lambda n: n[4].update(utility=float("inf")), ModelFileError, 'nodes[4]: "utility" must be finite'),
     (lambda n: n[3].update(id=""), ModelFileError, 'nodes[3]: "id" must be a non-empty string'),
     (lambda n: n[3].update(id="b\ud800"), ModelFileError, "nodes[3].id: 'b\\ud800' holds a lone surrogate, not Unicode text"),
+    # A node's own id is not listed while its parent is checked, and its
+    # number is checked before its parent, as in the nested form.
+    (lambda n: n[1].update(parent="a"), ModelFileError, "nodes[1].parent: 'a' is not a nest listed before this node"),
+    (lambda n: n[3].update(parent="zz", utility="x"), ModelFileError, 'nodes[3]: "utility" must be a number'),
     # The structural rules are build()'s.
     (lambda n: n.append({"id": "n2", "parent": "root", "lambda": 0.5}), EmptyNestError, "nest 'n2' has no children"),
     (lambda n: n[2].update({"lambda": 1.5}), LambdaRangeError, "lambda for nest 'n1' is 1.5, not in (0, 1]"),
@@ -382,6 +386,62 @@ def test_flat_fault_table(mutate, exc, message):
         loads_model(json.dumps(_nodes(mutate)))
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+def _both_forms(index, edit):
+    """GOOD_FLAT's node list and the same tree in the nested form, with
+    edit applied to node index of each."""
+    flat = json.loads(json.dumps(GOOD_FLAT["nodes"]))
+    ids, kids = [node["id"] for node in flat], [[] for _ in flat]
+    nested = [
+        {"id": node["id"], "lambda": node["lambda"], "children": children} if "lambda" in node
+        else {"id": node["id"], "utility": node["utility"]}
+        for node, children in zip(flat, kids)
+    ]
+    flat[index], nested[index] = edit(flat[index]), edit(nested[index])
+    for node, copy in zip(GOOD_FLAT["nodes"][1:], nested[1:]):
+        kids[ids.index(node["parent"])].append(copy)
+    return flat, nested[0]
+
+
+def _without(*keys):
+    return lambda node: {key: value for key, value in node.items() if key not in keys}
+
+
+# Each node fault both forms share: the index in GOOD_FLAT of the node to
+# edit, and the edit.
+SHARED_FAULTS = {
+    "object": (3, lambda node: [1]),
+    "unexpected-key": (2, lambda node: {**node, "w": 0}),
+    "missing-key": (3, _without("id")),
+    "id": (3, lambda node: {**node, "id": 4}),
+    "lone-surrogate": (2, lambda node: {**node, "id": "n\ud800"}),
+    "duplicate": (4, lambda node: {**node, "id": "b"}),
+    "lambda-number": (2, lambda node: {**node, "lambda": "0.5"}),
+    "utility-number": (3, lambda node: {**node, "utility": True}),
+    "utility-overflow": (4, lambda node: {**node, "utility": 10**400}),
+    "lambda-overflow": (2, lambda node: {**node, "lambda": -10**400}),
+    "nan": (3, lambda node: {**node, "utility": float("nan")}),
+    "infinite": (1, lambda node: {**node, "utility": float("-inf")}),
+    "root-leaf": (0, lambda node: {**_without("lambda", "children")(node), "utility": 0.0}),
+    "root-lambda": (0, lambda node: {**node, "lambda": 0.5}),
+}
+# GOOD_FLAT's nodes by index, as paths in the nested form.
+NESTED_PATHS = ["root", "root.children[0]", "root.children[1]", "root.children[1].children[0]", "root.children[1].children[1]"]
+_NODE_PATH = re.compile(r"(root(?:\.children\[\d+\])*|nodes\[\d+\])(\.\w+)?: (.*)")
+
+
+@pytest.mark.parametrize("index, edit", SHARED_FAULTS.values(), ids=list(SHARED_FAULTS))
+def test_both_forms_report_a_node_fault_alike(index, edit):
+    flat, nested = _both_forms(index, edit)
+    faults = []
+    for read, doc in ((from_flat, flat), (from_nested, nested)):
+        with pytest.raises(NestLogitError) as info:
+            read(doc)
+        path, field, tail = _NODE_PATH.fullmatch(str(info.value)).groups()
+        faults.append((path, type(info.value), field, tail))
+    assert [path for path, *_ in faults] == [f"nodes[{index}]", NESTED_PATHS[index]]
+    assert faults[0][1:] == faults[1][1:]
 
 
 @pytest.mark.parametrize("doc, message", [

@@ -159,6 +159,22 @@ def test_rejects_empty_id():
         build("", {"": ("a",)}, {})
 
 
+@pytest.mark.parametrize("root, children, bad", [
+    ("r", {"r": ("a", "b\ud800")}, "b\ud800"),
+    ("r", {"r": ("n\udfff", "a"), "n\udfff": ("x",)}, "n\udfff"),
+    ("r\ud800", {"r\ud800": ("a",)}, "r\ud800"),
+])
+def test_rejects_lone_surrogate_ids(root, children, bad):
+    # No model file can hold such an id, so save_model could not write a
+    # tree that load_model reads back.
+    lam = {nest: 0.5 for nest in children if nest != root}
+    with pytest.raises(InvalidModelError) as info:
+        build(root, children, lam)
+    assert type(info.value) is InvalidModelError
+    assert str(info.value) == f"node id {bad!r} holds a lone surrogate, not Unicode text"
+    assert build("r", {"r": ("a", "b\u00e9", "\U0001F68C")}, {}).leaves == ("a", "b\u00e9", "\U0001F68C")
+
+
 def test_rejects_rootless_input():
     with pytest.raises(EmptyNestError):
         build("r", {"a": ("x",)}, {"a": 0.5})
@@ -277,8 +293,8 @@ FAULTS = [
     (edit_at(D, id=4), ModelFileError, f'{D_PATH}: "id" must be a non-empty string'),
     (edit_at(D, id="d\ud800"), ModelFileError, f"{D_PATH}.id: 'd\\ud800' holds a lone surrogate, not Unicode text"),
     (edit_at(N3, id="\udfffé"), ModelFileError, f"{N3_PATH}.id: '\\udfffé' holds a lone surrogate, not Unicode text"),
-    (edit_at(D, id="b"), DuplicateIdError, "node id 'b' appears more than once"),
-    (edit_at(N3, id="n1"), DuplicateIdError, "node id 'n1' appears more than once"),
+    (edit_at(D, id="b"), DuplicateIdError, f"{D_PATH}.id: node id 'b' appears more than once"),
+    (edit_at(N3, id="n1"), DuplicateIdError, f"{N3_PATH}.id: node id 'n1' appears more than once"),
     (edit_at((), **{"lambda": 0.5}), ModelFileError, "root.lambda: root lambda must be 1.0, got 0.5"),
     (edit_at((), **{"lambda": 2}), ModelFileError, "root.lambda: root lambda must be 1.0, got 2"),
     (lambda doc: doc.clear() or doc.update(id="r", utility=0.0), ModelFileError, "root: the root must be a nest, not a leaf"),
@@ -288,9 +304,9 @@ FAULTS = [
     (lambda doc: edit_at(N3, **{"lambda": "x"})(doc) or edit_at((1, 0), id="")(doc),
      ModelFileError, 'root.children[1].children[0]: "id" must be a non-empty string'),
     (edit_at(N3, children=[{"id": "c", "utility": 0.0}, {"id": "c", "utility": "x"}]),
-     DuplicateIdError, "node id 'c' appears more than once"),
+     DuplicateIdError, f"{D_PATH}.id: node id 'c' appears more than once"),
     (lambda doc: edit_at((1, 1, 1), utility=None)(doc) or edit_at(D, id="a")(doc),
-     DuplicateIdError, "node id 'a' appears more than once"),
+     DuplicateIdError, f"{D_PATH}.id: node id 'a' appears more than once"),
     (lambda doc: edit_at((), **{"lambda": 0.5})(doc) or edit_at(D, id=1)(doc),
      ModelFileError, "root.lambda: root lambda must be 1.0, got 0.5"),
 ]
