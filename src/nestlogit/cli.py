@@ -297,6 +297,8 @@ def _cmd_probs(args) -> dict:
     stream = SeededStream(args.seed)
     if args.method == "mc":
         estimates = mc_choice_probs(model, stream, args.draws, n_threads=args.threads)
+    elif args.draws < 2:  # the per-leaf means need 2 draws for a standard error
+        raise DomainError(f"argument --draws: must be an integer in [2, inf) with --method mixed, got '{args.draws}'")
     else:
         estimates = mixed_logit_probs(model, stream, args.draws, n_threads=args.threads)
     return {
@@ -656,7 +658,7 @@ def _build_parser(command: str | None = None) -> _Parser:
         q = stable_sub.add_parser("laplace", help="Monte Carlo Laplace transform against exp(-t^lambda)")
         q.add_argument("--lambda", dest="lam", type=float, required=True)
         q.add_argument("--t", type=_NONNEGATIVE, required=True)
-        common(q, model=False, stochastic=True, draws_default=1_000_000)
+        common(q, model=False, stochastic=True, draws_default=1_000_000, draws_min=2)
 
     if p := add("grad-check", _cmd_grad_check, "choice probabilities against complex-step derivatives of the inclusive value (exit 2 past the model's rounding bound)"):
         common(p)

@@ -24,13 +24,16 @@ in the same stream order.
 _factor_rows is the one sampler of these rows, and _fold the one chunk
 kernel that adds the leaf Gumbels: it folds the noise one leaf block at
 a time into what each draw keeps (noise columns, hit flags, the best
-total, with each chunk's win counts). sample_epsilon keeps every column
-in one leaves x draws store and returns its transpose as a SampleBatch
-named tuple; mc_choice_probs reads the win counts, mc_emax the best
-total per draw, mc_cdf a hit flag and mc_correlation two columns, and
-verify.run_checks all of them at once. _fold refuses a negative draw
-count before it allocates; the floors below which an estimate is
-undefined belong to montecarlo's estimators.
+total, with each chunk's win counts). A block searches for winners only
+among the draws whose running best it strictly improves, so ties go to
+the earliest column, within a block as across blocks, and a block that
+improves few draws costs little more than its max. sample_epsilon
+keeps every column in one leaves x draws store and returns its transpose
+as a SampleBatch named tuple; mc_choice_probs reads the win counts,
+mc_emax the best total per draw, mc_cdf a hit flag and mc_correlation
+two columns, and verify.run_checks all of them at once. _fold refuses a
+negative draw count before it allocates; the floors below which an
+estimate is undefined belong to montecarlo's estimators.
 mixed_logit_probs splits the leaf Gumbels once more into exact
 softmaxes. Generation is chunked by montecarlo.run_chunked with one
 substream per chunk, so results are bit-identical no matter how many
@@ -141,8 +144,10 @@ def _fold(
       intp array cols;
     - hits[k] stays True while eps <= bounds[k] (bound vectors x leaves x 1);
     - best takes max_j (u_j + eps_j) for the utility column u, and counts
-      how often each column won (ties to the earliest, as argmax does);
-      counting reads the running best but never writes it.
+      how often each column won (ties to the earliest, as argmax does): a
+      block's argmax runs only over the draws whose block max strictly
+      beats their running best, and its first maximum replaces their
+      winner; counting reads the running best but never writes it.
     Everything per draw is allocated before any draw is made.
     """
     if n_draws < 0:
@@ -171,13 +176,18 @@ def _fold(
                 hit &= np.all(eps <= bounds[:, b], axis=1)
             if top is not None:
                 eps += u[b]
-                one_row = len(eps) == 1  # few leaves at full chunks
-                block_top = eps[0] if one_row else eps.max(axis=0)
-                col = b.start if one_row else eps.argmax(axis=0) + b.start
-                # Strict, so the earliest column keeps a tie. Columns only
-                # grow from block to block, so a draw's winner is the
-                # largest column that beat its running best.
-                np.maximum(won, (block_top > top) * col, out=won)
+                # Strict, so the earliest column keeps a tie across blocks.
+                # Columns only grow from block to block, so a draw the block
+                # improves takes its winner from this block.
+                if len(eps) == 1:  # few leaves at full chunks
+                    block_top = eps[0]
+                    np.maximum(won, (block_top > top) * b.start, out=won)
+                else:
+                    # argmax (the first maximum) only over the draws the
+                    # block improves, a shrinking share once the best settles
+                    block_top = eps.max(axis=0)
+                    idx = np.flatnonzero(block_top > top)
+                    won[idx] = eps[:, idx].argmax(axis=0) + b.start
                 np.maximum(top, block_top, out=top)
                 del eps, block_top  # block_top may view eps: free both before the next draw
         return None if won is None else np.bincount(won, minlength=len(coeffs))

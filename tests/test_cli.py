@@ -696,13 +696,18 @@ def test_laplace_at_zero_is_one_even_past_overflowing_draws():
 
 
 def test_one_draw_exits_one_without_a_standard_error(depth3_path):
-    # One draw printed a standard error of 0.0 for every estimate.
-    for args in (("probs", depth3_path, "--method", "mixed", "--draws", "1"),
-                 ("stable", "laplace", "--lambda", "0.5", "--t", "1", "--draws", "1")):
-        proc = run_cli(*args)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr == "error: a mean's standard error needs at least 2 draws\n"
+    # One draw printed a standard error of 0.0 for every estimate, and then
+    # an error that named no flag. Both commands now name --draws and its floor.
+    proc = run_cli("probs", depth3_path, "--method", "mixed", "--draws", "1")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: argument --draws: must be an integer in [2, inf) with --method mixed, got '1'\n"
+    proc = run_cli("stable", "laplace", "--lambda", "0.5", "--t", "1", "--draws", "1")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.endswith("nestlogit stable laplace: error: argument --draws: must be an integer in [2, inf), got '1'\n")
+    # Two draws are enough for both, and mc needs no standard error floor.
+    assert run_cli("probs", depth3_path, "--method", "mixed", "--draws", "2").returncode == 0
+    assert run_cli("stable", "laplace", "--lambda", "0.5", "--t", "1", "--draws", "2").returncode == 0
+    assert run_cli("probs", depth3_path, "--method", "mc", "--draws", "1").returncode == 0
 
 
 def test_version():

@@ -354,12 +354,15 @@ def full_batch_reductions(model, batch, bounds):
 
 
 # (model, draws, threads): full depth3 chunks of one-row leaf blocks, about
-# 250 leaves over a dozen row blocks, and a 600-nest chain.
+# 250 leaves over a dozen row blocks, a 600-nest chain, and that chain over
+# chunks of 4,096 and 904 draws, whose leaf blocks hold 16 and 72 rows.
 REDUCER_CASES = {
     "depth3-two-chunks-t1": (None, CHUNK_SIZE + 50, 1),
     "depth3-two-chunks-t2": (None, CHUNK_SIZE + 50, 2),
     "random250": (lambda: random_model(np.random.default_rng(5), max_nodes=400), 3000, 1),
     "chain600": (lambda: chain_model(600), 256, 1),
+    "chain600-two-chunks-t1": (lambda: chain_model(600), 5000, 1),
+    "chain600-two-chunks-t2": (lambda: chain_model(600), 5000, 2),
 }
 
 
@@ -395,6 +398,54 @@ def test_tie_goes_to_the_earliest_column():
     assert estimates[leaves[2]].value == 1.0
     counts, _, _ = full_batch_reductions(model, sample_epsilon(model, SeededStream(8), 3000), dict.fromkeys(leaves, 0.0))
     assert counts[2] == 3000
+
+
+# A leaf block searches for winners only among the draws it improves.
+# About 250 leaves at 3,000 draws make k leaf blocks of 21 rows. Each case
+# maps (leaves, rows per block) to utilities, names the column that wins
+# every draw (None: no one column), and maps k to the blocks that improve
+# every draw's running best and those that improve none. 1e308 + eps
+# rounds to 1e308.
+WINNER_SEARCH_CASES = {
+    # a tie inside block 1: the earlier column wins
+    "tie-in-block": (
+        lambda leaves, rows: {leaves[rows + 3]: 1e308, leaves[rows + 4]: 1e308}, 21 + 3, lambda k: ([1], range(2, k))
+    ),
+    "first-block-wins": (lambda leaves, rows: {leaves[5]: 1e308}, 5, lambda k: ([], range(1, k))),
+    "last-leaf-wins": (lambda leaves, rows: {leaves[-1]: 1e308}, -1, lambda k: ([k - 1], [])),
+    # each block sits 100 above the one before: the winners spread over
+    # the last block
+    "every-block-improves": (
+        lambda leaves, rows: {leaf: 100.0 * (k // rows) for k, leaf in enumerate(leaves)}, None, lambda k: (range(1, k), [])
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(WINNER_SEARCH_CASES))
+def test_winner_search_equals_full_batch_argmax(case):
+    model = random_model(np.random.default_rng(5), max_nodes=400)
+    leaves, n, rows = model.tree.leaves, 3000, 21
+    blocks = simulate._blocks(len(leaves), n)
+    assert blocks[0] == slice(0, rows)
+    utilities, winner, improving = WINNER_SEARCH_CASES[case]
+    model = with_utilities(model, utilities(leaves, rows))
+    u = simulate._leaf_column(model, model.utilities)
+    batch = sample_epsilon(model, SeededStream(9), n)
+    # share of the draws whose running best each block strictly improves
+    tops = np.maximum.reduceat(batch.draws + u.T, [b.start for b in blocks], axis=1)
+    share = np.r_[1.0, (tops[:, 1:] > np.maximum.accumulate(tops, axis=1)[:, :-1]).mean(axis=0)]
+    every, none = improving(len(blocks))
+    assert (share[list(every)] == 1).all() and (share[list(none)] == 0).all()
+    counts, _, best = full_batch_reductions(model, batch, dict.fromkeys(leaves, 0.0))
+    if winner is None:
+        assert np.count_nonzero(counts[blocks[-1]]) > 1
+    else:
+        assert counts[winner] == n
+    assert mc_choice_probs(model, SeededStream(9), n) == {
+        leaf: binomial_estimate(int(counts[i]), n) for i, leaf in enumerate(leaves)
+    }
+    # each draw's best total, which mc_emax averages (a mean of 1e308s overflows)
+    assert_array_equal(simulate._fold(model, SeededStream(9), n, 1, u=u)[2], best)
 
 
 def test_mixed_logit_example(single_layer_model):
