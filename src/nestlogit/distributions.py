@@ -92,9 +92,11 @@ def _log_tan_sum(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.log(x, out=x)
 
 
-def _kanter_log(rng: np.random.Generator, lam, m: int) -> np.ndarray:
+def _kanter_log(rng: np.random.Generator, lam, m: int, keep=None) -> np.ndarray:
     """eta = lam * log Z for a (rows x m) block: m draws of Z ~ P(lam[r])
-    in row r, for a sequence lam of values in (0, 1).
+    in row r, for a sequence lam of values in (0, 1). With a boolean mask
+    keep over the rows, every row is drawn but only the kept rows are
+    computed and returned, each the same bits as without the mask.
 
     Z = (a(U)/E)^((1-lam)/lam) with U uniform on (0, pi), E standard
     exponential and
@@ -115,20 +117,32 @@ def _kanter_log(rng: np.random.Generator, lam, m: int) -> np.ndarray:
 
     Row by row, rng gives the row's m uniforms (times pi, bitwise
     rng.uniform(0, pi)) and then its m exponentials, so a block consumes
-    the stream exactly as one call per row would. The arithmetic then runs
-    once over the block, in place, in the one-row order of operations, so
-    each row is the same bits whichever rows share its block.
+    the stream exactly as one call per row would. The arithmetic
+    (_kanter_eta) then runs once over the block, in place, in the one-row
+    order of operations, so each row is the same bits whichever rows share
+    its block.
     """
     import numpy as np
 
-    lam = np.asarray(lam, dtype=float)[:, None]
-    c = 1.0 - lam
-    lo, hi = np.minimum(lam, c), np.maximum(lam, c)
+    lam = np.asarray(lam, dtype=float)
     h = np.empty((len(lam), m))
     e = np.empty_like(h)
     for h_row, e_row in zip(h, e):
         rng.random(out=h_row)
         rng.standard_exponential(out=e_row)
+    if keep is not None:
+        lam, h, e = lam[keep], h[keep], e[keep]
+    return _kanter_eta(lam, h, e)
+
+
+def _kanter_eta(lam: np.ndarray, h: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """_kanter_log's arithmetic on a block of raw uniforms h and
+    exponentials e, row r at lam[r]; h and e are overwritten."""
+    import numpy as np
+
+    lam = lam[:, None]
+    c = 1.0 - lam
+    lo, hi = np.minimum(lam, c), np.maximum(lam, c)
     h *= _HALF_PI  # U/2, bitwise: the float pi/2 is the float pi halved
     np.clip(h, 0.5 * _ANGLE_EPS, 0.5 * (math.pi - _ANGLE_EPS), out=h)
     np.maximum(e, sys.float_info.min, out=e)

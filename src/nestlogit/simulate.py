@@ -31,9 +31,15 @@ improves few draws costs little more than its max. sample_epsilon
 keeps every column in one leaves x draws store and returns its transpose
 as a SampleBatch named tuple; mc_choice_probs reads the win counts,
 mc_emax the best total per draw, mc_cdf a hit flag and mc_correlation
-two columns, and verify.run_checks all of them at once. _fold refuses a
-negative draw count before it allocates; the floors below which an
-estimate is undefined belong to montecarlo's estimators.
+two columns, and verify.run_checks all of them at once. A leaf's noise
+depends only on the factors on its own root path, so a fold that keeps
+only some columns (mc_correlation's) computes only the factor rows of
+their root paths and only the leaf blocks that hold them: it still
+draws every factor, skips an unread block's uniforms by advancing the
+generator, and stops after the last block it reads, so its columns are
+the same bits as sample_epsilon's. _fold refuses a negative draw count
+before it allocates; the floors below which an estimate is undefined
+belong to montecarlo's estimators.
 mixed_logit_probs splits the leaf Gumbels once more into exact
 softmaxes. Generation is chunked by montecarlo.run_chunked with one
 substream per chunk, so results are bit-identical no matter how many
@@ -99,25 +105,40 @@ def _blocks(n_rows: int, m: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
-def _factor_rows(tree: Arborescence):
+def _factor_rows(tree: Arborescence, cols=None):
     """Each leaf's parent-nest row (in leaf preorder) and rows(sub, m):
     it draws eta_n = lambda_n * log Z_n from sub for the nests with
     lambda_n < 1 in preorder and returns the (nests x m) prefix sums of
-    Lambda_n * log Z_n, each taken as Lambda_parent * eta_n."""
+    Lambda_n * log Z_n, each taken as Lambda_parent * eta_n.
+
+    Given leaf columns cols, only the rows of the nests on their parents'
+    root paths are computed, the same bits as in the full rows; every
+    factor is still drawn, in the same order, and the other rows are left
+    unfinished."""
     n, up = len(tree.nests), tree.up
     lam = np.array([tree.lam[nest] for nest in tree.nests])
     factors = np.flatnonzero(lam < 1.0)  # rows of the nests that draw a factor
     lam, big_lam = lam[factors], np.array(tree.scale)[np.array(up)[factors], None]
+    keep, sums = None, range(1, n)
+    if cols is not None:
+        need = [False] * n
+        for i in {up[n + c] for c in cols.tolist()}:
+            while i >= 0 and not need[i]:
+                need[i], i = True, up[i]
+        if not all(need):
+            keep, sums = np.array(need)[factors], [i for i in sums if need[i]]
 
     def rows(sub: SeededStream, m: int) -> np.ndarray:
         acc = np.zeros((n, m))
         for b in _blocks(len(factors), m):
-            eta = _kanter_log(sub.rng, lam[b], m)
-            eta *= big_lam[b]
-            acc[factors[b]] = eta
+            mask = None if keep is None else keep[b]
+            kept = b if mask is None else b.start + np.flatnonzero(mask)
+            eta = _kanter_log(sub.rng, lam[b], m, mask)
+            eta *= big_lam[kept]
+            acc[factors[kept]] = eta
         # Non-root nests in preorder: every parent row is complete before
         # a child adds it in.
-        for i in range(1, n):
+        for i in sums:
             acc[i] += acc[up[i]]
         return acc
 
@@ -141,7 +162,10 @@ def _fold(
     order. Each block eps (leaves x draws), Lambda_leaf * eps'_j plus the
     leaf's parent-nest row, is folded as it comes:
     - row i of store takes noise column cols[i], for a sorted distinct
-      intp array cols;
+      intp array cols. Asked for some columns only (no u, no bounds),
+      it computes only their root paths' factor rows and the leaf blocks
+      that hold them, skips an unread block's uniforms with
+      bit_generator.advance and stops after the last block it reads;
     - hits[k] stays True while eps <= bounds[k] (bound vectors x leaves x 1);
     - best takes max_j (u_j + eps_j) for the utility column u, and counts
       how often each column won (ties to the earliest, as argmax does): a
@@ -153,8 +177,9 @@ def _fold(
     if n_draws < 0:
         raise DomainError("n_draws must be nonnegative")
     tree = model.tree
-    parent_rows, rows = _factor_rows(tree)
     coeffs = np.array(tree.scale[len(tree.nests):])[:, None]
+    subset = u is None and bounds is None and len(cols) < len(coeffs)
+    parent_rows, rows = _factor_rows(tree, cols if subset else None)
     store = None if cols is None else np.empty((len(cols), n_draws))
     hits = None if bounds is None else np.ones((len(bounds), n_draws), dtype=bool)
     best = None if u is None else np.full(n_draws, -np.inf)
@@ -166,11 +191,17 @@ def _fold(
         top = None if best is None else best[start:stop]
         won = None if top is None else np.zeros(m, dtype=np.intp)
         for b in _blocks(len(coeffs), m):
+            if store is not None:
+                lo, hi = np.searchsorted(cols, (b.start, b.stop))
+                if subset and lo == hi:
+                    if lo == len(cols):
+                        break  # nothing reads the substream after the last column
+                    sub.rng.bit_generator.advance(coeffs[b].size * m)  # the block's uniforms
+                    continue
             eps = gumbel_sample(sub, size=coeffs[b].size * m).reshape(-1, m)
             eps *= coeffs[b]
             eps += acc[parent_rows[b]]
             if store is not None:
-                lo, hi = np.searchsorted(cols, (b.start, b.stop))
                 store[lo:hi, start:stop] = eps[cols[lo:hi] - b.start]
             if hits is not None:
                 hit &= np.all(eps <= bounds[:, b], axis=1)
@@ -254,7 +285,10 @@ def mc_correlation(
 
     The exact value is 1 - Lambda_lca^2 for the leaves' lowest common
     ancestor. The standard error is the normal-theory approximation
-    (1 - r^2)/sqrt(n - 3).
+    (1 - r^2)/sqrt(n - 3). The columns are sample_epsilon's, bit for bit,
+    but only they are folded: per draw it costs every factor's raw draws,
+    Kanter's arithmetic on the nests of the pair's two root paths and the
+    Gumbels of the leaf blocks that hold the pair, not the whole tree's.
     """
     for leaf in (leaf_a, leaf_b):
         require_leaf(model.tree, leaf, "noise columns belong to leaves")

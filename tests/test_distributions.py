@@ -88,6 +88,11 @@ def test_kanter_block_equals_one_row_calls(m):
     rng = SeededStream(9).rng
     assert np.array_equal(block, [kanter_one_row(rng, lam, m) for lam in lams])
     assert np.array_equal(stable_log_sample(SeededStream(9), 0.01, size=m), block[0] / 0.01)
+    # A mask computes only its rows, the same bits, and still draws them all.
+    keep = np.array([False, True, False, False, True, False])
+    masked = SeededStream(9).rng
+    assert np.array_equal(_kanter_log(masked, lams, m, keep), block[keep])
+    assert masked.random() == rng.random()
 
 
 class FixedDraws:

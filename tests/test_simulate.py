@@ -388,6 +388,109 @@ def test_streamed_reducers_equal_full_batch(case, depth3_model):
         assert mc_correlation(model, SeededStream(6), leaves[a], leaves[b], n, n_threads=threads) == expected
 
 
+def unit_nest_chain_model():
+    # chain600 with n300 at lambda = 1: it draws no factor, so every root
+    # path below it crosses a nest without a factor row of its own
+    tree = chain_tree(600, 0.999)
+    tree = build(tree.root, tree.children, {**tree.lam, "n300": 1.0})
+    return make_model(tree, {leaf: 0.0 for leaf in tree.leaves})
+
+
+# Where a pair's columns sit among the leaf blocks of the first chunk:
+# (block of the first column, block of the second, block count) -> bool.
+LAYOUTS = {
+    "one block": lambda a, b, k: a == b,
+    "first block": lambda a, b, k: a == b == 0,
+    "last block": lambda a, b, k: a == b == k - 1,
+    "skipped between": lambda a, b, k: b - a > 1,
+}
+
+# (model, draws, threads, pair of columns given the leaf count, layout).
+# depth3 at 300 draws is one leaf block; at full chunks a block is one
+# row. About 250 leaves at 3,000 draws make leaf blocks of 21 rows, a
+# 600-nest chain (602 leaves) at 256 draws three blocks of 256 rows and at
+# 5,000 draws two chunks of 4,096 and 904 draws.
+CORRELATION_CASES = {
+    "depth3-one-block": (None, 300, 1, lambda n: (0, 3), "one block"),
+    "depth3-two-chunks-t1": (None, CHUNK_SIZE + 50, 1, lambda n: (0, 3), "skipped between"),
+    "depth3-two-chunks-t2": (None, CHUNK_SIZE + 50, 2, lambda n: (0, 3), "skipped between"),
+    "random250-first-block": ("random250", 3000, 1, lambda n: (0, 20), "first block"),
+    "random250-last-block": ("random250", 3000, 1, lambda n: (n - 2, n - 1), "last block"),
+    "random250-skipped-between": ("random250", 3000, 1, lambda n: (3, 200), "skipped between"),
+    "random250-same-leaf": ("random250", 3000, 1, lambda n: (100, 100), "one block"),
+    "chain600-first-block": ("chain600", 256, 1, lambda n: (100, 200), "first block"),
+    # x1 and x0, whose parents are n1 and the root
+    "chain600-last-block": ("chain600", 256, 1, lambda n: (n - 2, n - 1), "last block"),
+    "chain600-skipped-between": ("chain600", 256, 1, lambda n: (51, 591), "skipped between"),
+    "chain600-two-chunks-t1": ("chain600", 5000, 1, lambda n: (251, 591), "skipped between"),
+    "chain600-two-chunks-t2": ("chain600", 5000, 2, lambda n: (251, 591), "skipped between"),
+    # x351 and x350, whose root paths cross n300 at lambda = 1
+    "unit-nest-path": ("unit-nest", 256, 1, lambda n: (250, 251), "first block"),
+}
+CORRELATION_MODELS = {
+    "random250": lambda: random_model(np.random.default_rng(5), max_nodes=400),
+    "chain600": lambda: chain_model(600),
+    "unit-nest": unit_nest_chain_model,
+}
+
+
+@pytest.mark.parametrize("case", list(CORRELATION_CASES))
+def test_mc_correlation_equals_sample_columns(case, depth3_model):
+    # mc_correlation folds only its pair's root paths and leaf blocks; the
+    # columns it reads must be sample_epsilon's, bit for bit.
+    make, n, threads, pair, layout = CORRELATION_CASES[case]
+    model = depth3_model if make is None else CORRELATION_MODELS[make]()
+    leaves = model.tree.leaves
+    a, b = pair(len(leaves))
+    blocks = simulate._blocks(len(leaves), min(n, simulate._chunk_size(model.tree)))
+    block_of = [i for i, blk in enumerate(blocks) for _ in range(blk.start, min(blk.stop, len(leaves)))]
+    assert LAYOUTS[layout](block_of[a], block_of[b], len(blocks))
+    batch = sample_epsilon(model, SeededStream(64), n, n_threads=threads)
+    expected = correlation_with_error(batch.draws[:, a], batch.draws[:, b])
+    assert mc_correlation(model, SeededStream(64), leaves[a], leaves[b], n, n_threads=threads) == expected
+
+
+def test_mc_correlation_folds_only_its_pair(monkeypatch):
+    # The 3,000-nest chain's x350 and x351 at 256 draws: their parents n350
+    # and n351 lie 350 and 351 nests below the root, so of the 3,000 factor
+    # rows only the 351 of n1..n351 get Kanter's arithmetic, and of the 12
+    # leaf blocks of 256 rows only the one holding columns 2,650 and 2,651
+    # is transformed. Every factor row is still drawn.
+    from nestlogit import distributions
+
+    kept, eta_rows, gumbels = [], [], []
+    kanter_log, kanter_eta = simulate._kanter_log, distributions._kanter_eta
+
+    def spied_kanter_log(rng, lam, m, keep=None):
+        kept.append(np.ones(len(lam), dtype=bool) if keep is None else keep)
+        return kanter_log(rng, lam, m, keep)
+
+    def spied_kanter_eta(lam, h, e):
+        eta_rows.append(len(lam))
+        return kanter_eta(lam, h, e)
+
+    def spied_gumbel(stream, size):
+        gumbels.append(size)
+        return gumbel_sample(stream, size)
+
+    monkeypatch.setattr(simulate, "_kanter_log", spied_kanter_log)
+    monkeypatch.setattr(distributions, "_kanter_eta", spied_kanter_eta)
+    monkeypatch.setattr(simulate, "gumbel_sample", spied_gumbel)
+    model = chain_model(3000)
+    assert [model.tree.slot[leaf] - len(model.tree.nests) for leaf in ("x350", "x351")] == [2651, 2650]
+    mc_correlation(model, SeededStream(65), "x350", "x351", 256)
+    # factor row r is nest n(r + 1)
+    assert len(np.concatenate(kept)) == 3000
+    assert_array_equal(np.flatnonzero(np.concatenate(kept)), np.arange(351))
+    assert sum(eta_rows) == 351
+    assert gumbels == [256 * 256]
+    # a full fold still transforms every row and every block
+    kept.clear(), eta_rows.clear(), gumbels.clear()
+    sample_epsilon(model, SeededStream(65), 256)
+    assert np.concatenate(kept).all() and sum(eta_rows) == 3000
+    assert gumbels == [256 * 256] * 11 + [186 * 256]
+
+
 def test_tie_goes_to_the_earliest_column():
     # At 3,000 draws a leaf block holds 21 rows, so columns 2 and 100 sit in
     # different blocks. 1e308 + eps rounds to 1e308 for both: every draw ties.

@@ -57,6 +57,15 @@ def test_fresh_rewinds():
     assert_array_equal(first, again)
 
 
+@pytest.mark.parametrize("k", [0, 1, 7, 65_536 + 3])
+def test_advance_skips_uniforms(k):
+    # A columns-only fold skips a leaf block it does not read by advancing
+    # the generator past the block's uniforms: one step per random() draw.
+    skipped = fresh(SeededStream(13).child(2)).rng
+    skipped.bit_generator.advance(k)
+    assert_array_equal(skipped.random(100), SeededStream(13).child(2).rng.random(k + 100)[k:])
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 1.0, True, False, "7", None, np.float64(3.0), np.True_])
 def test_seed_range_checked(seed):
     # A bool, float or str would replay an integer seed's draws under a
