@@ -618,7 +618,7 @@ def _build_parser(command: str | None = None) -> _Parser:
         if stochastic:
             p.add_argument("--draws", type=_integer(draws_min), default=draws_default, help="number of draws")
             p.add_argument("--seed", type=_integer(0, 2**64), default=0, help="random seed (echoed in the report)")
-            p.add_argument("--threads", type=_integer(1), default=1, help="worker threads, at most the usable CPUs and the chunk count; never changes output")
+            p.add_argument("--threads", type=_integer(1), default=1, help="worker threads, at most the usable CPUs; never changes output")
         p.add_argument("--pretty", action="store_true", help="human-readable text instead of JSON")
 
     if p := add("validate", _cmd_validate, "parse and validate a model file, print its metrics"):
@@ -677,7 +677,7 @@ def _build_parser(command: str | None = None) -> _Parser:
         common(p, stochastic=True, draws_default=50_000, draws_min=4)
 
     if p := add("frechet-corr", _cmd_frechet_corr, "Gumbel-coupled Frechet correlation, closed form and optional MC"):
-        p.add_argument("--alpha", type=float, required=True)
+        p.add_argument("--alpha", type=_POSITIVE, required=True)
         p.add_argument("--lambda", dest="lam", type=float, required=True)
         p.add_argument("--mc", type=_integer(4), metavar="DRAWS", help="also estimate by simulation")
         p.add_argument("--seed", type=_integer(0, 2**64), default=0)

@@ -48,7 +48,7 @@ __all__ = ["frechet_corr", "frechet_pair_sample", "mc_frechet_corr"]
 def _check_alpha_lambda(alpha: float, lam: float, need_variance: bool) -> tuple[float, float]:
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
+        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
     if need_variance and alpha <= 2.0:
         raise DomainError(
             f"correlation requires alpha > 2 (finite variance), got {alpha!r}"

@@ -92,11 +92,10 @@ def _log_tan_sum(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.log(x, out=x)
 
 
-def _kanter_log(rng: np.random.Generator, lam, m: int, keep=None) -> np.ndarray:
+def _kanter_log(rng: np.random.Generator, lam, m: int) -> np.ndarray:
     """eta = lam * log Z for a (rows x m) block: m draws of Z ~ P(lam[r])
-    in row r, for a sequence lam of values in (0, 1). With a boolean mask
-    keep over the rows, every row is drawn but only the kept rows are
-    computed and returned, each the same bits as without the mask.
+    in row r, for a sequence lam of values in (0, 1): _kanter_draws, then
+    _kanter_eta.
 
     Z = (a(U)/E)^((1-lam)/lam) with U uniform on (0, pi), E standard
     exponential and
@@ -120,19 +119,25 @@ def _kanter_log(rng: np.random.Generator, lam, m: int, keep=None) -> np.ndarray:
     the stream exactly as one call per row would. The arithmetic
     (_kanter_eta) then runs once over the block, in place, in the one-row
     order of operations, so each row is the same bits whichever rows share
-    its block.
+    its block, and whichever thread computes it once it is drawn.
     """
     import numpy as np
 
     lam = np.asarray(lam, dtype=float)
-    h = np.empty((len(lam), m))
+    return _kanter_eta(lam, *_kanter_draws(rng, len(lam), m))
+
+
+def _kanter_draws(rng: np.random.Generator, rows: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The raw (rows x m) uniforms h and exponentials e of a Kanter block,
+    drawn row by row, each row's m uniforms before its m exponentials."""
+    import numpy as np
+
+    h = np.empty((rows, m))
     e = np.empty_like(h)
     for h_row, e_row in zip(h, e):
         rng.random(out=h_row)
         rng.standard_exponential(out=e_row)
-    if keep is not None:
-        lam, h, e = lam[keep], h[keep], e[keep]
-    return _kanter_eta(lam, h, e)
+    return h, e
 
 
 def _kanter_eta(lam: np.ndarray, h: np.ndarray, e: np.ndarray) -> np.ndarray:

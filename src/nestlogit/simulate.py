@@ -46,17 +46,26 @@ substream per chunk, so results are bit-identical no matter how many
 worker threads produced them. The chunk size is a function of the tree
 alone (_chunk_size): 65,536 draws while a chunk's factor rows fit 2^22
 floats, fewer on trees with more than 64 nests, so each running chunk
-holds at most 32 MiB of factor rows.
+holds at most 32 MiB of factor rows. A run of one chunk with more
+than one worker spreads _fold's chunk over them: the factor blocks
+are drawn in stream order, one at a time under a lock, and their
+Kanter arithmetic runs in parallel; the leaf blocks are cut into one
+contiguous range per worker, each reading a copy of the chunk's
+generator advanced past the uniforms of the blocks before it (a leaf
+uniform takes exactly one generator output). The ranges merge in block
+order, so the bits are those of one worker.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import threading
 from collections import namedtuple
 
 import numpy as np
 
-from .distributions import EULER_GAMMA, _kanter_log, gumbel_sample
+from .distributions import EULER_GAMMA, _kanter_draws, _kanter_eta, _kanter_log, gumbel_sample
 from .errors import DomainError
 from .model import ModelSpec, _leaf_values
 from .montecarlo import (
@@ -99,10 +108,25 @@ def _chunk_size(tree: Arborescence) -> int:
     return min(CHUNK_SIZE, 1 << max(fit.bit_length() - 1, 0))
 
 
-def _blocks(n_rows: int, m: int) -> list[slice]:
-    # At most CHUNK_SIZE floats per block: one row at full chunks.
-    step = max(1, CHUNK_SIZE // m)
+def _blocks(n_rows: int, m: int, workers: int = 1) -> list[slice]:
+    # At most CHUNK_SIZE floats per block over all workers, but at least
+    # one row: one row at full chunks.
+    step = max(1, CHUNK_SIZE // (m * workers))
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
+# What gumbel_sample reads of a stream: a generator.
+_Lane = namedtuple("_Lane", "rng")
+
+
+def _ahead(sub: SeededStream, floats: int):
+    """sub itself at floats = 0, else a lane on a copy of sub's generator
+    advanced by floats outputs (one per uniform), sub left where it is."""
+    if not floats:
+        return sub
+    bits = copy.copy(sub.rng.bit_generator)
+    bits.advance(floats)
+    return _Lane(np.random.Generator(bits))
 
 
 def _factor_rows(tree: Arborescence, cols=None):
@@ -114,7 +138,13 @@ def _factor_rows(tree: Arborescence, cols=None):
     Given leaf columns cols, only the rows of the nests on their parents'
     root paths are computed, the same bits as in the full rows; every
     factor is still drawn, in the same order, and the other rows are left
-    unfinished."""
+    unfinished.
+
+    Given workers and a fan (see montecarlo.run_chunked), each worker
+    takes the next factor block under a lock and draws it there, so the
+    blocks take the stream in row order; Kanter's arithmetic runs after
+    the lock is released, and a row's bits do not depend on its block.
+    The prefix sums stay on the calling thread."""
     n, up = len(tree.nests), tree.up
     lam = np.array([tree.lam[nest] for nest in tree.nests])
     factors = np.flatnonzero(lam < 1.0)  # rows of the nests that draw a factor
@@ -128,14 +158,26 @@ def _factor_rows(tree: Arborescence, cols=None):
         if not all(need):
             keep, sums = np.array(need)[factors], [i for i in sums if need[i]]
 
-    def rows(sub: SeededStream, m: int) -> np.ndarray:
+    def rows(sub: SeededStream, m: int, workers: int = 1, fan=map) -> np.ndarray:
         acc = np.zeros((n, m))
-        for b in _blocks(len(factors), m):
-            mask = None if keep is None else keep[b]
-            kept = b if mask is None else b.start + np.flatnonzero(mask)
-            eta = _kanter_log(sub.rng, lam[b], m, mask)
-            eta *= big_lam[kept]
-            acc[factors[kept]] = eta
+        todo, lock = iter(_blocks(len(factors), m, workers)), threading.Lock()
+
+        def work(_) -> None:
+            while True:
+                with lock:
+                    b = next(todo, None)
+                    if b is None:
+                        return
+                    h, e = _kanter_draws(sub.rng, len(factors[b]), m)
+                kept = b
+                if keep is not None:
+                    kept, h, e = b.start + np.flatnonzero(keep[b]), h[keep[b]], e[keep[b]]
+                eta = _kanter_eta(lam[kept], h, e)
+                eta *= big_lam[kept]
+                acc[factors[kept]] = eta
+
+        for _ in fan(work, range(workers)):
+            pass
         # Non-root nests in preorder: every parent row is complete before
         # a child adds it in.
         for i in sums:
@@ -172,6 +214,18 @@ def _fold(
       block's argmax runs only over the draws whose block max strictly
       beats their running best, and its first maximum replaces their
       winner; counting reads the running best but never writes it.
+
+    Given more than one worker (run_chunked does so in a run of one
+    chunk), the chunk's blocks, capped at CHUNK_SIZE floats over all
+    workers but at least one row, are spread over them. The factor blocks go as in
+    _factor_rows. The leaf blocks are cut into contiguous ranges, one per
+    worker; each range reads a copy of the chunk's generator advanced by
+    the uniforms of the blocks before it and folds into its own hit flags,
+    running best and winners. The ranges merge in block order: hit flags
+    by AND, the best by max, a winner only where a later range strictly
+    beats the best so far, so ties still go to the earliest column. Every
+    output is the same bits at any worker count; one worker is the
+    one-range case, with no copy.
     Everything per draw is allocated before any draw is made.
     """
     if n_draws < 0:
@@ -184,46 +238,63 @@ def _fold(
     hits = None if bounds is None else np.ones((len(bounds), n_draws), dtype=bool)
     best = None if u is None else np.full(n_draws, -np.inf)
 
-    def kernel(sub: SeededStream, start: int, stop: int):
+    def kernel(sub: SeededStream, start: int, stop: int, workers: int, fan):
         m = stop - start
-        acc = rows(sub, m)
-        hit = None if hits is None else hits[:, start:stop]
-        top = None if best is None else best[start:stop]
-        won = None if top is None else np.zeros(m, dtype=np.intp)
-        for b in _blocks(len(coeffs), m):
-            if store is not None:
-                lo, hi = np.searchsorted(cols, (b.start, b.stop))
-                if subset and lo == hi:
-                    if lo == len(cols):
-                        break  # nothing reads the substream after the last column
-                    sub.rng.bit_generator.advance(coeffs[b].size * m)  # the block's uniforms
-                    continue
-            eps = gumbel_sample(sub, size=coeffs[b].size * m).reshape(-1, m)
-            eps *= coeffs[b]
-            eps += acc[parent_rows[b]]
-            if store is not None:
-                store[lo:hi, start:stop] = eps[cols[lo:hi] - b.start]
-            if hits is not None:
-                hit &= np.all(eps <= bounds[:, b], axis=1)
+        acc = rows(sub, m, workers, fan)
+        blocks = _blocks(len(coeffs), m, workers)
+        cuts = [len(blocks) * w // workers for w in range(workers + 1)]
+        # Made before any range draws: each lane starts where its first block's uniforms do.
+        ranges = [(_ahead(sub, blocks[lo].start * m), blocks[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+
+        def fold(lane_blocks):
+            lane, part = lane_blocks
+            first = lane is sub  # the first range writes straight into the run's arrays
+            hit = None if hits is None else hits[:, start:stop] if first else np.ones((len(bounds), m), dtype=bool)
+            top = None if best is None else best[start:stop] if first else np.full(m, -np.inf)
+            won = None if top is None else np.zeros(m, dtype=np.intp)
+            for b in part:
+                if store is not None:
+                    lo, hi = np.searchsorted(cols, (b.start, b.stop))
+                    if subset and lo == hi:
+                        if lo == len(cols):
+                            break  # nothing reads the substream after the last column
+                        lane.rng.bit_generator.advance(coeffs[b].size * m)  # the block's uniforms
+                        continue
+                eps = gumbel_sample(lane, size=coeffs[b].size * m).reshape(-1, m)
+                eps *= coeffs[b]
+                eps += acc[parent_rows[b]]
+                if store is not None:
+                    store[lo:hi, start:stop] = eps[cols[lo:hi] - b.start]
+                if hit is not None:
+                    hit &= np.all(eps <= bounds[:, b], axis=1)
+                if top is not None:
+                    eps += u[b]
+                    # Strict, so the earliest column keeps a tie across blocks.
+                    # Columns only grow from block to block, so a draw the block
+                    # improves takes its winner from this block.
+                    if len(eps) == 1:  # few leaves at full chunks
+                        block_top = eps[0]
+                        np.maximum(won, (block_top > top) * b.start, out=won)
+                    else:
+                        # argmax (the first maximum) only over the draws the
+                        # block improves, a shrinking share once the best settles
+                        block_top = eps.max(axis=0)
+                        idx = np.flatnonzero(block_top > top)
+                        won[idx] = eps[:, idx].argmax(axis=0) + b.start
+                    np.maximum(top, block_top, out=top)
+                    del eps, block_top  # block_top may view eps: free both before the next draw
+            return hit, top, won
+
+        (hit, top, won), *later = fan(fold, ranges)
+        for hit_r, top_r, won_r in later:
+            if hit is not None:
+                hit &= hit_r
             if top is not None:
-                eps += u[b]
-                # Strict, so the earliest column keeps a tie across blocks.
-                # Columns only grow from block to block, so a draw the block
-                # improves takes its winner from this block.
-                if len(eps) == 1:  # few leaves at full chunks
-                    block_top = eps[0]
-                    np.maximum(won, (block_top > top) * b.start, out=won)
-                else:
-                    # argmax (the first maximum) only over the draws the
-                    # block improves, a shrinking share once the best settles
-                    block_top = eps.max(axis=0)
-                    idx = np.flatnonzero(block_top > top)
-                    won[idx] = eps[:, idx].argmax(axis=0) + b.start
-                np.maximum(top, block_top, out=top)
-                del eps, block_top  # block_top may view eps: free both before the next draw
+                np.copyto(won, won_r, where=top_r > top)
+                np.maximum(top, top_r, out=top)
         return None if won is None else np.bincount(won, minlength=len(coeffs))
 
-    counts = run_chunked(stream, n_draws, kernel, n_threads=n_threads, chunk_size=_chunk_size(tree))
+    counts = run_chunked(stream, n_draws, kernel, n_threads=n_threads, chunk_size=_chunk_size(tree), split=True)
     return store, hits, best, None if u is None else sum(counts, np.zeros(len(coeffs), dtype=np.intp))
 
 

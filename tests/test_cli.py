@@ -651,6 +651,10 @@ BAD_VALUES = {
     ("--draws", "-1"): (("stable", "sample", "--lambda", "0.5"),),
     ("--draws", "0"): (("stable", "laplace", "--lambda", "0.5", "--t", "1"),),
     ("--mc", "0"): (FRECHET,),
+    ("--alpha", "inf"): (FRECHET, FRECHET_MC),
+    ("--alpha", "nan"): (FRECHET, FRECHET_MC),
+    ("--alpha", "0"): (FRECHET, FRECHET_MC),
+    ("--alpha", "-1"): (FRECHET, FRECHET_MC),
     # grad-check works out its step and tolerance, so it has neither flag:
     # argparse refuses them as unrecognized, naming flag and value.
     ("--step", "0"): (GRAD_CHECK,),

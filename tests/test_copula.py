@@ -116,6 +116,9 @@ def test_frechet_corr_domain():
     for alpha, lam in [(2.0, 0.5), (1.5, 0.5), (3.0, 0.0), (3.0, 1.5), (3.0, -0.1)]:
         with pytest.raises(DomainError):
             frechet_corr(alpha, lam)
+    for alpha in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError, match="^alpha must be positive and finite, got "):
+            frechet_corr(alpha, 0.5)
 
 
 def test_pair_sample_marginals():

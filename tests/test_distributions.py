@@ -27,7 +27,7 @@ from nestlogit import (
     stable_sample,
     stable_survival_series,
 )
-from nestlogit.distributions import _kanter_log
+from nestlogit.distributions import _kanter_draws, _kanter_eta, _kanter_log
 from nestlogit.montecarlo import mean_with_error
 
 KS_1PCT = 1.63  # asymptotic 1% critical coefficient, D_crit = 1.63/sqrt(n)
@@ -88,10 +88,12 @@ def test_kanter_block_equals_one_row_calls(m):
     rng = SeededStream(9).rng
     assert np.array_equal(block, [kanter_one_row(rng, lam, m) for lam in lams])
     assert np.array_equal(stable_log_sample(SeededStream(9), 0.01, size=m), block[0] / 0.01)
-    # A mask computes only its rows, the same bits, and still draws them all.
+    # The draw half and the arithmetic half: the arithmetic on some rows
+    # of a drawn block gives those rows, the same bits.
     keep = np.array([False, True, False, False, True, False])
     masked = SeededStream(9).rng
-    assert np.array_equal(_kanter_log(masked, lams, m, keep), block[keep])
+    h, e = _kanter_draws(masked, len(lams), m)
+    assert np.array_equal(_kanter_eta(np.array(lams)[keep], h[keep], e[keep]), block[keep])
     assert masked.random() == rng.random()
 
 

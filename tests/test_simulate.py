@@ -6,6 +6,7 @@ the headline comparisons at 10^6 draws.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from nestlogit import (
     sample_epsilon,
     with_utilities,
 )
-from nestlogit import simulate
+from nestlogit import montecarlo, simulate
 from nestlogit.distributions import gumbel_sample, stable_log_sample
 from nestlogit.montecarlo import (
     CHUNK_SIZE,
@@ -241,14 +242,14 @@ def test_noise_is_drawn_in_row_blocks(monkeypatch):
     # The 3,000-deep chain at 256 draws: 3,000 factor nests and 3,002
     # leaves, 256 rows per block, so 12 Kanter and 12 Gumbel calls. Drawing
     # per nest and per leaf would make 3,000 and 3,002.
-    calls = {"_kanter_log": 0, "gumbel_sample": 0}
+    calls = {"_kanter_draws": 0, "gumbel_sample": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(simulate, name), **kwargs):
             calls[_name] += 1
             return _f(*args, **kwargs)
         monkeypatch.setattr(simulate, name, counted)
     sample_epsilon(chain_model(3000), SeededStream(63), 256)
-    assert 0 < calls["_kanter_log"] <= 12 and 0 < calls["gumbel_sample"] <= 12, calls
+    assert 0 < calls["_kanter_draws"] <= 12 and 0 < calls["gumbel_sample"] <= 12, calls
 
 
 def test_marginals_are_standard_gumbel(depth3_model, single_layer_model):
@@ -456,38 +457,38 @@ def test_mc_correlation_folds_only_its_pair(monkeypatch):
     # rows only the 351 of n1..n351 get Kanter's arithmetic, and of the 12
     # leaf blocks of 256 rows only the one holding columns 2,650 and 2,651
     # is transformed. Every factor row is still drawn.
-    from nestlogit import distributions
+    drawn, computed, gumbels = [], [], []
+    kanter_draws, kanter_eta = simulate._kanter_draws, simulate._kanter_eta
 
-    kept, eta_rows, gumbels = [], [], []
-    kanter_log, kanter_eta = simulate._kanter_log, distributions._kanter_eta
-
-    def spied_kanter_log(rng, lam, m, keep=None):
-        kept.append(np.ones(len(lam), dtype=bool) if keep is None else keep)
-        return kanter_log(rng, lam, m, keep)
+    def spied_kanter_draws(rng, rows, m):
+        h, e = kanter_draws(rng, rows, m)
+        drawn.append(h.copy())
+        return h, e
 
     def spied_kanter_eta(lam, h, e):
-        eta_rows.append(len(lam))
+        computed.append(h.copy())
         return kanter_eta(lam, h, e)
 
     def spied_gumbel(stream, size):
         gumbels.append(size)
         return gumbel_sample(stream, size)
 
-    monkeypatch.setattr(simulate, "_kanter_log", spied_kanter_log)
-    monkeypatch.setattr(distributions, "_kanter_eta", spied_kanter_eta)
+    monkeypatch.setattr(simulate, "_kanter_draws", spied_kanter_draws)
+    monkeypatch.setattr(simulate, "_kanter_eta", spied_kanter_eta)
     monkeypatch.setattr(simulate, "gumbel_sample", spied_gumbel)
     model = chain_model(3000)
     assert [model.tree.slot[leaf] - len(model.tree.nests) for leaf in ("x350", "x351")] == [2651, 2650]
     mc_correlation(model, SeededStream(65), "x350", "x351", 256)
-    # factor row r is nest n(r + 1)
-    assert len(np.concatenate(kept)) == 3000
-    assert_array_equal(np.flatnonzero(np.concatenate(kept)), np.arange(351))
-    assert sum(eta_rows) == 351
+    # factor row r is nest n(r + 1): all 3,000 are drawn, and the arithmetic
+    # runs on the raw draws of rows 0..350 alone
+    assert len(np.concatenate(drawn)) == 3000
+    assert_array_equal(np.concatenate(computed), np.concatenate(drawn)[:351])
     assert gumbels == [256 * 256]
     # a full fold still transforms every row and every block
-    kept.clear(), eta_rows.clear(), gumbels.clear()
+    drawn.clear(), computed.clear(), gumbels.clear()
     sample_epsilon(model, SeededStream(65), 256)
-    assert np.concatenate(kept).all() and sum(eta_rows) == 3000
+    assert_array_equal(np.concatenate(computed), np.concatenate(drawn))
+    assert len(np.concatenate(drawn)) == 3000
     assert gumbels == [256 * 256] * 11 + [186 * 256]
 
 
@@ -549,6 +550,113 @@ def test_winner_search_equals_full_batch_argmax(case):
     }
     # each draw's best total, which mc_emax averages (a mean of 1e308s overflows)
     assert_array_equal(simulate._fold(model, SeededStream(9), n, 1, u=u)[2], best)
+
+
+def depth3_tree_model():
+    tree = build("root", {"root": ("a", "leaf3"), "a": ("b", "leaf2"), "b": ("leaf0", "leaf1")}, {"a": 0.5, "b": 0.5})
+    return make_model(tree, {leaf: 0.0 for leaf in tree.leaves})
+
+
+def star_model(leaves):
+    tree = build("root", {"root": tuple(f"x{i}" for i in range(leaves))}, {})
+    return make_model(tree, {leaf: 0.0 for leaf in tree.leaves})
+
+
+# (model, draws, pairs of columns given the leaf count) for the forced
+# split below. Every run but one is a single chunk, so its blocks,
+# CHUNK_SIZE // (draws x workers) rows each but at least one, are cut
+# into one range per worker:
+# - depth3 at 6,000 draws is one leaf block at 2 workers and two at 3 and
+#   4, so a range is empty; over two chunks it stays chunk-parallel, the
+#   control;
+# - the wide tree (1,314 leaves) at 1,000 draws has 42 to 83 leaf blocks;
+# - the 600-nest chain at 256 draws has 5 to 10 leaf blocks of 128 to 64
+#   rows: columns 0 and 1 sit in the first, the last two in the last, and
+#   5 and 595, 200 and 550 have skipped blocks inside both ranges at 2
+#   workers and inside the first and last at 3 and 4;
+# - root -> one leaf is one block of one row, with no factor at all.
+SPLIT_CASES = {
+    "depth3": (depth3_tree_model, 6000, lambda n: [(0, 3), (1, 2)]),
+    "depth3-two-chunks": (depth3_tree_model, CHUNK_SIZE + 50, lambda n: [(0, 3)]),
+    "wide": (lambda: random_model(np.random.default_rng(0), max_nodes=2000), 1000,
+             lambda n: [(0, 5), (n - 2, n - 1), (40, 1200)]),
+    "chain600": (lambda: chain_model(600), 256, lambda n: [(0, 1), (n - 2, n - 1), (5, 595), (200, 550)]),
+    "one-leaf": (lambda: make_model(build("root", {"root": ("x",)}, {}), {"x": 0.0}), 100, lambda n: [(0, 0)]),
+}
+
+
+def every_fold(model, n, pairs, threads):
+    """What each _fold caller returns for model at n draws."""
+    from nestlogit.copula import mc_frechet_corr
+    from nestlogit.verify import run_checks
+
+    leaves = model.tree.leaves
+    bounds = {leaf: 0.5 + 0.25 * (i % 5) for i, leaf in enumerate(leaves)}
+    return {
+        "sample_epsilon": sample_epsilon(model, SeededStream(71), n, threads).draws.tobytes(),
+        "mc_choice_probs": mc_choice_probs(model, SeededStream(72), n, threads),
+        "mc_emax": mc_emax(model, SeededStream(73), n, threads),
+        "mc_cdf": mc_cdf(model, SeededStream(74), bounds, n, threads),
+        "mc_correlation": [mc_correlation(model, SeededStream(75), leaves[a], leaves[b], n, threads) for a, b in pairs],
+        "run_checks": run_checks(model, SeededStream(76), n, threads),
+        "mc_frechet_corr": mc_frechet_corr(SeededStream(77), 3.0, 0.5, n, threads),
+    }
+
+
+@pytest.fixture(scope="module")
+def one_worker_folds():
+    return {}
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize("case", list(SPLIT_CASES))
+def test_split_chunks_give_the_same_bits(monkeypatch, one_worker_folds, case, workers):
+    # n_threads workers on as many usable CPUs, through a real pool.
+    make, n, pairs = SPLIT_CASES[case]
+    model = make()
+    pairs = pairs(len(model.tree.leaves))
+    assert (math.ceil(n / simulate._chunk_size(model.tree)) == 1) == (case != "depth3-two-chunks")
+    if case not in one_worker_folds:
+        one_worker_folds[case] = every_fold(model, n, pairs, 1)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+    split = every_fold(model, n, pairs, workers)
+    for caller, expected in one_worker_folds[case].items():
+        assert split[caller] == expected, caller
+
+
+def test_split_fold_keeps_its_bits_under_fast_thread_switching(monkeypatch):
+    # 8 workers, more than this suite's hosts have cores, switching threads
+    # every microsecond, on the 600-nest chain at 256 draws: 19 factor and
+    # 19 leaf blocks of 32 rows. A factor block drawn out of stream order or
+    # a lost write would change the bits.
+    model = chain_model(600)
+    u = simulate._leaf_column(model, {leaf: 0.01 * (i % 7) for i, leaf in enumerate(model.tree.leaves)})
+    expected = simulate._fold(model, SeededStream(79), 256, 1, u=u, cols=np.arange(len(u)))
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            store, _, best, counts = simulate._fold(model, SeededStream(79), 256, 8, u=u, cols=np.arange(len(u)))
+            assert_array_equal(store, expected[0])
+            assert_array_equal(best, expected[2])
+            assert_array_equal(counts, expected[3])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_split_ties_go_to_column_zero(monkeypatch, workers):
+    # 600 leaves under the root, equal utilities and every Gumbel the same
+    # constant: every draw ties across every leaf block and every range.
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(simulate, "gumbel_sample", lambda stream, size: np.full(size, 0.5))
+    model = star_model(600)
+    assert len(simulate._blocks(600, 600, workers)) > workers
+    estimates = mc_choice_probs(model, SeededStream(78), 600, workers)
+    assert estimates["x0"].value == 1.0
+    assert all(estimates[leaf].value == 0.0 for leaf in model.tree.leaves[1:])
+    assert_array_equal(simulate._fold(model, SeededStream(78), 600, workers, u=np.zeros((600, 1)))[2], 0.5)
 
 
 def test_mixed_logit_example(single_layer_model):

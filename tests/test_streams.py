@@ -141,18 +141,11 @@ def test_run_chunked_counts_and_order():
     assert np.all(out != 0.0)
 
 
-@pytest.mark.parametrize("threads, cpus, chunks, workers", [
-    (64, 2, 5, 2),  # capped by the usable CPUs
-    (64, 8, 5, 5),  # by the chunk count
-    (3, 8, 5, 3),  # by --threads
-    (64, 1, 5, None),  # one usable CPU: no pool at all
-    (4, 4, 1, None),  # one chunk: no pool at all
-    (64, None, 5, 3),  # no sched_getaffinity: os.cpu_count() of 3
-])
-def test_run_chunked_caps_its_workers(monkeypatch, threads, cpus, chunks, workers):
-    # A stand-in pool records max_workers and runs every task inline, so
-    # no real thread starts.
-    pools = []
+def inline_pool(monkeypatch, cpus):
+    """Patch in cpus usable CPUs and a stand-in pool that runs every task
+    inline, so no real thread starts. Returns the max_workers of each pool
+    made, the task count of each map and the tasks submitted one by one."""
+    pools, maps, submitted = [], [], []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -165,7 +158,15 @@ def test_run_chunked_caps_its_workers(monkeypatch, threads, cpus, chunks, worker
             return False
 
         def map(self, fn, tasks):
+            tasks = list(tasks)
+            maps.append(len(tasks))
             return map(fn, tasks)
+
+        def submit(self, fn, task):
+            submitted.append(task)
+            future = concurrent.futures.Future()
+            future.set_result(fn(task))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
     if cpus is None:
@@ -173,6 +174,48 @@ def test_run_chunked_caps_its_workers(monkeypatch, threads, cpus, chunks, worker
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    return pools, maps, submitted
+
+
+@pytest.mark.parametrize("threads, cpus, chunks, workers", [
+    (64, 2, 5, 2),  # capped by the usable CPUs
+    (64, 8, 5, 5),  # by the chunk count
+    (3, 8, 5, 3),  # by --threads
+    (64, 1, 5, None),  # one usable CPU: no pool at all
+    (4, 4, 1, None),  # one chunk: no pool at all
+    (64, None, 5, 3),  # no sched_getaffinity: os.cpu_count() of 3
+])
+def test_run_chunked_caps_its_workers(monkeypatch, threads, cpus, chunks, workers):
+    # A kernel that cannot split a chunk runs at most one worker per chunk.
+    pools, _, _ = inline_pool(monkeypatch, cpus)
     out = run_chunked(SeededStream(5), 10 * chunks - 3, lambda sub, start, stop: (start, stop), threads, 10)
     assert out == [(k, min(k + 10, 10 * chunks - 3)) for k in range(0, 10 * chunks - 3, 10)]
     assert pools == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("threads, cpus, chunks, pool, lanes", [
+    (4, 4, 1, 3, 4),  # one chunk on 4 CPUs: the kernel gets 4 workers, the caller and 3 threads
+    (4, 4, 3, 3, 1),  # two or more chunks stay chunk-parallel, even fewer than the workers
+    (4, 4, 4, 4, 1),  # as many chunks as workers: chunks in parallel, one worker each
+    (64, 2, 1, 1, 2),  # capped by the usable CPUs, not by the chunk count
+    (64, None, 1, 2, 3),  # no sched_getaffinity: os.cpu_count() of 3
+    (64, 1, 1, None, 1),  # one usable CPU: no pool at all
+    (1, 4, 1, None, 1),  # --threads 1: no pool at all
+])
+def test_run_chunked_hands_a_splitting_kernel_its_workers(monkeypatch, threads, cpus, chunks, pool, lanes):
+    # A kernel that splits a chunk (split=True) gets the worker count and a
+    # fan that runs the first item on the calling thread and the others on
+    # one pool for the whole run, but only in a run of one chunk; two or
+    # more chunks run in parallel, one worker each.
+    pools, maps, submitted = inline_pool(monkeypatch, cpus)
+
+    def kernel(sub, start, stop, n_workers, fan):
+        return start, stop, n_workers, list(fan(lambda x: -x, range(n_workers)))
+
+    out = run_chunked(SeededStream(5), 10 * chunks - 3, kernel, threads, 10, split=True)
+    assert out == [(k, min(k + 10, 10 * chunks - 3), lanes, list(range(0, -lanes, -1)))
+                   for k in range(0, 10 * chunks - 3, 10)]
+    assert pools == ([] if pool is None else [pool])
+    parallel = pool is not None and lanes == 1
+    assert maps == ([chunks] if parallel else [])
+    assert submitted == ([] if parallel else list(range(1, lanes)) * chunks)

@@ -11,6 +11,7 @@ import pytest
 
 import nestlogit.cli as cli
 import nestlogit.model as model_module
+import nestlogit.montecarlo as montecarlo
 import nestlogit.simulate as simulate
 import nestlogit.verify as verify
 from nestlogit import (
@@ -99,19 +100,24 @@ def test_streamed_checks_equal_full_batch(case, depth3_model):
     assert [c.observed for c in checks[-3:]] == full_batch_checks(model, SeededStream(12), n, threads)
 
 
-def test_streamed_reductions_hold_no_draws_by_leaves_matrix(depth3_model):
+def test_streamed_reductions_hold_no_draws_by_leaves_matrix(depth3_model, monkeypatch):
     # The 1,314-leaf, 388-nest wide tree at 5,000 draws: the noise matrix
     # would be 52.6 MB. Measured traced peaks: mc_choice_probs 18.3 MB (the
     # 388 x 5,000 factor rows and a best total per draw), run_checks
     # 37.5 MB (also the 464 distinct noise columns its 288 correlation pairs
     # read). Holding the matrix, both peaked at 71 MB. On depth3 at 10^6
     # draws mc_choice_probs peaks at 12.1 MB, and at 19.3 MB if it keeps
-    # each draw's winning column as well as its best total.
+    # each draw's winning column as well as its best total. Spread over two
+    # workers (two usable CPUs, one chunk), mc_choice_probs' blocks are
+    # halved, so the floats in flight stay those of one worker: 18.5-19.1
+    # MB against 18.7 MB measured.
     model = random_model(np.random.default_rng(0), max_nodes=2000)
     matrix = 5000 * len(model.tree.leaves) * 8
     peaks = {}
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     for name, run in [
         ("mc_choice_probs", lambda: mc_choice_probs(model, SeededStream(1), 5000)),
+        ("mc_choice_probs on 2 workers", lambda: mc_choice_probs(model, SeededStream(1), 5000, n_threads=2)),
         ("run_checks", lambda: run_checks(model, SeededStream(1), n_draws=5000)),
         ("depth3", lambda: mc_choice_probs(depth3_model, SeededStream(1), 1_000_000)),
     ]:
@@ -122,6 +128,7 @@ def test_streamed_reductions_hold_no_draws_by_leaves_matrix(depth3_model):
         finally:
             tracemalloc.stop()
     assert peaks["mc_choice_probs"] < 0.5 * matrix, peaks
+    assert peaks["mc_choice_probs on 2 workers"] < peaks["mc_choice_probs"] + 1e6, peaks
     assert peaks["run_checks"] < 0.75 * matrix, peaks
     assert peaks["depth3"] < 14e6, peaks
 
