@@ -22,24 +22,21 @@ Kanter and one Gumbel call per block rather than per nest and per leaf,
 in the same stream order.
 
 _factor_rows is the one sampler of these rows, and _fold the one chunk
-kernel that adds the leaf Gumbels: it folds the noise one leaf block at
-a time into what each draw keeps (noise columns, hit flags, the best
-total, with each chunk's win counts). A block searches for winners only
-among the draws whose running best it strictly improves, so ties go to
-the earliest column, within a block as across blocks, and a block that
-improves few draws costs little more than its max. sample_epsilon
-keeps every column in one leaves x draws store and returns its transpose
-as a SampleBatch named tuple; mc_choice_probs reads the win counts,
-mc_emax the best total per draw, mc_cdf a hit flag and mc_correlation
-two columns, and verify.run_checks all of them at once. A leaf's noise
-depends only on the factors on its own root path, so a fold that keeps
-only some columns (mc_correlation's) computes only the factor rows of
-their root paths and only the leaf blocks that hold them: it still
-draws every factor, skips an unread block's uniforms by advancing the
-generator, and stops after the last block it reads, so its columns are
-the same bits as sample_epsilon's. _fold refuses a negative draw count
-before it allocates; the floors below which an estimate is undefined
-belong to montecarlo's estimators.
+kernel that adds the leaf Gumbels. It folds the noise one leaf block at
+a time into reducers, one per kind of output, each owning its arrays and
+its merge of a chunk's ranges: _Columns keeps noise columns
+(sample_epsilon all of them, returned as the store's transpose in a
+SampleBatch named tuple; mc_correlation two), _Hits a flag per bound
+vector (mc_cdf) and _Best each draw's best total with each chunk's win
+counts (mc_choice_probs, mc_emax); verify.run_checks folds all three at
+once. A leaf's noise depends only on the factors on its own root path,
+so when the reducers read only some columns, _fold computes only the
+factor rows of their root paths and only the leaf blocks that hold
+them: it still draws every factor, skips an unread block's uniforms by
+advancing the generator, and stops after the last block it reads, so
+the columns are the same bits as sample_epsilon's. _fold refuses a
+negative draw count before it makes its reducers; the floors below
+which an estimate is undefined belong to montecarlo's estimators.
 mixed_logit_probs splits the leaf Gumbels once more into exact
 softmaxes. Generation is chunked by montecarlo.run_chunked with one
 substream per chunk, so results are bit-identical no matter how many
@@ -47,13 +44,12 @@ worker threads produced them. The chunk size is a function of the tree
 alone (_chunk_size): 65,536 draws while a chunk's factor rows fit 2^22
 floats, fewer on trees with more than 64 nests, so each running chunk
 holds at most 32 MiB of factor rows. A run of one chunk with more
-than one worker spreads _fold's chunk over them: the factor blocks
-are drawn in stream order, one at a time under a lock, and their
-Kanter arithmetic runs in parallel; the leaf blocks are cut into one
-contiguous range per worker, each reading a copy of the chunk's
-generator advanced past the uniforms of the blocks before it (a leaf
-uniform takes exactly one generator output). The ranges merge in block
-order, so the bits are those of one worker.
+than one worker spreads _fold's chunk over them: the factor blocks as
+_factor_rows says, the leaf blocks in one contiguous range per worker,
+each reading a copy of the chunk's generator advanced past the uniforms
+of the blocks before it (a leaf uniform takes exactly one generator
+output). The reducers merge the ranges in block order, so the bits are
+those of one worker.
 """
 
 from __future__ import annotations
@@ -62,6 +58,7 @@ import copy
 import math
 import threading
 from collections import namedtuple
+from functools import partial
 
 import numpy as np
 
@@ -176,8 +173,7 @@ def _factor_rows(tree: Arborescence, cols=None):
                 eta *= big_lam[kept]
                 acc[factors[kept]] = eta
 
-        for _ in fan(work, range(workers)):
-            pass
+        list(fan(work, range(workers)))
         # Non-root nests in preorder: every parent row is complete before
         # a child adds it in.
         for i in sums:
@@ -192,53 +188,117 @@ def _leaf_column(model: ModelSpec, values) -> np.ndarray:
     return np.array([values[leaf] for leaf in model.tree.leaves], dtype=float)[:, None]
 
 
-def _fold(
-    model: ModelSpec, stream: SeededStream, n_draws: int, n_threads: int,
-    u=None, bounds=None, cols=None,
-):
-    """The one run_chunked kernel that draws leaf noise, and what each
-    draw keeps of it: (store, hits, best, counts), None where not asked.
+class _Columns:
+    """Reducer of the leaf columns wanted (repeats allowed): store has a
+    row over the draws per distinct column, rows a view per wanted one."""
+
+    def __init__(self, wanted, n_draws: int):
+        self.wanted, self.cols = wanted, np.array(sorted(set(wanted)), dtype=np.intp)
+        self.store = np.empty((len(self.cols), n_draws))
+
+    @property
+    def rows(self) -> list:
+        return [self.store[i] for i in np.searchsorted(self.cols, self.wanted)]
+
+    def part(self, start: int, stop: int, first: bool) -> np.ndarray:
+        return self.store[:, start:stop]
+
+    def block(self, part: np.ndarray, b: slice, eps: np.ndarray) -> None:
+        lo, hi = np.searchsorted(self.cols, (b.start, b.stop))
+        part[lo:hi] = eps[self.cols[lo:hi] - b.start]
+
+    def close(self, parts: list) -> None:
+        pass  # the ranges wrote disjoint rows in place
+
+
+class _Hits:
+    """Reducer of hit flags: flags[k] stays True while eps <= bounds[k]
+    (bound vectors x leaves x 1). Ranges merge by AND."""
+
+    cols = None
+
+    def __init__(self, bounds: np.ndarray, n_draws: int):
+        self.bounds, self.flags = bounds, np.ones((len(bounds), n_draws), dtype=bool)
+
+    def part(self, start: int, stop: int, first: bool) -> np.ndarray:
+        return self.flags[:, start:stop] if first else np.ones((len(self.bounds), stop - start), dtype=bool)
+
+    def block(self, hit: np.ndarray, b: slice, eps: np.ndarray) -> None:
+        hit &= np.all(eps <= self.bounds[:, b], axis=1)
+
+    def close(self, parts: list) -> None:
+        np.logical_and.reduce(parts, out=parts[0])
+
+
+class _Best:
+    """Reducer of total, max_j (u_j + eps_j) per draw for the utility column
+    u, and counts, each column's wins (ties to the earliest, as in argmax).
+    It adds u to eps in place, so it goes last."""
+
+    cols = None
+
+    def __init__(self, u: np.ndarray, n_draws: int):
+        self.u, self.total, self.wins = u, np.full(n_draws, -np.inf), []
+
+    @property
+    def counts(self) -> np.ndarray:
+        return sum(self.wins, np.zeros(len(self.u), dtype=np.intp))
+
+    def part(self, start: int, stop: int, first: bool) -> tuple:
+        return (self.total[start:stop] if first else np.full(stop - start, -np.inf)), np.zeros(stop - start, np.intp)
+
+    def block(self, part: tuple, b: slice, eps: np.ndarray) -> None:
+        top, won = part
+        eps += self.u[b]
+        # Strict, so the earliest column keeps a tie across blocks. Columns
+        # only grow from block to block, so a draw the block improves takes
+        # its winner from this block.
+        if len(eps) == 1:  # few leaves at full chunks
+            block_top = eps[0]
+            np.maximum(won, (block_top > top) * b.start, out=won)
+        else:
+            # argmax (the first maximum) only over the draws the block
+            # improves, a shrinking share once the best settles
+            block_top = eps.max(axis=0)
+            idx = np.flatnonzero(block_top > top)
+            won[idx] = eps[:, idx].argmax(axis=0) + b.start
+        np.maximum(top, block_top, out=top)
+
+    def close(self, parts: list) -> None:
+        (top, won), *later = parts
+        for top_r, won_r in later:
+            np.copyto(won, won_r, where=top_r > top)
+            np.maximum(top, top_r, out=top)
+        self.wins.append(np.bincount(won, minlength=len(self.u)))  # chunks in any order: integer sums commute
+
+
+def _fold(model: ModelSpec, stream: SeededStream, n_draws: int, n_threads: int, makers: list) -> list:
+    """The one run_chunked kernel that draws leaf noise: it makes each
+    reducer as maker(n_draws), folds every leaf block into all of them in
+    turn and returns them. A reducer has cols, the sorted leaf columns it
+    reads (None: all); part(start, stop, first), what one range of a
+    chunk's blocks folds into (the first range's may be the run's own
+    arrays); block(part, b, eps) for the block eps of columns b (leaves x
+    draws); and close(parts), which merges a chunk's parts in block order.
 
     Per chunk (of _chunk_size draws) it draws the factor rows of
-    _factor_rows, then the leaf Gumbels in row blocks of leaves in column
-    order. Each block eps (leaves x draws), Lambda_leaf * eps'_j plus the
-    leaf's parent-nest row, is folded as it comes:
-    - row i of store takes noise column cols[i], for a sorted distinct
-      intp array cols. Asked for some columns only (no u, no bounds),
-      it computes only their root paths' factor rows and the leaf blocks
-      that hold them, skips an unread block's uniforms with
-      bit_generator.advance and stops after the last block it reads;
-    - hits[k] stays True while eps <= bounds[k] (bound vectors x leaves x 1);
-    - best takes max_j (u_j + eps_j) for the utility column u, and counts
-      how often each column won (ties to the earliest, as argmax does): a
-      block's argmax runs only over the draws whose block max strictly
-      beats their running best, and its first maximum replaces their
-      winner; counting reads the running best but never writes it.
-
-    Given more than one worker (run_chunked does so in a run of one
-    chunk), the chunk's blocks, capped at CHUNK_SIZE floats over all
-    workers but at least one row, are spread over them. The factor blocks go as in
-    _factor_rows. The leaf blocks are cut into contiguous ranges, one per
-    worker; each range reads a copy of the chunk's generator advanced by
-    the uniforms of the blocks before it and folds into its own hit flags,
-    running best and winners. The ranges merge in block order: hit flags
-    by AND, the best by max, a winner only where a later range strictly
-    beats the best so far, so ties still go to the earliest column. Every
-    output is the same bits at any worker count; one worker is the
-    one-range case, with no copy.
-    Everything per draw is allocated before any draw is made.
+    _factor_rows, then the leaf Gumbels in _blocks of leaves in column
+    order: Lambda_leaf * eps'_j plus the leaf's parent-nest row. The read
+    plan (subset or full) is the union of the reducers' cols; the blocks
+    go in one contiguous range per worker (module docstring).
     """
     if n_draws < 0:
         raise DomainError("n_draws must be nonnegative")
+    reducers = [make(n_draws) for make in makers]  # everything per draw, before any draw
     tree = model.tree
     coeffs = np.array(tree.scale[len(tree.nests):])[:, None]
-    subset = u is None and bounds is None and len(cols) < len(coeffs)
+    # Sorted, repeats and all: np.unique would import numpy.ma, 10-20 ms at its first call.
+    wanted = [r.cols for r in reducers]
+    cols = None if any(c is None for c in wanted) else np.sort(np.concatenate(wanted))
+    subset = cols is not None and np.count_nonzero(np.diff(cols, prepend=-1)) < len(coeffs)  # distinct ones
     parent_rows, rows = _factor_rows(tree, cols if subset else None)
-    store = None if cols is None else np.empty((len(cols), n_draws))
-    hits = None if bounds is None else np.ones((len(bounds), n_draws), dtype=bool)
-    best = None if u is None else np.full(n_draws, -np.inf)
 
-    def kernel(sub: SeededStream, start: int, stop: int, workers: int, fan):
+    def kernel(sub: SeededStream, start: int, stop: int, workers: int, fan) -> None:
         m = stop - start
         acc = rows(sub, m, workers, fan)
         blocks = _blocks(len(coeffs), m, workers)
@@ -247,15 +307,12 @@ def _fold(
         ranges = [(_ahead(sub, blocks[lo].start * m), blocks[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
         def fold(lane_blocks):
-            lane, part = lane_blocks
-            first = lane is sub  # the first range writes straight into the run's arrays
-            hit = None if hits is None else hits[:, start:stop] if first else np.ones((len(bounds), m), dtype=bool)
-            top = None if best is None else best[start:stop] if first else np.full(m, -np.inf)
-            won = None if top is None else np.zeros(m, dtype=np.intp)
-            for b in part:
-                if store is not None:
+            lane, mine = lane_blocks
+            parts = [r.part(start, stop, lane is sub) for r in reducers]
+            for b in mine:
+                if subset:
                     lo, hi = np.searchsorted(cols, (b.start, b.stop))
-                    if subset and lo == hi:
+                    if lo == hi:
                         if lo == len(cols):
                             break  # nothing reads the substream after the last column
                         lane.rng.bit_generator.advance(coeffs[b].size * m)  # the block's uniforms
@@ -263,39 +320,16 @@ def _fold(
                 eps = gumbel_sample(lane, size=coeffs[b].size * m).reshape(-1, m)
                 eps *= coeffs[b]
                 eps += acc[parent_rows[b]]
-                if store is not None:
-                    store[lo:hi, start:stop] = eps[cols[lo:hi] - b.start]
-                if hit is not None:
-                    hit &= np.all(eps <= bounds[:, b], axis=1)
-                if top is not None:
-                    eps += u[b]
-                    # Strict, so the earliest column keeps a tie across blocks.
-                    # Columns only grow from block to block, so a draw the block
-                    # improves takes its winner from this block.
-                    if len(eps) == 1:  # few leaves at full chunks
-                        block_top = eps[0]
-                        np.maximum(won, (block_top > top) * b.start, out=won)
-                    else:
-                        # argmax (the first maximum) only over the draws the
-                        # block improves, a shrinking share once the best settles
-                        block_top = eps.max(axis=0)
-                        idx = np.flatnonzero(block_top > top)
-                        won[idx] = eps[:, idx].argmax(axis=0) + b.start
-                    np.maximum(top, block_top, out=top)
-                    del eps, block_top  # block_top may view eps: free both before the next draw
-            return hit, top, won
+                for r, part in zip(reducers, parts):
+                    r.block(part, b, eps)
+                del eps  # free the block before the next one is drawn
+            return parts
 
-        (hit, top, won), *later = fan(fold, ranges)
-        for hit_r, top_r, won_r in later:
-            if hit is not None:
-                hit &= hit_r
-            if top is not None:
-                np.copyto(won, won_r, where=top_r > top)
-                np.maximum(top, top_r, out=top)
-        return None if won is None else np.bincount(won, minlength=len(coeffs))
+        for r, parts in zip(reducers, zip(*fan(fold, ranges))):
+            r.close(parts)
 
-    counts = run_chunked(stream, n_draws, kernel, n_threads=n_threads, chunk_size=_chunk_size(tree), split=True)
-    return store, hits, best, None if u is None else sum(counts, np.zeros(len(coeffs), dtype=np.intp))
+    run_chunked(stream, n_draws, kernel, n_threads=n_threads, chunk_size=_chunk_size(tree), split=True)
+    return reducers
 
 
 def sample_epsilon(
@@ -312,8 +346,8 @@ def sample_epsilon(
     _factor_rows. Memory is O(chunk x nests) plus the output matrix.
     """
     leaves = model.tree.leaves
-    store = _fold(model, stream, n_draws, n_threads, cols=np.arange(len(leaves)))[0]
-    return SampleBatch(draws=store.T, leaf_order=leaves)
+    (columns,) = _fold(model, stream, n_draws, n_threads, [partial(_Columns, range(len(leaves)))])
+    return SampleBatch(draws=columns.store.T, leaf_order=leaves)
 
 
 def mc_choice_probs(
@@ -326,11 +360,8 @@ def mc_choice_probs(
     (they occur with probability zero under the continuous noise). Only
     each draw's best total is kept, and each chunk's win counts.
     """
-    counts = _fold(model, stream, n_draws, n_threads, u=_leaf_column(model, model.utilities))[3]
-    return {
-        leaf: binomial_estimate(int(counts[i]), n_draws)
-        for i, leaf in enumerate(model.tree.leaves)
-    }
+    (best,) = _fold(model, stream, n_draws, n_threads, [partial(_Best, _leaf_column(model, model.utilities))])
+    return {leaf: binomial_estimate(int(count), n_draws) for leaf, count in zip(model.tree.leaves, best.counts)}
 
 
 def mc_emax(
@@ -339,8 +370,8 @@ def mc_emax(
     """Simulated Emax: mean over draws of max_j(U_j + eps_j), minus the
     Euler-Mascheroni constant so the value is directly comparable to
     emax(model) (the marginals are uncentered Gumbel)."""
-    best = _fold(model, stream, n_draws, n_threads, u=_leaf_column(model, model.utilities))[2]
-    est = mean_with_error(best)
+    (best,) = _fold(model, stream, n_draws, n_threads, [partial(_Best, _leaf_column(model, model.utilities))])
+    est = mean_with_error(best.total)
     return EstimateWithError(est.value - EULER_GAMMA, est.std_error, est.n_draws)
 
 
@@ -357,17 +388,13 @@ def mc_correlation(
     The exact value is 1 - Lambda_lca^2 for the leaves' lowest common
     ancestor. The standard error is the normal-theory approximation
     (1 - r^2)/sqrt(n - 3). The columns are sample_epsilon's, bit for bit,
-    but only they are folded: per draw it costs every factor's raw draws,
-    Kanter's arithmetic on the nests of the pair's two root paths and the
-    Gumbels of the leaf blocks that hold the pair, not the whole tree's.
+    but only the noise they read is folded (see _fold).
     """
     for leaf in (leaf_a, leaf_b):
         require_leaf(model.tree, leaf, "noise columns belong to leaves")
     pair = [model.tree.slot[leaf] - len(model.tree.nests) for leaf in (leaf_a, leaf_b)]
-    cols = np.unique(pair)
-    store = _fold(model, stream, n_draws, n_threads, cols=cols)[0]
-    a, b = np.searchsorted(cols, pair)
-    return correlation_with_error(store[a], store[b])
+    (columns,) = _fold(model, stream, n_draws, n_threads, [partial(_Columns, pair)])
+    return correlation_with_error(*columns.rows)
 
 
 def mc_cdf(
@@ -380,8 +407,8 @@ def mc_cdf(
     """Empirical frequency of the event {eps_j <= bounds_j for all j},
     the Monte Carlo counterpart of cdf(model, bounds)."""
     bounds = _leaf_values(model.tree, bounds, "bound")
-    hits = _fold(model, stream, n_draws, n_threads, bounds=_leaf_column(model, bounds)[None])[1]
-    return binomial_estimate(int(hits.sum()), n_draws)
+    (hits,) = _fold(model, stream, n_draws, n_threads, [partial(_Hits, _leaf_column(model, bounds)[None])])
+    return binomial_estimate(int(hits.flags.sum()), n_draws)
 
 
 def mixed_logit_probs(

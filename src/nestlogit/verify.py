@@ -9,10 +9,9 @@ budget that is not corrected for how many statistics a max |z| takes: on
 the correct 1,314-leaf random_model(default_rng(0), max_nodes=2000),
 mc-choice-probabilities fails 33 of seeds 0-39 at 1,000 draws (ROADMAP
 item 8). The Monte Carlo checks all read one stream of noise, folded
-by simulate._fold in one pass: per draw it keeps the best total, a hit
-flag per bound vector and only the noise columns the correlation pairs
-read, never the draws x leaves matrix, plus the win counts per chunk.
-Its pairs come from tree.kids. The complex steps read tree.kids too,
+by simulate._fold in one pass into its three reducers (the columns the
+correlation pairs read, hit flags, best totals), never into the draws x
+leaves matrix. Its pairs come from tree.kids, as do the complex steps,
 top-down in slot order: one step per node, so a 3,000-nest chain costs
 what its 6,003 nodes cost, not its leaves times its depth.
 
@@ -28,6 +27,7 @@ import cmath
 import math
 import sys
 from collections import namedtuple
+from functools import partial
 
 from .errors import DomainError
 from .model import ModelSpec, _backward, _by_slot, _leaf_probs, _log_forward, cdf, forward_probs
@@ -163,7 +163,7 @@ def run_checks(
     import numpy as np
 
     from .montecarlo import correlation_with_error
-    from .simulate import _fold, _leaf_column
+    from .simulate import _Best, _Columns, _fold, _Hits, _leaf_column
 
     if n_draws < 4:
         raise DomainError("correlation needs at least 4 draws")
@@ -197,7 +197,6 @@ def run_checks(
         first[nest] = first[tree.kids[nest][0]]
     pairs = [(tree.scale[nest], first[kids[0]], first[kids[1]])
              for nest, kids in enumerate(tree.kids) if len(kids) >= 2]
-    cols = np.unique(np.array([col for _, *pair in pairs for col in pair], dtype=np.intp))
     grid = [
         {leaf: 0.0 for leaf in tree.leaves},
         {leaf: 1.0 for leaf in tree.leaves},
@@ -205,23 +204,25 @@ def run_checks(
         {leaf: 2.0 for leaf in tree.leaves},
         {leaf: 0.25 * (i % 5) - 0.5 for i, leaf in enumerate(tree.leaves)},
     ]
-    bounds = np.stack([_leaf_column(model, a) for a in grid])
-    utilities = _leaf_column(model, model.utilities)
-    store, hits, _, counts = _fold(model, stream.child(1), n_draws, n_threads, utilities, bounds, cols)
+    columns, hits, best = _fold(model, stream.child(1), n_draws, n_threads, [
+        partial(_Columns, [col for _, *pair in pairs for col in pair]),
+        partial(_Hits, np.stack([_leaf_column(model, a) for a in grid])),
+        partial(_Best, _leaf_column(model, model.utilities)),
+    ])
 
-    pair_gap = 0.0
-    for big_lam, i, j in pairs:
-        r = correlation_with_error(store[np.searchsorted(cols, i)], store[np.searchsorted(cols, j)])
+    pair_gap, rows = 0.0, iter(columns.rows)
+    for (big_lam, _, _), a, b in zip(pairs, rows, rows):  # two rows per pair
+        r = correlation_with_error(a, b)
         pair_gap = max(pair_gap, abs(r.value - (1.0 - big_lam ** 2)))
     corr_tol = 3.0 / float(np.sqrt(n_draws - 3.0))  # 3 standard errors of r at rho = 0, the widest
     detail = f"max |empirical - (1 - Lambda_lca^2)| over {len(pairs)} pairs, one per nest"
     results.append(_within("lca-correlations", pair_gap, corr_tol, detail))
 
-    z_cdf = max(_proportion_z(int(hit.sum()), n_draws, cdf(model, a)) for hit, a in zip(hits, grid))
+    z_cdf = max(_proportion_z(int(hit.sum()), n_draws, cdf(model, a)) for hit, a in zip(hits.flags, grid))
     detail = f"max z-score over {len(grid)} bound vectors at {n_draws} draws"
     results.append(_within("joint-cdf", z_cdf, 3.0, detail))
 
-    z = max(_proportion_z(int(counts[i]), n_draws, leaf_probs[leaf]) for i, leaf in enumerate(tree.leaves))
+    z = max(_proportion_z(int(count), n_draws, leaf_probs[leaf]) for leaf, count in zip(tree.leaves, best.counts))
     detail = f"max z-score over {len(tree.leaves)} leaves at {n_draws} draws"
     results.append(_within("mc-choice-probabilities", z, 3.0, detail))
 

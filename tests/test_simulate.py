@@ -7,6 +7,7 @@ the headline comparisons at 10^6 draws.
 
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -549,7 +550,8 @@ def test_winner_search_equals_full_batch_argmax(case):
         leaf: binomial_estimate(int(counts[i]), n) for i, leaf in enumerate(leaves)
     }
     # each draw's best total, which mc_emax averages (a mean of 1e308s overflows)
-    assert_array_equal(simulate._fold(model, SeededStream(9), n, 1, u=u)[2], best)
+    (reducer,) = simulate._fold(model, SeededStream(9), n, 1, [partial(simulate._Best, u)])
+    assert_array_equal(reducer.total, best)
 
 
 def depth3_tree_model():
@@ -631,18 +633,137 @@ def test_split_fold_keeps_its_bits_under_fast_thread_switching(monkeypatch):
     # a lost write would change the bits.
     model = chain_model(600)
     u = simulate._leaf_column(model, {leaf: 0.01 * (i % 7) for i, leaf in enumerate(model.tree.leaves)})
-    expected = simulate._fold(model, SeededStream(79), 256, 1, u=u, cols=np.arange(len(u)))
+    makers = [partial(simulate._Columns, range(len(u))), partial(simulate._Best, u)]
+    want_columns, want_best = simulate._fold(model, SeededStream(79), 256, 1, makers)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            store, _, best, counts = simulate._fold(model, SeededStream(79), 256, 8, u=u, cols=np.arange(len(u)))
-            assert_array_equal(store, expected[0])
-            assert_array_equal(best, expected[2])
-            assert_array_equal(counts, expected[3])
+            columns, best = simulate._fold(model, SeededStream(79), 256, 8, makers)
+            assert_array_equal(columns.store, want_columns.store)
+            assert_array_equal(best.total, want_best.total)
+            assert_array_equal(best.counts, want_best.counts)
     finally:
         sys.setswitchinterval(interval)
+
+
+class ColumnSums:
+    """A reducer that only this suite folds: each chunk's sum of eps over
+    its draws, per leaf column, keyed by the chunk's first draw."""
+
+    cols = None
+
+    def __init__(self, n_leaves, n_draws):
+        self.n_leaves, self.sums = n_leaves, {}
+
+    def part(self, start, stop, first):
+        return start, np.zeros(self.n_leaves)
+
+    def block(self, part, b, eps):
+        part[1][b] = eps.sum(axis=1)
+
+    def close(self, parts):
+        # Each range sums its own columns and leaves the others at 0.0.
+        self.sums[parts[0][0]] = sum(sums for _, sums in parts)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["depth3-two-chunks", "wide", "chain600"])
+def test_a_new_reducer_plugs_into_the_fold(monkeypatch, case, workers):
+    # A reducer the fold has never seen, ahead of _Best (which adds u to
+    # eps in place), on one chunk split over 1 to 4 workers or on two
+    # chunks run in parallel: its sums are those of sample_epsilon's
+    # columns, chunk by chunk, and _Best's totals are unchanged.
+    make, n, _ = SPLIT_CASES[case]
+    model = make()
+    leaves = model.tree.leaves
+    u = simulate._leaf_column(model, {leaf: 0.1 * (k % 7) for k, leaf in enumerate(leaves)})
+    batch = sample_epsilon(model, SeededStream(81), n)
+    chunk = simulate._chunk_size(model.tree)
+    expected = {
+        start: np.array([batch.draws[start:start + chunk, j].sum() for j in range(len(leaves))])
+        for start in range(0, n, chunk)
+    }
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+    sums, best = simulate._fold(
+        model, SeededStream(81), n, workers, [partial(ColumnSums, len(leaves)), partial(simulate._Best, u)]
+    )
+    assert sums.sums.keys() == expected.keys()
+    for start, column_sums in expected.items():
+        assert_array_equal(sums.sums[start], column_sums)
+    assert_array_equal(best.total, (batch.draws + u.T).max(axis=1))
+
+
+def test_the_read_plan_is_the_union_of_the_reducers_columns(monkeypatch):
+    # The wide tree (1,314 leaves, 388 nests) at 1,000 draws is one chunk
+    # of 21 leaf blocks: 20 of 65 rows and one of 14. Columns 5 and 40 sit
+    # in block 0 and column 1,200 in block 18. Two column reducers read
+    # only those three: the Kanter arithmetic runs on the factor rows of
+    # their root paths alone, blocks 0 and 18 are drawn, blocks 1-17 are
+    # advanced past and blocks 19-20 never reached. Next to _Best, which
+    # reads every column, the same columns take the full fold.
+    drawn, computed, gumbels, advanced = [], [], [], []
+    kanter_draws, kanter_eta = simulate._kanter_draws, simulate._kanter_eta
+
+    def spied_kanter_draws(rng, rows, m):
+        h, e = kanter_draws(rng, rows, m)
+        drawn.append(h.copy())
+        return h, e
+
+    def spied_kanter_eta(lam, h, e):
+        computed.append(h.copy())
+        return kanter_eta(lam, h, e)
+
+    def spied_gumbel(stream, size):
+        gumbels.append(size)
+        return gumbel_sample(stream, size)
+
+    class SpiedBits(np.random.PCG64DXSM):
+        def advance(self, delta):
+            advanced.append(delta)
+            return super().advance(delta)
+
+    monkeypatch.setattr(simulate, "_kanter_draws", spied_kanter_draws)
+    monkeypatch.setattr(simulate, "_kanter_eta", spied_kanter_eta)
+    monkeypatch.setattr(simulate, "gumbel_sample", spied_gumbel)
+    monkeypatch.setattr(np.random, "PCG64DXSM", SpiedBits)
+    model = random_model(np.random.default_rng(0), max_nodes=2000)
+    tree, n = model.tree, 1000
+    assert [len(range(len(tree.leaves))[b]) for b in simulate._blocks(len(tree.leaves), n)] == [65] * 20 + [14]
+    # the factor rows (nests with lambda < 1, in preorder) on the three root paths
+    on_paths = set()
+    for col in (5, 40, 1200):
+        nest = tree.up[len(tree.nests) + col]
+        while nest >= 0:
+            on_paths.add(nest)
+            nest = tree.up[nest]
+    factors = [i for i, nest in enumerate(tree.nests) if tree.lam[nest] < 1.0]
+    read = np.array([i in on_paths for i in factors])
+    assert 0 < read.sum() < len(factors)
+
+    five, pair = simulate._fold(
+        model, SeededStream(80), n, 1, [partial(simulate._Columns, [5]), partial(simulate._Columns, [40, 1200])]
+    )
+    assert len(np.concatenate(drawn)) == len(factors)
+    assert_array_equal(np.concatenate(computed), np.concatenate(drawn)[read])
+    assert gumbels == [65 * n, 65 * n]
+    assert advanced == [65 * n] * 17
+
+    drawn.clear(), computed.clear(), gumbels.clear(), advanced.clear()
+    u = simulate._leaf_column(model, model.utilities)
+    columns, best = simulate._fold(
+        model, SeededStream(80), n, 1, [partial(simulate._Columns, [1200, 5, 40]), partial(simulate._Best, u)]
+    )
+    assert_array_equal(np.concatenate(computed), np.concatenate(drawn))
+    assert gumbels == [65 * n] * 20 + [14 * n]
+    assert advanced == []
+
+    batch = sample_epsilon(model, SeededStream(80), n)
+    assert_array_equal(five.rows[0], batch.draws[:, 5])
+    assert_array_equal(pair.rows, batch.draws[:, [40, 1200]].T)
+    assert_array_equal(columns.rows, batch.draws[:, [1200, 5, 40]].T)
+    assert_array_equal(best.counts, np.bincount((batch.draws + u.T).argmax(axis=1), minlength=len(tree.leaves)))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
@@ -656,7 +777,8 @@ def test_split_ties_go_to_column_zero(monkeypatch, workers):
     estimates = mc_choice_probs(model, SeededStream(78), 600, workers)
     assert estimates["x0"].value == 1.0
     assert all(estimates[leaf].value == 0.0 for leaf in model.tree.leaves[1:])
-    assert_array_equal(simulate._fold(model, SeededStream(78), 600, workers, u=np.zeros((600, 1)))[2], 0.5)
+    (best,) = simulate._fold(model, SeededStream(78), 600, workers, [partial(simulate._Best, np.zeros((600, 1)))])
+    assert_array_equal(best.total, 0.5)
 
 
 def test_mixed_logit_example(single_layer_model):
@@ -835,8 +957,8 @@ def test_estimators_own_the_draw_floors():
     assert run_chunked(SeededStream(0), -1, lambda *chunk: chunk) == []
     # given utilities but no draws, _fold counts zero wins per leaf, which the estimator refuses
     tree = build("r", {"r": ("a", "b")}, {})
-    counts = simulate._fold(make_model(tree, {"a": 0.0, "b": 0.0}), SeededStream(0), 0, 1, u=np.zeros((2, 1)))[3]
-    assert counts.tolist() == [0, 0]
+    (best,) = simulate._fold(make_model(tree, {"a": 0.0, "b": 0.0}), SeededStream(0), 0, 1, [partial(simulate._Best, np.zeros((2, 1)))])
+    assert best.counts.tolist() == [0, 0]
 
 
 def test_one_draw_gives_no_standard_error(depth3_model):
